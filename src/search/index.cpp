@@ -123,15 +123,6 @@ std::vector<QueryResult> NnIndex::query(std::span<const std::vector<float>> batc
   return results;
 }
 
-void NnIndex::fit(std::span<const std::vector<float>> rows, std::span<const int> labels) {
-  clear();
-  add(rows, labels);
-}
-
-int NnIndex::predict(std::span<const float> query) const {
-  return query_one(query, 1).label;
-}
-
 double NnIndex::accuracy(std::span<const std::vector<float>> queries,
                          std::span<const int> labels, std::size_t k) const {
   if (queries.size() != labels.size()) {

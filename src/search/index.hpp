@@ -1,8 +1,7 @@
 // Production nearest-neighbor index interface: incremental adds, batched
 // top-k queries with raw match scores, and per-query telemetry.
 //
-// This supersedes the original single-query `NnEngine` protocol (`fit` +
-// argmax-only `predict`). Every backend - software linear scan, TCAM+LSH,
+// Every backend - software linear scan, TCAM+LSH,
 // FeFET MCAM array, conductance-LUT MCAM - implements `query_one`, which
 // surfaces the backend's *native* ranking:
 //
@@ -19,10 +18,6 @@
 // implementations are const and touch no mutable state, so concurrent
 // queries against one index are safe.
 //
-// Migration note: `NnEngine` is now a deprecated alias of `NnIndex`, and
-// `fit`/`predict`/`accuracy` are retained as thin non-virtual shims
-// (`fit` = `clear` + `add`; `predict(q)` = `query_one(q, 1).label`). New
-// code should use `add` + `query`.
 #pragma once
 
 #include "search/knn.hpp"
@@ -199,24 +194,9 @@ class NnIndex {
   /// engine-type mismatch. Default: throws std::logic_error.
   virtual void load_state(serve::io::Reader& in);
 
-  // --- Deprecated NnEngine shims -----------------------------------------
-
-  /// Replaces the stored set: `clear()` + `add(rows, labels)`. Prefer `add`.
-  [[deprecated("use clear() + add(rows, labels)")]] void fit(
-      std::span<const std::vector<float>> rows, std::span<const int> labels);
-
-  /// Label of the nearest stored entry (= `query_one(query, 1).label`).
-  /// Prefer `query` / `query_one`, which also return scores and telemetry.
-  [[deprecated("use query_one(query, 1).label")]] [[nodiscard]] int predict(
-      std::span<const float> query) const;
-
   /// Fraction of `queries` classified correctly with k-NN majority vote.
   [[nodiscard]] double accuracy(std::span<const std::vector<float>> queries,
                                 std::span<const int> labels, std::size_t k = 1) const;
 };
-
-/// Deprecated name of the interface, kept for the original fit/predict
-/// call sites; new code should spell it NnIndex.
-using NnEngine = NnIndex;
 
 }  // namespace mcam::search

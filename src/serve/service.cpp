@@ -1,18 +1,10 @@
 #include "serve/service.hpp"
 
-#include "search/batch.hpp"
-
 #include <algorithm>
 #include <bit>
-#include <cmath>
-#include <numeric>
 #include <optional>
 
 namespace mcam::serve {
-
-double nearest_rank_percentile(std::span<const double> sorted, double p) {
-  return mcam::nearest_rank_percentile(sorted, p);
-}
 
 bool QueryService::CacheKey::operator==(const CacheKey& other) const {
   if (k != other.k || query.size() != other.query.size()) return false;
@@ -41,81 +33,46 @@ std::size_t QueryService::CacheKeyHash::operator()(const CacheKey& key) const no
 QueryService::QueryService(search::NnIndex& index, QueryServiceConfig config)
     : index_(index),
       config_(config),
-      latency_window_ms_(config.latency_window == 0 ? 1 : config.latency_window),
-      margin_window_(config.latency_window == 0 ? 1 : config.latency_window),
-      started_(std::chrono::steady_clock::now()),
-      trace_sampler_(obs::effective_trace_sample(config.trace_sample)) {
-  if (config_.queue_capacity == 0) config_.queue_capacity = 1;
-  if (config_.latency_window == 0) config_.latency_window = 1;
-  config_.workers = config_.workers > 0 ? config_.workers : search::default_worker_count();
-  counters_.workers = config_.workers;
-  // Resolve the shared registry instruments once; the hot path only
-  // touches the returned handles (one relaxed atomic each).
-  obs::Registry& registry = obs::registry();
-  requests_ok_ = registry.counter("mcam_serve_requests_total", {{"outcome", "ok"}});
-  requests_failed_ = registry.counter("mcam_serve_requests_total", {{"outcome", "failed"}});
-  requests_rejected_ =
-      registry.counter("mcam_serve_requests_total", {{"outcome", "rejected"}});
-  cache_hits_counter_ = registry.counter("mcam_serve_cache_hits_total");
-  probes_counter_ = registry.counter("mcam_coarse_probes_total");
-  latency_hist_ =
-      registry.histogram("mcam_serve_latency_ms", obs::default_latency_buckets_ms());
-  energy_hist_ =
-      registry.histogram("mcam_query_energy_j", obs::default_energy_buckets_j());
-  workers_.reserve(config_.workers);
-  for (std::size_t w = 0; w < config_.workers; ++w) {
-    workers_.emplace_back([this] { worker_loop(); });
-  }
-
-  // Online health monitoring (obs/health). The canary's ground truth runs
-  // on the canary's own worker under a *shared* index lock: it re-executes
-  // the sampled query through query_subset over every id ever added
-  // (tombstoned/never-added ids are ignored by contract, so the bound
-  // only needs to over-approximate) and bails out as stale when the cache
-  // generation moved past the serving-time stamp.
-  id_bound_ = index.size();
-  canary_ = std::make_unique<obs::health::RecallCanary>(
-      config_.canary,
-      [this](std::span<const float> query, std::size_t k, std::uint64_t generation)
-          -> std::optional<std::vector<std::size_t>> {
-        std::shared_lock<std::shared_mutex> lock(index_mutex_);
-        if (cache_generation_.load(std::memory_order_acquire) != generation) {
-          return std::nullopt;
-        }
-        std::vector<std::size_t> ids(id_bound_);
-        std::iota(ids.begin(), ids.end(), std::size_t{0});
-        const search::QueryResult exact = index_.query_subset(query, ids, k);
-        std::vector<std::size_t> out;
-        out.reserve(exact.neighbors.size());
-        for (const search::Neighbor& neighbor : exact.neighbors) {
-          out.push_back(neighbor.index);
-        }
-        return out;
-      });
-  monitor_ = std::make_unique<obs::health::HealthMonitor>(
-      config_.health,
-      [this] {
-        std::shared_lock<std::shared_mutex> lock(index_mutex_);
-        return obs::health::scrub_index(index_);
-      },
-      canary_.get());
-}
+      id_bound_(index.size()),
+      cache_hits_counter_(obs::registry().counter("mcam_serve_cache_hits_total")),
+      trace_sampler_(obs::effective_trace_sample(config.trace_sample)),
+      tenant_("mcam_serve", {}, config.latency_window),
+      // Online health monitoring (obs/health). The canary's ground truth
+      // runs on the canary's own worker under a *shared* index lock over
+      // every id ever added, and bails out as stale when the cache
+      // generation moved past the serving-time stamp.
+      canary_(std::make_unique<obs::health::RecallCanary>(
+          config.canary,
+          [this](std::span<const float> query, std::size_t k, std::uint64_t generation)
+              -> std::optional<std::vector<std::size_t>> {
+            std::shared_lock<std::shared_mutex> lock(index_mutex_);
+            if (cache_generation_.load(std::memory_order_acquire) != generation) {
+              return std::nullopt;
+            }
+            return exact_neighbor_ids(index_, query, k, id_bound_);
+          })),
+      monitor_(std::make_unique<obs::health::HealthMonitor>(
+          config.health,
+          [this] {
+            std::shared_lock<std::shared_mutex> lock(index_mutex_);
+            return obs::health::scrub_index(index_);
+          },
+          canary_.get())),
+      executor_({.owner = "QueryService",
+                 .workers = config.workers,
+                 .queue_capacity = config.queue_capacity,
+                 .tenant_cap = std::nullopt,
+                 .admission_span = false},
+                [this](Request& request) { return execute(request); }) {}
 
 QueryService::~QueryService() { stop(); }
 
 void QueryService::stop() {
-  {
-    std::lock_guard<std::mutex> lock(queue_mutex_);
-    stopping_ = true;
-  }
-  queue_cv_.notify_all();
-  for (std::thread& worker : workers_) {
-    if (worker.joinable()) worker.join();
-  }
+  executor_.stop();
   // After the pool: no new canary samples can arrive, so the canary can
   // drain its queue and join; the periodic scrubber just wakes and exits.
-  if (monitor_) monitor_->stop();
-  if (canary_) canary_->stop();
+  monitor_->stop();
+  canary_->stop();
 }
 
 std::future<QueryResponse> QueryService::submit(std::vector<float> query, std::size_t k) {
@@ -136,75 +93,30 @@ std::future<QueryResponse> QueryService::submit(std::vector<float> query, std::s
     std::shared_lock<std::shared_mutex> lock(index_mutex_);
     if (index_.size() > 0) cache_k = std::min(cache_k, index_.size());
   }
-  std::promise<QueryResponse> promise;
-  std::future<QueryResponse> future = promise.get_future();
-  const auto submitted = std::chrono::steady_clock::now();
+  Request request{std::move(query), k, {}, std::chrono::steady_clock::now(), nullptr};
+  std::future<QueryResponse> future = request.promise.get_future();
 
   // Stage-trace sampling decision (1-in-N; off by default). The trace
   // rides the request: cache-probe is recorded here on the caller thread,
   // queue-wait and execution by the worker that picks the request up.
-  std::unique_ptr<obs::Trace> trace;
   if (trace_sampler_.should_sample()) {
-    trace = std::make_unique<obs::Trace>("serve.query");
+    request.trace = std::make_unique<obs::Trace>("serve.query");
   }
 
-  const auto reject_stopped = [&] {
-    QueryResponse response;
-    response.status = RequestStatus::kShutdown;
-    response.error = "service stopped";
-    promise.set_value(std::move(response));
-  };
-  {
-    // Before the cache probe: a stopped service must answer kShutdown
-    // uniformly, never a (possibly stale, no-longer-invalidated) cache hit.
-    std::lock_guard<std::mutex> lock(queue_mutex_);
-    if (stopping_) {
-      reject_stopped();
-      return future;
-    }
-  }
-
-  if (config_.cache_capacity > 0) {
-    obs::TraceSpan probe_span(trace.get(), "cache-probe");
-    const bool hit = try_cache(query, cache_k, promise, submitted);
+  // A stopped service skips the probe and lets the executor answer
+  // kShutdown uniformly, never a (possibly stale, no-longer-invalidated)
+  // cache hit.
+  if (config_.cache_capacity > 0 && !executor_.stopped()) {
+    obs::TraceSpan probe_span(request.trace.get(), "cache-probe");
+    const bool hit = try_cache(request.query, cache_k, request.promise, request.submitted);
     probe_span.note("hit", hit ? 1.0 : 0.0);
     probe_span.close();
     if (hit) {
-      record_trace(std::move(trace));
+      tenant_.stats.on_trace(std::move(request.trace));
       return future;
     }
   }
-
-  {
-    std::lock_guard<std::mutex> lock(queue_mutex_);
-    if (stopping_) {  // stop() raced the cache probe.
-      reject_stopped();
-      return future;
-    }
-    if (queue_.size() >= config_.queue_capacity) {
-      // Backpressure: reject-with-status, never block and never drop.
-      // (A sampled trace for a rejected request is dropped - there is no
-      // execution to explain.)
-      {
-        std::lock_guard<std::mutex> stats(stats_mutex_);
-        ++counters_.rejected;
-      }
-      requests_rejected_.inc();
-      QueryResponse response;
-      response.status = RequestStatus::kRejected;
-      response.error = "queue full (" + std::to_string(config_.queue_capacity) + ")";
-      promise.set_value(std::move(response));
-      return future;
-    }
-    queue_.push_back(
-        Request{std::move(query), k, std::move(promise), submitted, std::move(trace)});
-    {
-      std::lock_guard<std::mutex> stats(stats_mutex_);
-      ++counters_.accepted;
-      counters_.queue_depth_peak = std::max(counters_.queue_depth_peak, queue_.size());
-    }
-  }
-  queue_cv_.notify_one();
+  executor_.submit(std::move(request), tenant_);
   return future;
 }
 
@@ -248,85 +160,45 @@ std::size_t QueryService::size() const {
   return index_.size();
 }
 
-void QueryService::worker_loop() {
-  for (;;) {
-    Request request;
-    {
-      std::unique_lock<std::mutex> lock(queue_mutex_);
-      queue_cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stopping_ and fully drained.
-      request = std::move(queue_.front());
-      queue_.pop_front();
+QueryResponse QueryService::execute(Request& request) {
+  QueryResponse response;
+  std::uint64_t generation = 0;
+  std::size_t cache_k = request.k;
+  {
+    // Install the request's trace as this worker thread's current trace
+    // so the engine's stage spans (encode / coarse-sweep / fine-rerank /
+    // ...) attach to it without any engine-visible plumbing.
+    obs::ScopedTraceContext trace_context(request.trace.get());
+    obs::TraceSpan execute_span(request.trace.get(), "execute");
+    try {
+      std::shared_lock<std::shared_mutex> lock(index_mutex_);
+      generation = cache_generation_.load(std::memory_order_acquire);
+      // The insert key clamps k to the size the query actually executed
+      // against - read under the same lock as the generation, so the key
+      // always matches the cached result's neighbor count.
+      if (index_.size() > 0) cache_k = std::min(cache_k, index_.size());
+      response.result = index_.query_one(request.query, request.k);
+      response.status = RequestStatus::kOk;
+    } catch (const std::exception& error) {
+      response.status = RequestStatus::kFailed;
+      response.error = error.what();
     }
-
-    if (request.trace) {
-      // Synthetic span for the time the request sat in the queue: it
-      // already elapsed, so it is recorded with explicit timestamps
-      // rather than an RAII scope. (Submit-side work - the cache probe -
-      // overlaps its head; the span measures submit-to-dequeue.)
-      obs::SpanRecord wait;
-      wait.name = "queue-wait";
-      // Clamped: `submitted` is stamped just before the trace's epoch.
-      wait.start_ms = std::max(0.0, std::chrono::duration<double, std::milli>(
-                                        request.submitted - request.trace->started())
-                                        .count());
-      wait.elapsed_ms = std::chrono::duration<double, std::milli>(
-                            std::chrono::steady_clock::now() - request.submitted)
-                            .count();
-      request.trace->add(std::move(wait));
+    if (response.status == RequestStatus::kOk) {
+      const search::QueryTelemetry& telemetry = response.result.telemetry;
+      execute_span.tag(telemetry.kernel);
+      execute_span.note("candidates", static_cast<double>(telemetry.candidates));
+      execute_span.note("energy_j", telemetry.energy_j);
     }
-
-    QueryResponse response;
-    std::uint64_t generation = 0;
-    std::size_t cache_k = request.k;
-    {
-      // Install the request's trace as this worker thread's current trace
-      // so the engine's stage spans (encode / coarse-sweep / fine-rerank /
-      // ...) attach to it without any engine-visible plumbing.
-      obs::ScopedTraceContext trace_context(request.trace.get());
-      obs::TraceSpan execute_span(request.trace.get(), "execute");
-      try {
-        std::shared_lock<std::shared_mutex> lock(index_mutex_);
-        generation = cache_generation_.load(std::memory_order_acquire);
-        // The insert key clamps k to the size the query actually executed
-        // against - read under the same lock as the generation, so the key
-        // always matches the cached result's neighbor count.
-        if (index_.size() > 0) cache_k = std::min(cache_k, index_.size());
-        response.result = index_.query_one(request.query, request.k);
-        response.status = RequestStatus::kOk;
-      } catch (const std::exception& error) {
-        response.status = RequestStatus::kFailed;
-        response.error = error.what();
-      }
-      if (response.status == RequestStatus::kOk) {
-        const search::QueryTelemetry& telemetry = response.result.telemetry;
-        execute_span.tag(telemetry.kernel);
-        execute_span.note("candidates", static_cast<double>(telemetry.candidates));
-        execute_span.note("energy_j", telemetry.energy_j);
-      }
-    }
-
-    // Recall-canary sampling: one constant-false branch when off. A win
-    // copies the query + served ids and hands them to the canary worker
-    // (bounded queue, drop-on-full - never blocks this path). Must run
-    // before cache_insert, which consumes request.query.
-    if (response.status == RequestStatus::kOk && canary_->should_sample()) {
-      std::vector<std::size_t> served;
-      served.reserve(response.result.neighbors.size());
-      for (const search::Neighbor& neighbor : response.result.neighbors) {
-        served.push_back(neighbor.index);
-      }
-      canary_->enqueue(request.query, request.k, std::move(served), generation);
-    }
-
-    if (response.status == RequestStatus::kOk && config_.cache_capacity > 0) {
-      cache_insert(std::move(request.query), cache_k, response.result, generation);
-    }
-    record_completion(response.status == RequestStatus::kOk, request.submitted,
-                      response.status == RequestStatus::kOk ? &response.result : nullptr);
-    record_trace(std::move(request.trace));
-    request.promise.set_value(std::move(response));
   }
+
+  const bool ok = response.status == RequestStatus::kOk;
+  // Before cache_insert, which consumes request.query.
+  if (ok) sample_canary(*canary_, request.query, request.k, response.result, generation);
+  if (ok && config_.cache_capacity > 0) {
+    cache_insert(std::move(request.query), cache_k, response.result, generation);
+  }
+  tenant_.stats.on_complete(ok, request.submitted, ok ? &response.result.telemetry : nullptr);
+  return response;
 }
 
 bool QueryService::try_cache(const std::vector<float>& query, std::size_t k,
@@ -346,20 +218,10 @@ bool QueryService::try_cache(const std::vector<float>& query, std::size_t k,
       hit = true;
     }
   }
-  {
-    // One stats acquisition, after the cache lock is released: probes of
-    // unrelated keys never contend on the stats lock through the cache.
-    std::lock_guard<std::mutex> stats(stats_mutex_);
-    ++counters_.cache_lookups;
-    if (hit) {
-      ++counters_.accepted;
-      ++counters_.completed;
-      ++counters_.cache_hits;
-      latency_hist_.observe(record_latency_locked(submitted));
-    }
-  }
+  // Booked after the cache lock is released: probes of unrelated keys
+  // never contend on the stats lock through the cache.
+  tenant_.stats.on_cache_lookup(hit, submitted);
   if (!hit) return false;
-  requests_ok_.inc();
   cache_hits_counter_.inc();
   promise.set_value(std::move(response));
   return true;
@@ -394,78 +256,7 @@ void QueryService::invalidate_cache() {
     cache_.clear();
     lru_.clear();
   }
-  std::lock_guard<std::mutex> stats(stats_mutex_);
-  ++counters_.invalidations;
-}
-
-void QueryService::record_completion(bool ok,
-                                     std::chrono::steady_clock::time_point submitted,
-                                     const search::QueryResult* result) {
-  std::lock_guard<std::mutex> stats(stats_mutex_);
-  if (ok) {
-    ++counters_.completed;
-    requests_ok_.inc();
-  } else {
-    ++counters_.failed;
-    requests_failed_.inc();
-  }
-  latency_hist_.observe(record_latency_locked(submitted));
-  if (result != nullptr) {
-    // Service-side aggregation of the executed query's telemetry: which
-    // kernel backend ranked it, how many coarse probes it spent, and what
-    // the energy model charged - the per-backend/per-joule views the
-    // benches and the registry export.
-    const search::QueryTelemetry& telemetry = result->telemetry;
-    counters_.probes_total += telemetry.probes_used;
-    counters_.energy_j_total += telemetry.energy_j;
-    // CAM engines rank in-array and report no distance-kernel backend;
-    // "none" keeps the per-kernel breakdown total equal to `completed`
-    // without an empty-string label.
-    const char* kernel = *telemetry.kernel != '\0' ? telemetry.kernel : "none";
-    ++counters_.kernel_queries[kernel];
-    probes_counter_.inc(telemetry.probes_used);
-    energy_hist_.observe(telemetry.energy_j);
-    const auto [it, inserted] = kernel_counters_.try_emplace(kernel);
-    if (inserted) {
-      // First query ranked by this backend: resolve its labeled counter
-      // (kernel names are static strings, so pointer keying is exact).
-      it->second =
-          obs::registry().counter("mcam_queries_by_kernel_total", {{"kernel", kernel}});
-    }
-    it->second.inc();
-  }
-  // Coarse nomination margins (two-stage indexes only): the per-query
-  // confidence distribution an adaptive candidate_factor policy would
-  // consume. Only executed sweeps with a genuine nomination cut are
-  // recorded: cache hits replay a result without charging the coarse
-  // TCAM, and a query whose candidate budget covered every live row
-  // reports margin 0 meaning "nothing was excluded", not "zero
-  // confidence" - pooling those zeros would read as low confidence
-  // exactly when recall is already perfect. The cut test derives from
-  // the telemetry itself: fine_candidates equals the nominated count and
-  // coarse_candidates = live_rows * probes_used, so a cut existed iff
-  // nominated < live.
-  if (result != nullptr && result->telemetry.probes_used > 0 &&
-      result->telemetry.fine_candidates * result->telemetry.probes_used <
-          result->telemetry.coarse_candidates) {
-    ++counters_.coarse_margin_queries;
-    margin_window_.add(result->telemetry.coarse_margin);
-  }
-}
-
-double QueryService::record_latency_locked(std::chrono::steady_clock::time_point submitted) {
-  const double ms = std::chrono::duration<double, std::milli>(
-                        std::chrono::steady_clock::now() - submitted)
-                        .count();
-  latency_window_ms_.add(ms);
-  return ms;
-}
-
-void QueryService::record_trace(std::unique_ptr<obs::Trace> trace) {
-  if (!trace) return;
-  obs::TraceSink::global().record(trace->finish());
-  std::lock_guard<std::mutex> stats(stats_mutex_);
-  ++counters_.traces_recorded;
+  tenant_.stats.on_invalidation();
 }
 
 obs::health::CanaryReport QueryService::canary_report() const {
@@ -494,29 +285,9 @@ std::size_t QueryService::inject_drift(double sigma, std::uint64_t seed) {
 
 ServiceStats QueryService::stats() const {
   ServiceStats out;
-  {
-    std::lock_guard<std::mutex> stats(stats_mutex_);
-    out = counters_;
-    out.latency_p50_ms = latency_window_ms_.percentile(50.0);
-    out.latency_p95_ms = latency_window_ms_.percentile(95.0);
-    out.latency_p99_ms = latency_window_ms_.percentile(99.0);
-    out.coarse_margin_p50 = margin_window_.percentile(50.0);
-    out.coarse_margin_p95 = margin_window_.percentile(95.0);
-    out.coarse_margin_mean = margin_window_.mean();
-  }
-  {
-    std::lock_guard<std::mutex> lock(queue_mutex_);
-    out.queue_depth = queue_.size();
-  }
-  out.cache_hit_rate = out.cache_lookups > 0
-                           ? static_cast<double>(out.cache_hits) /
-                                 static_cast<double>(out.cache_lookups)
-                           : 0.0;
-  const double elapsed_s = std::chrono::duration<double>(
-                               std::chrono::steady_clock::now() - started_)
-                               .count();
-  out.throughput_qps =
-      elapsed_s > 0.0 ? static_cast<double>(out.completed) / elapsed_s : 0.0;
+  tenant_.stats.fill(out);
+  out.workers = executor_.workers();
+  out.queue_depth = executor_.queue_depth();
   return out;
 }
 

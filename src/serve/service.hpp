@@ -1,14 +1,12 @@
 // Concurrent query service: the request-serving front end over any
 // NnIndex.
 //
-// A `QueryService` owns a worker pool draining a bounded MPMC request
-// queue. `submit` never blocks the caller: a request either enters the
-// queue (and its future completes when a worker finishes it), is answered
-// straight from the LRU result cache, or - when the queue is full - comes
-// back immediately with RequestStatus::kRejected. That reject-with-status
-// admission control is the backpressure contract: under overload clients
-// see explicit rejections they can retry against, never silent drops or
-// unbounded queueing.
+// A `QueryService` drains requests through the shared serving runtime
+// (serve/runtime.hpp: bounded queue, worker pool, reject-with-status
+// admission, request stats). `submit` never blocks the caller: a request
+// either enters the queue (and its future completes when a worker
+// finishes it), is answered straight from the LRU result cache, or - when
+// the queue is full - comes back immediately with RequestStatus::kRejected.
 //
 // Concurrency model: `NnIndex::query_one` is const and touches no mutable
 // state, so queries execute under a shared lock; `add`/`erase` route
@@ -25,47 +23,23 @@
 // process-local and deliberately not persisted by snapshots.
 #pragma once
 
-#include "obs/health/health.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
-#include "search/index.hpp"
-#include "util/statistics.hpp"
+#include "serve/runtime.hpp"
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <future>
 #include <list>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
 #include <span>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 namespace mcam::serve {
-
-/// Nearest-rank percentile: the smallest element whose rank is
-/// >= ceil(p/100 * n). Returns 0 for an empty sample; with one sample
-/// every percentile is that sample. Forwards to the shared estimator in
-/// util/statistics (mcam::nearest_rank_percentile) - kept here so the
-/// serving layer's historical call sites and the window-boundary tests
-/// (exact fill, tiny windows, wraparound) keep their spelling.
-[[nodiscard]] double nearest_rank_percentile(std::span<const double> sorted, double p);
-
-/// Terminal state of a submitted request.
-enum class RequestStatus : std::uint8_t {
-  kOk = 0,     ///< Completed; `result` is valid.
-  kRejected,   ///< Admission control: the queue was full at submit time.
-  kShutdown,   ///< The service was stopped before the request was accepted.
-  kFailed,     ///< The index threw while executing; `error` has the message.
-};
 
 /// What a request's future resolves to.
 struct QueryResponse {
@@ -101,63 +75,6 @@ struct QueryServiceConfig {
   /// default) runs no background worker; scrub_health() still sweeps on
   /// demand.
   obs::health::MonitorOptions health{};
-};
-
-/// Cumulative service telemetry (all counters since construction).
-struct ServiceStats {
-  std::size_t workers = 0;           ///< Resolved worker-pool size.
-  std::size_t accepted = 0;          ///< Requests queued or cache-served.
-  std::size_t rejected = 0;          ///< Full-queue rejections (reported, never dropped).
-  std::size_t completed = 0;         ///< Futures resolved with kOk.
-  std::size_t failed = 0;            ///< Futures resolved with kFailed.
-  std::size_t cache_lookups = 0;     ///< Cache probes (cache enabled only).
-  std::size_t cache_hits = 0;        ///< Probes answered from the cache.
-  std::size_t invalidations = 0;     ///< Cache clears triggered by add/erase.
-  std::size_t queue_depth = 0;       ///< Requests waiting right now.
-  std::size_t queue_depth_peak = 0;  ///< High-water mark of the queue.
-  double cache_hit_rate = 0.0;       ///< hits / lookups (0 when no lookups).
-  double latency_p50_ms = 0.0;       ///< Submit-to-completion percentiles
-  double latency_p95_ms = 0.0;       ///< over the sliding window.
-  double latency_p99_ms = 0.0;
-  double throughput_qps = 0.0;       ///< Completed requests / wall second.
-  std::size_t coarse_margin_queries = 0;  ///< Executed queries whose coarse stage
-                                          ///< actually cut the candidate set
-                                          ///< (two-stage indexes; cache hits run no
-                                          ///< sweep, and queries whose budget covered
-                                          ///< every live row have no cut to measure -
-                                          ///< neither is counted).
-  double coarse_margin_mean = 0.0;  ///< Mean / percentiles of
-  double coarse_margin_p50 = 0.0;   ///< QueryTelemetry::coarse_margin [S] over the
-  double coarse_margin_p95 = 0.0;   ///< sliding window - the margin distribution an
-                                    ///< adaptive candidate_factor policy would read.
-  std::size_t filtered_queries = 0;    ///< Completed queries that carried a metadata
-                                       ///< predicate. Filled by the store layer's
-                                       ///< per-collection stats
-                                       ///< (store::CollectionManager); QueryService
-                                       ///< itself serves unfiltered queries and
-                                       ///< leaves the filter fields zero.
-  std::size_t band_queries = 0;        ///< ... answered via the TCAM-pushed tag band.
-  std::size_t post_filter_queries = 0; ///< ... answered via the query_subset
-                                       ///< post-filter fallback.
-  double filter_selectivity_mean = 0.0;  ///< Mean predicate selectivity
-                                         ///< (matching / live rows) over the
-                                         ///< filtered queries - the signal the
-                                         ///< band-vs-post routing threshold is
-                                         ///< tuned against.
-  std::map<std::string, std::size_t> kernel_queries;  ///< Executed queries by
-                                         ///< QueryTelemetry::kernel backend
-                                         ///< ("scalar", "avx2", "avx2+int8",
-                                         ///< ...; "" = engines that do not rank
-                                         ///< through distance/kernels/). Cache
-                                         ///< hits run no kernel and are not
-                                         ///< counted.
-  std::size_t probes_total = 0;      ///< Sum of QueryTelemetry::probes_used
-                                     ///< over executed queries.
-  double energy_j_total = 0.0;       ///< Sum of QueryTelemetry::energy_j over
-                                     ///< executed queries [J] - joules/query =
-                                     ///< energy_j_total / completed-cache_hits.
-  std::uint64_t traces_recorded = 0; ///< Stage traces this service sampled
-                                     ///< into obs::TraceSink::global().
 };
 
 /// Thread-safe serving front end over one NnIndex.
@@ -255,7 +172,9 @@ class QueryService {
   };
   using LruList = std::list<std::pair<CacheKey, search::QueryResult>>;
 
-  void worker_loop();
+  /// Runs one dequeued request on a worker: executes it under the shared
+  /// index lock, samples the canary, caches the result, books completion.
+  QueryResponse execute(Request& request);
   /// Probes the cache; on a hit resolves `promise` and returns true.
   bool try_cache(const std::vector<float>& query, std::size_t k,
                  std::promise<QueryResponse>& promise,
@@ -267,28 +186,18 @@ class QueryService {
   /// Bumps the generation and clears the cache (call with the exclusive
   /// index lock held).
   void invalidate_cache();
-  /// Completion bookkeeping (outcome counter + latency window + coarse
-  /// margin window + telemetry aggregation + registry instruments) under
-  /// one stats acquisition. `result` is the executed query's result when
-  /// ok (null for failures and cache hits).
-  void record_completion(bool ok, std::chrono::steady_clock::time_point submitted,
-                         const search::QueryResult* result = nullptr);
-  /// Appends to the latency window and returns the latency [ms]; requires
-  /// stats_mutex_ held.
-  double record_latency_locked(std::chrono::steady_clock::time_point submitted);
-  /// Finishes `trace` (if any) into the global sink and counts it.
-  void record_trace(std::unique_ptr<obs::Trace> trace);
 
   search::NnIndex& index_;
   QueryServiceConfig config_;
 
   // Lock hierarchy (acquire strictly left to right; stress-tested by
   // tests/stress/ and watched by TSan's deadlock detector in CI):
-  //   index_mutex_ -> cache_mutex_ -> stats_mutex_   (execute path)
-  //   queue_mutex_ -> stats_mutex_                   (submit/drain path)
-  // index_mutex_ and queue_mutex_ are never held together.
+  //   index_mutex_ -> cache_mutex_                 (execute / mutate path)
+  //   executor queue lock -> RequestStats lock     (admission, in runtime.hpp)
+  // The RequestStats lock is the leaf under either; index_mutex_ and the
+  // executor's queue lock are never held together.
 
-  /// lock-order: first (before cache_mutex_/stats_mutex_).
+  /// lock-order: first (before cache_mutex_ and the stats leaf).
   /// shared = query, exclusive = add/erase.
   mutable std::shared_mutex index_mutex_;
   /// Guarded by index_mutex_: upper bound (exclusive) on the ids ever
@@ -296,49 +205,25 @@ class QueryService {
   /// accessors above for the over-approximation argument).
   std::size_t id_bound_ = 0;
 
-  /// lock-order: first (before stats_mutex_; never with index_mutex_).
-  mutable std::mutex queue_mutex_;
-  std::condition_variable queue_cv_;
-  std::deque<Request> queue_;
-  bool stopping_ = false;
-
-  /// lock-order: after index_mutex_, before stats_mutex_.
+  /// lock-order: after index_mutex_, before the stats leaf.
   mutable std::mutex cache_mutex_;
   LruList lru_;
   std::unordered_map<CacheKey, LruList::iterator, CacheKeyHash> cache_;
   std::atomic<std::uint64_t> cache_generation_{0};
-
-  /// lock-order: last (leaf; no lock acquired while held).
-  mutable std::mutex stats_mutex_;
-  ServiceStats counters_;               ///< Percentiles/derived fields unused here.
-  PercentileWindow latency_window_ms_;  ///< Sliding window of completion latencies.
-  PercentileWindow margin_window_;      ///< Window of coarse nomination margins [S].
-  std::unordered_map<const char*, obs::Counter> kernel_counters_;  ///< Lazily resolved
-                                        ///< mcam_queries_by_kernel_total handles, keyed
-                                        ///< by the static kernel-name pointer.
-  std::chrono::steady_clock::time_point started_;
-
-  // Registry instruments (resolved once at construction; incrementing a
-  // handle is a relaxed atomic op, no lock, no string hash).
-  obs::Counter requests_ok_;
-  obs::Counter requests_failed_;
-  obs::Counter requests_rejected_;
-  obs::Counter cache_hits_counter_;
-  obs::Counter probes_counter_;
-  obs::Histogram latency_hist_;
-  obs::Histogram energy_hist_;
+  obs::Counter cache_hits_counter_;  ///< mcam_serve_cache_hits_total.
 
   obs::TraceSampler trace_sampler_;
+  Tenant tenant_;  ///< The service's request stats (mcam_serve_*).
 
-  std::vector<std::thread> workers_;
-
-  // Health monitors, declared after workers_ so they are destroyed
-  // (stopped/joined) before anything they reference; monitor_ borrows
-  // canary_, so it is declared after it (destroyed first). Their worker
-  // callbacks only ever take index_mutex_ (shared), never the queue or
-  // stats locks.
+  // Health monitors; monitor_ borrows canary_, so it is declared after it
+  // (destroyed first). Their worker callbacks only ever take index_mutex_
+  // (shared), never the queue or stats locks.
   std::unique_ptr<obs::health::RecallCanary> canary_;
   std::unique_ptr<obs::health::HealthMonitor> monitor_;
+
+  /// Declared last: built once everything a request touches exists, and
+  /// destroyed (workers joined) first.
+  Executor<Request, QueryResponse> executor_;
 };
 
 }  // namespace mcam::serve

@@ -1,12 +1,9 @@
 #include "store/manager.hpp"
 
-#include "search/batch.hpp"
 #include "serve/io.hpp"
 
-#include <algorithm>
 #include <cstring>
 #include <filesystem>
-#include <numeric>
 #include <optional>
 #include <stdexcept>
 #include <utility>
@@ -19,31 +16,24 @@ constexpr char kManifestMagic[8] = {'M', 'C', 'A', 'M', 'M', 'A', 'N', 'I'};
 constexpr std::uint32_t kManifestVersion = 1;
 constexpr const char* kManifestName = "MANIFEST";
 
-[[nodiscard]] StoreResponse immediate(serve::RequestStatus status, std::string error = {}) {
-  StoreResponse response;
-  response.status = status;
-  response.error = std::move(error);
-  return response;
-}
-
 }  // namespace
+
+CollectionManager::Entry::Entry(const std::string& entry_name,
+                                std::unique_ptr<Collection> entry_collection)
+    : name(entry_name),
+      collection(std::move(entry_collection)),
+      tenant("mcam_store", {{"collection", entry_name}}, kLatencyWindow),
+      rows_gauge(obs::registry().gauge("mcam_store_rows", {{"collection", entry_name}})) {}
 
 CollectionManager::CollectionManager(ManagerConfig config)
     : config_(config),
-      trace_sampler_(obs::effective_trace_sample(config.trace_sample)) {
-  if (config_.queue_capacity == 0) {
-    throw std::invalid_argument{"CollectionManager: queue_capacity must be > 0"};
-  }
-  if (config_.collection_queue_cap == 0) {
-    throw std::invalid_argument{"CollectionManager: collection_queue_cap must be > 0"};
-  }
-  resolved_workers_ =
-      config_.workers != 0 ? config_.workers : search::default_worker_count();
-  workers_.reserve(resolved_workers_);
-  for (std::size_t w = 0; w < resolved_workers_; ++w) {
-    workers_.emplace_back([this] { worker_loop(); });
-  }
-}
+      trace_sampler_(obs::effective_trace_sample(config.trace_sample)),
+      executor_({.owner = "CollectionManager",
+                 .workers = config.workers,
+                 .queue_capacity = config.queue_capacity,
+                 .tenant_cap = config.collection_queue_cap,
+                 .admission_span = true},
+                [this](Task& task) { return execute(task); }) {}
 
 CollectionManager::~CollectionManager() { stop(); }
 
@@ -52,20 +42,26 @@ void CollectionManager::create_collection(const std::string& name,
                                           const search::EngineConfig& base) {
   // Build outside the registry lock (factory work can be heavy), then
   // insert-or-throw.
-  auto entry = std::make_shared<Entry>();
-  entry->name = name;
-  entry->collection =
-      std::make_unique<Collection>(name, spec, base, config_.collection_options);
-  entry->counters.workers = resolved_workers_;
-  entry->started = std::chrono::steady_clock::now();
-  resolve_instruments(*entry);
-  attach_health(*entry);
+  register_entry(name,
+                 std::make_unique<Collection>(name, spec, base, config_.collection_options),
+                 "CollectionManager");
+}
 
+void CollectionManager::register_entry(const std::string& name,
+                                       std::unique_ptr<Collection> collection,
+                                       const char* context) {
+  auto entry = std::make_shared<Entry>(name, std::move(collection));
+  attach_health(*entry);
   std::unique_lock lock(registry_mutex_);
-  if (!entries_.emplace(name, std::move(entry)).second) {
-    throw std::invalid_argument{"CollectionManager: collection '" + name +
+  const auto [it, inserted] = entries_.emplace(name, std::move(entry));
+  if (!inserted) {
+    throw std::invalid_argument{std::string(context) + ": collection '" + name +
                                 "' already exists"};
   }
+  // Only once registered: a refused duplicate must not touch the live
+  // collection's gauge (same series). No other thread can reach the new
+  // entry before the registry lock is released.
+  update_rows_gauge(*it->second);
 }
 
 bool CollectionManager::drop_collection(const std::string& name) {
@@ -92,25 +88,11 @@ bool CollectionManager::drop_collection(const std::string& name) {
   if (entry->monitor) entry->monitor->stop();
   if (entry->canary) entry->canary->stop();
   // Retire every {collection=name}-labeled series (requests, latency,
-  // rows, health) so a dropped tenant vanishes from exports - and a later
-  // create with the same name restarts its series from zero instead of
-  // double-reporting.
+  // energy, probes, kernels, rows, health) so a dropped tenant vanishes
+  // from exports - and a later create with the same name restarts its
+  // series from zero instead of double-reporting.
   obs::registry().remove_labeled("collection", name);
   return true;
-}
-
-void CollectionManager::resolve_instruments(Entry& entry) {
-  obs::Registry& registry = obs::registry();
-  const obs::Labels base{{"collection", entry.name}};
-  entry.requests_ok = registry.counter(
-      "mcam_store_requests_total", {{"collection", entry.name}, {"outcome", "ok"}});
-  entry.requests_failed = registry.counter(
-      "mcam_store_requests_total", {{"collection", entry.name}, {"outcome", "failed"}});
-  entry.requests_rejected = registry.counter(
-      "mcam_store_requests_total", {{"collection", entry.name}, {"outcome", "rejected"}});
-  entry.latency_hist = registry.histogram("mcam_store_latency_ms",
-                                          obs::default_latency_buckets_ms(), base);
-  entry.rows_gauge = registry.gauge("mcam_store_rows", base);
 }
 
 void CollectionManager::attach_health(Entry& entry) const {
@@ -130,16 +112,8 @@ void CollectionManager::attach_health(Entry& entry) const {
         if (!raw->collection || raw->collection->generation() != generation) {
           return std::nullopt;
         }
-        std::vector<std::size_t> ids(raw->collection->metadata().rows());
-        std::iota(ids.begin(), ids.end(), std::size_t{0});
-        const search::QueryResult exact =
-            raw->collection->engine().query_subset(query, ids, k);
-        std::vector<std::size_t> out;
-        out.reserve(exact.neighbors.size());
-        for (const search::Neighbor& neighbor : exact.neighbors) {
-          out.push_back(neighbor.index);
-        }
-        return out;
+        return serve::exact_neighbor_ids(raw->collection->engine(), query, k,
+                                         raw->collection->metadata().rows());
       },
       labels);
   entry.monitor = std::make_unique<obs::health::HealthMonitor>(
@@ -244,10 +218,11 @@ std::uint64_t CollectionManager::generation(const std::string& name) const {
 std::future<StoreResponse> CollectionManager::submit(const std::string& name,
                                                      std::vector<float> query,
                                                      std::size_t k, Predicate predicate) {
-  const std::shared_ptr<Entry> entry = require_entry(name);
+  std::shared_ptr<Entry> entry = require_entry(name);
+  serve::Tenant& tenant = entry->tenant;  // Kept alive by the task's entry.
 
   Task task;
-  task.entry = entry;
+  task.entry = std::move(entry);
   task.query = std::move(query);
   task.k = k;
   task.predicate = std::move(predicate);
@@ -256,42 +231,7 @@ std::future<StoreResponse> CollectionManager::submit(const std::string& name,
     task.trace = std::make_unique<obs::Trace>("store." + name);
   }
   std::future<StoreResponse> future = task.promise.get_future();
-
-  {
-    // Admission span: the two-level (global queue + per-tenant cap)
-    // decision. Closed before the task is queued so it never races the
-    // worker finishing the trace.
-    obs::TraceSpan admission_span(task.trace.get(), "admission");
-    std::lock_guard lock(queue_mutex_);
-    if (stopping_) {
-      task.promise.set_value(immediate(serve::RequestStatus::kShutdown));
-      return future;
-    }
-    const bool queue_full = queue_.size() >= config_.queue_capacity;
-    const bool tenant_full =
-        entry->queued.load() >= config_.collection_queue_cap;
-    if (queue_full || tenant_full) {
-      {
-        std::lock_guard stats(entry->stats_mutex);
-        ++entry->counters.rejected;
-      }
-      entry->requests_rejected.inc();
-      task.promise.set_value(immediate(serve::RequestStatus::kRejected));
-      return future;  // The sampled trace (if any) is dropped with the task.
-    }
-    entry->queued.fetch_add(1);
-    {
-      std::lock_guard stats(entry->stats_mutex);
-      ++entry->counters.accepted;
-      entry->counters.queue_depth_peak =
-          std::max(entry->counters.queue_depth_peak,
-                   entry->queued.load());
-    }
-    admission_span.note("queue_depth", static_cast<double>(queue_.size()));
-    admission_span.close();
-    queue_.push_back(std::move(task));
-  }
-  queue_cv_.notify_one();
+  executor_.submit(std::move(task), tenant);
   return future;
 }
 
@@ -299,38 +239,6 @@ StoreResponse CollectionManager::query_one(const std::string& name,
                                            std::vector<float> query, std::size_t k,
                                            Predicate predicate) {
   return submit(name, std::move(query), k, std::move(predicate)).get();
-}
-
-void CollectionManager::worker_loop() {
-  for (;;) {
-    Task task;
-    {
-      std::unique_lock lock(queue_mutex_);
-      queue_cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stopping_ and drained.
-      task = std::move(queue_.front());
-      queue_.pop_front();
-    }
-    if (task.trace) {
-      // Synthetic queue-wait span (the wait already elapsed, so it is
-      // recorded with explicit timestamps rather than an RAII scope).
-      obs::SpanRecord wait;
-      wait.name = "queue-wait";
-      // Clamped: `submitted` is stamped just before the trace's epoch.
-      wait.start_ms = std::max(0.0, std::chrono::duration<double, std::milli>(
-                                        task.submitted - task.trace->started())
-                                        .count());
-      wait.elapsed_ms = std::chrono::duration<double, std::milli>(
-                            std::chrono::steady_clock::now() - task.submitted)
-                            .count();
-      task.trace->add(std::move(wait));
-    }
-    StoreResponse response = execute(task);
-    // Decrement BEFORE fulfilling the promise: a caller that saw its
-    // future resolve must observe stats().queue_depth without this task.
-    task.entry->queued.fetch_sub(1);
-    task.promise.set_value(std::move(response));
-  }
 }
 
 StoreResponse CollectionManager::execute(Task& task) const {
@@ -344,7 +252,7 @@ StoreResponse CollectionManager::execute(Task& task) const {
     obs::TraceSpan route_span(task.trace.get(), "route");
     std::shared_lock lock(task.entry->mutex);
     if (!task.entry->collection) {
-      response = immediate(serve::RequestStatus::kShutdown);
+      response.status = serve::RequestStatus::kShutdown;
     } else {
       // Canary staleness stamp: read under the same shared lock the query
       // executes under, so the stamp and the served answer are coherent.
@@ -352,7 +260,8 @@ StoreResponse CollectionManager::execute(Task& task) const {
       try {
         response.result = task.entry->collection->query(task.query, task.k, task.predicate);
       } catch (const std::exception& error) {
-        response = immediate(serve::RequestStatus::kFailed, error.what());
+        response.status = serve::RequestStatus::kFailed;
+        response.error = error.what();
       }
     }
     if (response.status == serve::RequestStatus::kOk) {
@@ -369,60 +278,17 @@ StoreResponse CollectionManager::execute(Task& task) const {
   // answers are already exact on the post path and predicate-dependent on
   // the band path, so they would not measure coarse-stage quality). One
   // constant-false branch when sampling is off.
-  if (response.status == serve::RequestStatus::kOk &&
-      response.result.path == FilterPath::kNone && task.entry->canary &&
-      task.entry->canary->should_sample()) {
-    std::vector<std::size_t> served;
-    served.reserve(response.result.result.neighbors.size());
-    for (const search::Neighbor& neighbor : response.result.result.neighbors) {
-      served.push_back(neighbor.index);
-    }
-    task.entry->canary->enqueue(task.query, task.k, std::move(served), generation);
+  const bool ok = response.status == serve::RequestStatus::kOk;
+  if (ok && response.result.path == FilterPath::kNone && task.entry->canary) {
+    serve::sample_canary(*task.entry->canary, task.query, task.k, response.result.result,
+                         generation);
   }
-  record_completion(*task.entry, response.status == serve::RequestStatus::kOk, response,
-                    task.submitted);
-  if (task.trace) {
-    obs::TraceSink::global().record(task.trace->finish());
-    std::lock_guard stats(task.entry->stats_mutex);
-    ++task.entry->counters.traces_recorded;
-  }
+  const serve::FilterOutcome filter{response.result.path == FilterPath::kBand,
+                                    response.result.selectivity};
+  task.entry->tenant.stats.on_complete(
+      ok, task.submitted, ok ? &response.result.result.telemetry : nullptr,
+      ok && response.result.path != FilterPath::kNone ? &filter : nullptr);
   return response;
-}
-
-void CollectionManager::record_completion(Entry& entry, bool ok,
-                                          const StoreResponse& response,
-                                          std::chrono::steady_clock::time_point submitted) {
-  const double latency_ms =
-      std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
-                                                submitted)
-          .count();
-  std::lock_guard lock(entry.stats_mutex);
-  if (ok) {
-    ++entry.counters.completed;
-    entry.requests_ok.inc();
-  } else {
-    ++entry.counters.failed;
-    entry.requests_failed.inc();
-  }
-  entry.latency_ms.add(latency_ms);
-  entry.latency_hist.observe(latency_ms);
-  if (ok) {
-    const search::QueryTelemetry& telemetry = response.result.result.telemetry;
-    entry.counters.probes_total += telemetry.probes_used;
-    entry.counters.energy_j_total += telemetry.energy_j;
-    // "none" = ranked in-array (CAM engines report no kernel backend).
-    ++entry.counters.kernel_queries[*telemetry.kernel != '\0' ? telemetry.kernel
-                                                              : "none"];
-  }
-  if (ok && response.result.path != FilterPath::kNone) {
-    ++entry.counters.filtered_queries;
-    if (response.result.path == FilterPath::kBand) {
-      ++entry.counters.band_queries;
-    } else {
-      ++entry.counters.post_filter_queries;
-    }
-    entry.selectivity_sum += response.result.selectivity;
-  }
 }
 
 obs::health::CanaryReport CollectionManager::canary_report(const std::string& name) const {
@@ -457,23 +323,10 @@ std::size_t CollectionManager::inject_drift(const std::string& name, double sigm
 
 serve::ServiceStats CollectionManager::stats(const std::string& name) const {
   const std::shared_ptr<Entry> entry = require_entry(name);
-  std::lock_guard lock(entry->stats_mutex);
-  serve::ServiceStats stats = entry->counters;
-  stats.workers = resolved_workers_;
-  stats.queue_depth = entry->queued.load();
-
-  stats.latency_p50_ms = entry->latency_ms.percentile(50.0);
-  stats.latency_p95_ms = entry->latency_ms.percentile(95.0);
-  stats.latency_p99_ms = entry->latency_ms.percentile(99.0);
-
-  const double elapsed =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - entry->started)
-          .count();
-  stats.throughput_qps = elapsed > 0.0 ? static_cast<double>(stats.completed) / elapsed : 0.0;
-  stats.filter_selectivity_mean =
-      stats.filtered_queries > 0
-          ? entry->selectivity_sum / static_cast<double>(stats.filtered_queries)
-          : 0.0;
+  serve::ServiceStats stats;
+  entry->tenant.stats.fill(stats);
+  stats.workers = executor_.workers();
+  stats.queue_depth = entry->tenant.in_flight.load();
   return stats;
 }
 
@@ -536,20 +389,7 @@ std::size_t CollectionManager::load(const std::string& dir) {
     serve::io::require_payload(collection->collection_name() == name,
                                "manifest name disagrees with snapshot store block");
 
-    auto entry = std::make_shared<Entry>();
-    entry->name = name;
-    entry->collection = std::move(collection);
-    entry->counters.workers = resolved_workers_;
-    entry->started = std::chrono::steady_clock::now();
-    resolve_instruments(*entry);
-    update_rows_gauge(*entry);
-    attach_health(*entry);
-
-    std::unique_lock lock(registry_mutex_);
-    if (!entries_.emplace(name, std::move(entry)).second) {
-      throw std::invalid_argument{"CollectionManager::load: collection '" + name +
-                                  "' already exists"};
-    }
+    register_entry(name, std::move(collection), "CollectionManager::load");
     ++loaded;
   }
   in.expect_end();
@@ -572,16 +412,6 @@ std::shared_ptr<CollectionManager::Entry> CollectionManager::require_entry(
   return entry;
 }
 
-void CollectionManager::stop() {
-  {
-    std::lock_guard lock(queue_mutex_);
-    stopping_ = true;
-  }
-  queue_cv_.notify_all();
-  for (std::thread& worker : workers_) {
-    if (worker.joinable()) worker.join();
-  }
-  workers_.clear();
-}
+void CollectionManager::stop() { executor_.stop(); }
 
 }  // namespace mcam::store

@@ -5,12 +5,13 @@
 // CollectionManager owns N store::Collections - each with its own engine
 // spec (any EngineFactory backend), metadata, generation counter, and
 // ServiceStats - and drains all their queries through ONE bounded queue
-// and worker pool, so a burst against one tenant cannot starve the host
-// of threads. Admission control is two-level: the global queue bound
-// rejects when the host is saturated, and a per-collection in-flight cap
-// rejects a single noisy tenant before it owns the whole queue. Both
-// rejections surface as RequestStatus::kRejected (the QueryService
-// backpressure contract), never silent drops.
+// and worker pool (the shared serving runtime, serve/runtime.hpp), so a
+// burst against one tenant cannot starve the host of threads. Admission
+// control is two-level: the global queue bound rejects when the host is
+// saturated, and a per-collection in-flight cap rejects a single noisy
+// tenant before it owns the whole queue. Both rejections surface as
+// RequestStatus::kRejected (the QueryService backpressure contract),
+// never silent drops.
 //
 // Concurrency model: each collection carries a shared_mutex - queries
 // run under the shared side, mutations (add/erase/expire/drop) under the
@@ -28,23 +29,17 @@
 #include "obs/health/health.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "serve/service.hpp"
+#include "serve/runtime.hpp"
 #include "store/collection.hpp"
-#include "util/statistics.hpp"
 
-#include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <future>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <shared_mutex>
 #include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
 namespace mcam::store {
@@ -194,32 +189,21 @@ class CollectionManager {
  private:
   static constexpr std::size_t kLatencyWindow = 4096;
 
-  /// One tenant: the collection plus its lock, admission counter, stats,
-  /// and its {collection=name}-labeled registry instruments. Shared-ptr'd
-  /// so queued work and drops race safely.
+  /// One tenant: the collection plus its lock, its request stats and
+  /// in-flight count, and its {collection=name}-labeled instruments.
+  /// Shared-ptr'd so queued work and drops race safely.
   struct Entry {
+    Entry(const std::string& entry_name, std::unique_ptr<Collection> entry_collection);
+
     std::string name;
     std::unique_ptr<Collection> collection;  ///< Null once dropped.
     /// lock-order: standalone - never held together with any other lock
     /// (callers resolve the entry via registry_mutex_ FIRST, release it,
     /// THEN lock this). shared = query, exclusive = mutate.
     mutable std::shared_mutex mutex;
-    std::atomic<std::size_t> queued{0};      ///< In-flight (queued) requests.
-    /// lock-order: last (leaf; taken under queue_mutex_ on the submit
-    /// path, alone everywhere else; no lock acquired while held).
-    mutable std::mutex stats_mutex;
-    serve::ServiceStats counters;            ///< Derived fields unused here.
-    PercentileWindow latency_ms{kLatencyWindow};  ///< Sliding latency window.
-    double selectivity_sum = 0.0;            ///< Sum over filtered queries.
-    std::chrono::steady_clock::time_point started;
-    // Registry instruments, labeled {collection=name}; resolved once when
-    // the entry is created/loaded. Dropping and recreating a name reuses
-    // the same process-lifetime cells (registry instruments never die).
-    obs::Counter requests_ok;
-    obs::Counter requests_failed;
-    obs::Counter requests_rejected;
-    obs::Histogram latency_hist;
-    obs::Gauge rows_gauge;
+    /// mcam_store_* request stats; in_flight is the admission cap's count.
+    serve::Tenant tenant;
+    obs::Gauge rows_gauge;  ///< mcam_store_rows{collection=name}.
     // Health monitors (obs/health), declared last so they are destroyed
     // (their workers stopped/joined) before the state their callbacks
     // read; monitor borrows canary, so it is declared after it (destroyed
@@ -239,18 +223,16 @@ class CollectionManager {
     std::unique_ptr<obs::Trace> trace;  ///< Sampled stage trace (null = off).
   };
 
-  void worker_loop();
-  /// Runs the task (trace context, routing, stats); the caller fulfills
-  /// the promise after decrementing the tenant's in-flight counter, so a
-  /// resolved future implies the stats no longer count this task.
+  /// Runs the task on a worker (trace context, routing, canary, stats).
   [[nodiscard]] StoreResponse execute(Task& task) const;
   [[nodiscard]] std::shared_ptr<Entry> find_entry(const std::string& name) const;
   /// find_entry or throw std::invalid_argument naming the collection.
   [[nodiscard]] std::shared_ptr<Entry> require_entry(const std::string& name) const;
-  static void record_completion(Entry& entry, bool ok, const StoreResponse& response,
-                                std::chrono::steady_clock::time_point submitted);
-  /// Resolves the entry's {collection=name}-labeled registry instruments.
-  static void resolve_instruments(Entry& entry);
+  /// Builds the entry for `collection` (instruments, rows gauge, health)
+  /// and registers it under `name`; throws std::invalid_argument when the
+  /// name is taken (`context` prefixes the message).
+  void register_entry(const std::string& name, std::unique_ptr<Collection> collection,
+                      const char* context);
   /// Attaches the entry's recall canary + health monitor (config_.canary /
   /// config_.health), both labeled {collection=name}. The callbacks
   /// capture the raw Entry pointer: the monitors are members of the entry
@@ -260,15 +242,14 @@ class CollectionManager {
   static void update_rows_gauge(Entry& entry);
 
   ManagerConfig config_;
-  std::size_t resolved_workers_ = 0;
   obs::TraceSampler trace_sampler_;
 
   // Lock hierarchy (stress-tested by tests/stress/ and watched by TSan's
-  // deadlock detector in CI). The only nesting in the manager is
-  //   queue_mutex_ -> Entry::stats_mutex   (admission on the submit path)
+  // deadlock detector in CI). The only nesting is the shared executor's
+  //   queue lock -> an entry's RequestStats lock   (admission, runtime.hpp)
   // - every other lock (registry_mutex_, Entry::mutex) is taken and
   // released on its own: lookups copy the shared_ptr out of the registry
-  // before touching the entry, and workers drop queue_mutex_ before
+  // before touching the entry, and workers drop the queue lock before
   // executing.
 
   /// lock-order: standalone - guards only the name -> Entry map; never
@@ -277,14 +258,9 @@ class CollectionManager {
   mutable std::shared_mutex registry_mutex_;
   std::map<std::string, std::shared_ptr<Entry>> entries_;
 
-  /// lock-order: first (before Entry::stats_mutex on the submit path;
-  /// never with registry_mutex_ or Entry::mutex).
-  mutable std::mutex queue_mutex_;
-  std::condition_variable queue_cv_;
-  std::deque<Task> queue_;
-  bool stopping_ = false;
-
-  std::vector<std::thread> workers_;
+  /// Declared last: destroyed (workers joined, queued tasks drained)
+  /// first.
+  serve::Executor<Task, StoreResponse> executor_;
 };
 
 }  // namespace mcam::store

@@ -65,9 +65,6 @@ void check_query_invariants(const NnIndex& index, std::span<const std::vector<fl
       }
     }
     EXPECT_EQ(seen.size(), result.neighbors.size());
-    // (The deprecated predict shim's top-1 consistency lives in
-    // test_deprecated_shims.cpp so this suite compiles warning-clean
-    // under -Werror=deprecated-declarations.)
     EXPECT_EQ(result.telemetry.candidates, index.size());
     if (cam_engine) {
       EXPECT_EQ(result.telemetry.sense_events, expect);

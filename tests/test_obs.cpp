@@ -75,13 +75,7 @@ double note_value(const obs::SpanRecord& span, const char* key) {
 
 // --- Shared percentile estimator ------------------------------------------
 
-TEST(Statistics, NearestRankPercentileMatchesServeForwarder) {
-  const std::vector<double> sorted{1.0, 2.0, 3.0, 4.0, 9.0};
-  for (double p : {0.0, 10.0, 25.0, 50.0, 75.0, 90.0, 99.0, 100.0}) {
-    EXPECT_DOUBLE_EQ(serve::nearest_rank_percentile(sorted, p),
-                     mcam::nearest_rank_percentile(sorted, p))
-        << p;
-  }
+TEST(Statistics, NearestRankPercentileSortsAndClamps) {
   EXPECT_DOUBLE_EQ(mcam::nearest_rank_percentile({}, 50.0), 0.0);
   // Unsorted input is sorted internally; p is clamped.
   const std::vector<double> shuffled{9.0, 1.0, 4.0, 2.0, 3.0};
@@ -624,6 +618,52 @@ TEST(StoreObservability, PerCollectionInstrumentsAndRowsGauge) {
   EXPECT_NE(find_span(last, "queue-wait"), nullptr);
 
   EXPECT_TRUE(manager.drop_collection("obs_test_c1"));
+}
+
+// Store-served queries book the same per-query series as the service -
+// coarse margins, probes, energy, kernels - labeled {collection=name}.
+TEST(StoreObservability, RefineCollectionBooksMarginsProbesEnergyAndKernels) {
+  const Blobs blobs = make_blobs(24, 3, 8, 0.5, 61);
+  search::EngineConfig base;
+  base.num_features = 8;
+  store::CollectionManager manager{store::ManagerConfig{}};
+  // candidate_factor 2 at k = 3 nominates 6 of 72 rows: every query cuts.
+  manager.create_collection("obs_refine_c1",
+                            "refine:coarse_bits=32,candidate_factor=2,fine=euclidean", base);
+  (void)manager.add("obs_refine_c1", blobs.train, blobs.train_labels);
+  for (std::size_t q = 0; q < 12; ++q) {
+    ASSERT_EQ(manager.query_one("obs_refine_c1", blobs.queries[q], 3).status,
+              serve::RequestStatus::kOk);
+  }
+  const serve::ServiceStats stats = manager.stats("obs_refine_c1");
+  EXPECT_EQ(stats.completed, 12u);
+  EXPECT_EQ(stats.coarse_margin_queries, 12u);
+  EXPECT_GT(stats.coarse_margin_mean, 0.0);
+  EXPECT_GE(stats.coarse_margin_p95, stats.coarse_margin_p50);
+
+  const obs::Labels labels{{"collection", "obs_refine_c1"}};
+  std::uint64_t energy_count = 0;
+  std::uint64_t probes = 0;
+  std::uint64_t kernel_total = 0;
+  const obs::MetricsSnapshot snapshot = obs::snapshot();
+  for (const obs::HistogramSample& sample : snapshot.histograms) {
+    if (sample.name == "mcam_query_energy_j" && sample.labels == labels) {
+      energy_count = sample.count;
+    }
+  }
+  for (const obs::CounterSample& sample : snapshot.counters) {
+    if (sample.name == "mcam_coarse_probes_total" && sample.labels == labels) {
+      probes = sample.value;
+    }
+    if (sample.name == "mcam_queries_by_kernel_total" && sample.labels.size() == 2 &&
+        sample.labels.front() == labels.front()) {
+      kernel_total += sample.value;
+    }
+  }
+  EXPECT_EQ(energy_count, stats.completed);
+  EXPECT_EQ(probes, stats.probes_total);
+  EXPECT_EQ(kernel_total, stats.completed);
+  EXPECT_TRUE(manager.drop_collection("obs_refine_c1"));
 }
 
 // The satellite regression: dropping a collection must retire its whole
