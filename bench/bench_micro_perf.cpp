@@ -3,6 +3,7 @@
 // few-shot episodes.
 #include "cam/array.hpp"
 #include "cam/lut.hpp"
+#include "cam/tcam.hpp"
 #include "encoding/lsh.hpp"
 #include "encoding/quantizer.hpp"
 #include "experiments/harness.hpp"
@@ -51,6 +52,42 @@ void BM_McamArraySearchWithVariation(benchmark::State& state) {
 }
 BENCHMARK(BM_McamArraySearchWithVariation);
 
+// TCAM sweep at the refine coarse stage's size: 4096 rows of 32-bit
+// signatures. Nominal cells share the three per-trit conductance table
+// entries; under vth_sigma every cell reads its own entry.
+cam::TcamArray coarse_sized_tcam(double vth_sigma) {
+  cam::TcamArrayConfig config;
+  config.vth_sigma = vth_sigma;
+  config.seed = 5;
+  cam::TcamArray tcam{config};
+  Rng rng{11};
+  std::vector<std::uint8_t> word(32);
+  for (int r = 0; r < 4096; ++r) {
+    for (auto& b : word) b = rng.bernoulli(0.5) ? 1 : 0;
+    tcam.add_row_bits(word);
+  }
+  return tcam;
+}
+
+void run_tcam_sweep(benchmark::State& state, const cam::TcamArray& tcam) {
+  Rng rng{12};
+  std::vector<std::uint8_t> query(tcam.word_length());
+  for (auto& b : query) b = rng.bernoulli(0.5) ? 1 : 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(tcam.search_conductances(query));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(tcam.num_rows() * tcam.word_length()));
+}
+
+void BM_TcamSearch(benchmark::State& state) { run_tcam_sweep(state, coarse_sized_tcam(0.0)); }
+BENCHMARK(BM_TcamSearch);
+
+void BM_TcamSearchWithVariation(benchmark::State& state) {
+  run_tcam_sweep(state, coarse_sized_tcam(0.05));
+}
+BENCHMARK(BM_TcamSearchWithVariation);
+
 void BM_LutBuildNominal(benchmark::State& state) {
   const fefet::LevelMap map{static_cast<unsigned>(state.range(0))};
   for (auto _ : state) {
@@ -84,22 +121,6 @@ void BM_LshEncode(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LshEncode)->Arg(64)->Arg(512);
-
-void BM_TcamSearch(benchmark::State& state) {
-  cam::TcamArray tcam{cam::TcamArrayConfig{}};
-  Rng rng{11};
-  for (int r = 0; r < 128; ++r) {
-    std::vector<std::uint8_t> word(64);
-    for (auto& b : word) b = rng.bernoulli(0.5) ? 1 : 0;
-    tcam.add_row_bits(word);
-  }
-  std::vector<std::uint8_t> query(64);
-  for (auto& b : query) b = rng.bernoulli(0.5) ? 1 : 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(tcam.nearest(query));
-  }
-}
-BENCHMARK(BM_TcamSearch);
 
 void BM_BatchTopKQuery(benchmark::State& state) {
   // Batched top-5 queries through BatchExecutor; Arg = worker threads.

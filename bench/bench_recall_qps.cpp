@@ -199,11 +199,12 @@ int main(int argc, char** argv) {
   }
   table.add_row({"-", "exhaustive", "1.000", format_double(kRows, 1), "1.0x",
                  format_double(exhaustive_qps, 0)});
-  std::cout << "note: sim_qps is this simulator's wall clock - the coarse stage "
-               "evaluates every TCAM cell in software, which on hardware is one "
-               "array cycle per probe. The hardware win is the candidates / energy "
-               "column: only the nominated matchlines are charged in the precise "
-               "stage.\n";
+  std::cout << "note: sim_qps is this simulator's wall clock. The coarse stage is a "
+               "gather-add over conductance table entries compiled when the TCAM rows "
+               "were written (one array cycle per probe on hardware); at this size its "
+               "sweep plus the nomination sort still cost more than the exhaustive "
+               "SIMD scan. The hardware win is the candidates / energy column: only "
+               "the nominated matchlines are charged in the precise stage.\n";
   bench::emit(table, "recall_qps");
 
   // Multi-probe: recover recall at a small candidate budget by sweeping

@@ -65,17 +65,21 @@ std::size_t McamArray::add_row(std::span<const std::uint16_t> levels) {
     throw std::length_error{"McamArray::add_row: bank is full (max_rows = " +
                             std::to_string(config_.max_rows) + ")"};
   }
-  if (word_length_ == 0) {
-    word_length_ = levels.size();
-  } else if (levels.size() != word_length_) {
+  if (word_length_ != 0 && levels.size() != word_length_) {
     throw std::invalid_argument{"McamArray::add_row: word length mismatch"};
   }
-  std::vector<CellState> row;
-  row.reserve(levels.size());
+  // Validate before the first noise draw, so a rejected row leaves the
+  // programming Rng - and every later row's noise - untouched (a snapshot
+  // replays only the accepted rows).
   for (std::uint16_t level : levels) {
     if (level >= config_.level_map.num_states()) {
       throw std::out_of_range{"McamArray::add_row: level exceeds map"};
     }
+  }
+  word_length_ = levels.size();
+  std::vector<CellState> row;
+  row.reserve(levels.size());
+  for (std::uint16_t level : levels) {
     CellState cell;
     cell.level = level;
     if (config_.vth_sigma > 0.0) {

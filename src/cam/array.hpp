@@ -118,8 +118,9 @@ class McamArray {
   explicit McamArray(const McamArrayConfig& config);
 
   /// Writes one row; `levels` must have one state per cell and every state
-  /// must be < 2^bits. Returns the row index. Throws std::length_error
-  /// when the array is at `config.max_rows` capacity.
+  /// must be < 2^bits (else std::out_of_range, before any noise is drawn
+  /// or anything is stored). Returns the row index. Throws
+  /// std::length_error when the array is at `config.max_rows` capacity.
   std::size_t add_row(std::span<const std::uint16_t> levels);
 
   /// Writes many rows (each inner vector is one data point).

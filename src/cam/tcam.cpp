@@ -10,8 +10,20 @@
 
 namespace mcam::cam {
 
+namespace {
+
+/// Nominal table entries: one per trit, indexed by the trit's value.
+constexpr std::size_t kNominalEntries = 3;
+
+}  // namespace
+
 TcamArray::TcamArray(const TcamArrayConfig& config)
-    : config_(config), map_(1), rng_(config.seed) {}
+    : config_(config), map_(1), rng_(config.seed) {
+  for (const Trit t : {Trit::kZero, Trit::kOne, Trit::kDontCare}) {
+    table_.push_back(
+        {{cell_conductance(t, 0.0f, 0.0f, 0), cell_conductance(t, 0.0f, 0.0f, 1)}, 0.0f, 0.0f});
+  }
+}
 
 std::size_t TcamArray::add_row(std::span<const Trit> word) {
   if (word.empty()) throw std::invalid_argument{"TcamArray::add_row: empty word"};
@@ -19,30 +31,39 @@ std::size_t TcamArray::add_row(std::span<const Trit> word) {
     throw std::length_error{"TcamArray::add_row: bank is full (max_rows = " +
                             std::to_string(config_.max_rows) + ")"};
   }
-  if (word_length_ == 0) {
-    word_length_ = word.size();
-  } else if (word.size() != word_length_) {
+  if (word_length_ != 0 && word.size() != word_length_) {
     throw std::invalid_argument{"TcamArray::add_row: word length mismatch"};
   }
-  std::vector<CellState> row;
-  row.reserve(word.size());
-  for (Trit t : word) {
-    CellState cell;
-    cell.trit = t;
+  // Validate before the first noise draw, so a rejected row leaves the
+  // programming Rng - and every later row's noise - untouched.
+  for (const Trit t : word) {
+    if (static_cast<std::uint8_t>(t) > static_cast<std::uint8_t>(Trit::kDontCare)) {
+      throw std::invalid_argument{"TcamArray::add_row: trit out of range"};
+    }
+  }
+  // A recompile may give every cell a private entry; keep that in range
+  // of the 4-byte cell offsets.
+  if (kNominalEntries + cell_.size() + word.size() > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::length_error{"TcamArray::add_row: conductance table is full"};
+  }
+  word_length_ = word.size();
+  for (const Trit t : word) {
+    float dvth_left = 0.0f;
+    float dvth_right = 0.0f;
     if (config_.vth_sigma > 0.0) {
-      cell.dvth_left = static_cast<float>(rng_.normal(0.0, config_.vth_sigma));
-      cell.dvth_right = static_cast<float>(rng_.normal(0.0, config_.vth_sigma));
+      dvth_left = static_cast<float>(rng_.normal(0.0, config_.vth_sigma));
+      dvth_right = static_cast<float>(rng_.normal(0.0, config_.vth_sigma));
     }
     if (config_.drift_sigma > 0.0) {
-      cell.dvth_left += static_cast<float>(rng_.normal(0.0, config_.drift_sigma));
-      cell.dvth_right += static_cast<float>(rng_.normal(0.0, config_.drift_sigma));
+      dvth_left += static_cast<float>(rng_.normal(0.0, config_.drift_sigma));
+      dvth_right += static_cast<float>(rng_.normal(0.0, config_.drift_sigma));
     }
-    row.push_back(cell);
+    trits_.push_back(t);
+    cell_.push_back(compile_cell(t, dvth_left, dvth_right));
   }
-  rows_.push_back(std::move(row));
   valid_.push_back(1);
   ++valid_rows_;
-  return rows_.size() - 1;
+  return valid_.size() - 1;
 }
 
 std::size_t TcamArray::add_row_bits(std::span<const std::uint8_t> bits) {
@@ -53,14 +74,16 @@ std::size_t TcamArray::add_row_bits(std::span<const std::uint8_t> bits) {
 }
 
 void TcamArray::clear() noexcept {
-  rows_.clear();
+  trits_.clear();
+  cell_.clear();
+  table_.resize(kNominalEntries);
   valid_.clear();
   valid_rows_ = 0;
   word_length_ = 0;
 }
 
 bool TcamArray::invalidate_row(std::size_t i) {
-  if (i >= rows_.size()) throw std::out_of_range{"TcamArray::invalidate_row: bad row"};
+  if (i >= num_rows()) throw std::out_of_range{"TcamArray::invalidate_row: bad row"};
   if (!valid_[i]) return false;
   valid_[i] = 0;
   --valid_rows_;
@@ -68,15 +91,13 @@ bool TcamArray::invalidate_row(std::size_t i) {
 }
 
 std::vector<Trit> TcamArray::row_trits(std::size_t i) const {
-  if (i >= rows_.size()) throw std::out_of_range{"TcamArray::row_trits: bad row"};
-  std::vector<Trit> word;
-  word.reserve(rows_[i].size());
-  for (const CellState& cell : rows_[i]) word.push_back(cell.trit);
-  return word;
+  if (i >= num_rows()) throw std::out_of_range{"TcamArray::row_trits: bad row"};
+  const auto first = trits_.begin() + static_cast<std::ptrdiff_t>(i * word_length_);
+  return {first, first + static_cast<std::ptrdiff_t>(word_length_)};
 }
 
 std::vector<Trit> TcamArray::row_readback(std::size_t i) const {
-  if (i >= rows_.size()) throw std::out_of_range{"TcamArray::row_readback: bad row"};
+  if (i >= num_rows()) throw std::out_of_range{"TcamArray::row_readback: bad row"};
   // Nominal (right, left) Vth targets per candidate trit; kDontCare erases
   // both FeFETs to the top of the range.
   const double targets[3][2] = {
@@ -85,9 +106,10 @@ std::vector<Trit> TcamArray::row_readback(std::size_t i) const {
       {map_.v_max(), map_.v_max()},
   };
   std::vector<Trit> word;
-  word.reserve(rows_[i].size());
-  for (const CellState& cell : rows_[i]) {
-    const std::size_t stored = static_cast<std::size_t>(cell.trit);
+  word.reserve(word_length_);
+  for (std::size_t c = i * word_length_; c < (i + 1) * word_length_; ++c) {
+    const CompiledCell& cell = table_[cell_[c]];
+    const std::size_t stored = static_cast<std::size_t>(trits_[c]);
     const double right = targets[stored][0] + cell.dvth_right;
     const double left = targets[stored][1] + cell.dvth_left;
     std::size_t best = 0;
@@ -108,13 +130,14 @@ std::vector<Trit> TcamArray::row_readback(std::size_t i) const {
 
 RowHealth TcamArray::row_health(std::size_t i) const {
   const std::vector<Trit> readback = row_readback(i);  // bounds-checks i
-  const auto& row = rows_[i];
   RowHealth health;
-  health.cells = row.size();
-  for (std::size_t c = 0; c < row.size(); ++c) {
-    if (readback[c] != row[c].trit) ++health.mismatched;
-    const double shift = std::max(std::abs(static_cast<double>(row[c].dvth_left)),
-                                  std::abs(static_cast<double>(row[c].dvth_right)));
+  health.cells = word_length_;
+  for (std::size_t c = 0; c < word_length_; ++c) {
+    const std::size_t at = i * word_length_ + c;
+    const CompiledCell& cell = table_[cell_[at]];
+    if (readback[c] != trits_[at]) ++health.mismatched;
+    const double shift = std::max(std::abs(static_cast<double>(cell.dvth_left)),
+                                  std::abs(static_cast<double>(cell.dvth_right)));
     health.sum_abs_shift_v += shift;
     health.max_abs_shift_v = std::max(health.max_abs_shift_v, shift);
   }
@@ -124,37 +147,91 @@ RowHealth TcamArray::row_health(std::size_t i) const {
 std::size_t TcamArray::apply_drift(double sigma, std::uint64_t seed) {
   if (sigma <= 0.0) return 0;
   Rng rng{seed};
-  std::size_t cells = 0;
-  for (auto& row : rows_) {
-    for (CellState& cell : row) {
-      cell.dvth_left += static_cast<float>(rng.normal(0.0, sigma));
-      cell.dvth_right += static_cast<float>(rng.normal(0.0, sigma));
-      ++cells;
-    }
+  // Recompile every cell from its drifted offsets into a fresh table, so
+  // the private entries stay in row-major order.
+  std::vector<CompiledCell> programmed = std::move(table_);
+  table_.assign(programmed.begin(),
+                programmed.begin() + static_cast<std::ptrdiff_t>(kNominalEntries));
+  for (std::size_t c = 0; c < cell_.size(); ++c) {
+    const CompiledCell& cell = programmed[cell_[c]];
+    const float dvth_left = cell.dvth_left + static_cast<float>(rng.normal(0.0, sigma));
+    const float dvth_right = cell.dvth_right + static_cast<float>(rng.normal(0.0, sigma));
+    cell_[c] = compile_cell(trits_[c], dvth_left, dvth_right);
   }
-  return cells;
+  return cell_.size();
 }
 
 bool TcamArray::row_valid(std::size_t i) const {
-  if (i >= rows_.size()) throw std::out_of_range{"TcamArray::row_valid: bad row"};
+  if (i >= num_rows()) throw std::out_of_range{"TcamArray::row_valid: bad row"};
   return valid_[i] != 0;
 }
 
-double TcamArray::cell_conductance(const CellState& cell, std::uint8_t input) const {
+double TcamArray::cell_conductance(Trit trit, float dvth_left, float dvth_right,
+                                   std::uint8_t input) const {
   const double v_in = map_.input_voltage(input ? 1 : 0);
-  if (cell.trit == Trit::kDontCare) {
+  if (trit == Trit::kDontCare) {
     // Both FeFETs erased to the top of the Vth range: neither input level
     // can turn them on; only leakage remains.
-    const double od_right = v_in - (map_.v_max() + cell.dvth_right);
-    const double od_left = map_.invert(v_in) - (map_.v_max() + cell.dvth_left);
+    const double od_right = v_in - (map_.v_max() + dvth_right);
+    const double od_left = map_.invert(v_in) - (map_.v_max() + dvth_left);
     return fefet::channel_conductance(config_.channel, od_right) +
            fefet::channel_conductance(config_.channel, od_left);
   }
-  const auto stored = static_cast<std::size_t>(cell.trit);
-  const double od_right = v_in - (map_.right_fefet_vth(stored) + cell.dvth_right);
-  const double od_left = map_.invert(v_in) - (map_.left_fefet_vth(stored) + cell.dvth_left);
+  const auto stored = static_cast<std::size_t>(trit);
+  const double od_right = v_in - (map_.right_fefet_vth(stored) + dvth_right);
+  const double od_left = map_.invert(v_in) - (map_.left_fefet_vth(stored) + dvth_left);
   return fefet::channel_conductance(config_.channel, od_right) +
          fefet::channel_conductance(config_.channel, od_left);
+}
+
+std::uint32_t TcamArray::compile_cell(Trit trit, float dvth_left, float dvth_right) {
+  if (dvth_left == 0.0f && dvth_right == 0.0f) return static_cast<std::uint32_t>(trit);
+  table_.push_back({{cell_conductance(trit, dvth_left, dvth_right, 0),
+                     cell_conductance(trit, dvth_left, dvth_right, 1)},
+                    dvth_left,
+                    dvth_right});
+  return static_cast<std::uint32_t>(table_.size() - 1);
+}
+
+std::vector<double> TcamArray::sweep(std::span<const std::uint32_t> columns,
+                                     std::span<const std::uint8_t> inputs) const {
+  const std::size_t rows = num_rows();
+  const std::size_t w = word_length_;
+  const CompiledCell* table = table_.data();
+  std::vector<double> totals(rows);
+  // Four rows at a time share each column's drive and keep independent
+  // accumulators, so the adds of different rows overlap. Every row still
+  // sums its own cells in column order: the totals are bit-identical to a
+  // row-at-a-time loop.
+  std::size_t r = 0;
+  for (; r + 4 <= rows; r += 4) {
+    const std::uint32_t* row0 = cell_.data() + r * w;
+    const std::uint32_t* row1 = row0 + w;
+    const std::uint32_t* row2 = row1 + w;
+    const std::uint32_t* row3 = row2 + w;
+    double g0 = 0.0;
+    double g1 = 0.0;
+    double g2 = 0.0;
+    double g3 = 0.0;
+    for (const std::uint32_t c : columns) {
+      const std::uint8_t in = inputs[c];
+      g0 += table[row0[c]].g[in];
+      g1 += table[row1[c]].g[in];
+      g2 += table[row2[c]].g[in];
+      g3 += table[row3[c]].g[in];
+    }
+    totals[r] = g0;
+    totals[r + 1] = g1;
+    totals[r + 2] = g2;
+    totals[r + 3] = g3;
+  }
+  for (; r < rows; ++r) {
+    const std::uint32_t* row = cell_.data() + r * w;
+    double g = 0.0;
+    for (const std::uint32_t c : columns) g += table[row[c]].g[inputs[c]];
+    totals[r] = g;
+  }
+  return totals;
 }
 
 std::vector<double> TcamArray::search_conductances(
@@ -162,33 +239,28 @@ std::vector<double> TcamArray::search_conductances(
   if (query.size() != word_length_) {
     throw std::invalid_argument{"TcamArray::search: query length mismatch"};
   }
-  std::vector<double> totals;
-  totals.reserve(rows_.size());
-  for (const auto& row : rows_) {
-    double g_total = 0.0;
-    for (std::size_t i = 0; i < row.size(); ++i) {
-      g_total += cell_conductance(row[i], query[i]);
-    }
-    totals.push_back(g_total);
+  std::vector<std::uint32_t> columns(query.size());
+  std::vector<std::uint8_t> inputs(query.size());
+  for (std::size_t c = 0; c < query.size(); ++c) {
+    columns[c] = static_cast<std::uint32_t>(c);
+    inputs[c] = query[c] ? 1 : 0;
   }
-  return totals;
+  return sweep(columns, inputs);
 }
 
 std::vector<double> TcamArray::search_conductances(std::span<const Trit> query) const {
   if (query.size() != word_length_) {
     throw std::invalid_argument{"TcamArray::search: query length mismatch"};
   }
-  std::vector<double> totals;
-  totals.reserve(rows_.size());
-  for (const auto& row : rows_) {
-    double g_total = 0.0;
-    for (std::size_t i = 0; i < row.size(); ++i) {
-      if (query[i] == Trit::kDontCare) continue;  // Both search lines low.
-      g_total += cell_conductance(row[i], query[i] == Trit::kOne ? 1 : 0);
-    }
-    totals.push_back(g_total);
+  std::vector<std::uint32_t> columns;
+  columns.reserve(query.size());
+  std::vector<std::uint8_t> inputs(query.size());
+  for (std::size_t c = 0; c < query.size(); ++c) {
+    if (query[c] == Trit::kDontCare) continue;  // Both search lines low.
+    columns.push_back(static_cast<std::uint32_t>(c));
+    inputs[c] = query[c] == Trit::kOne ? 1 : 0;
   }
-  return totals;
+  return sweep(columns, inputs);
 }
 
 std::vector<std::uint8_t> TcamArray::ternary_match_mask(
@@ -197,12 +269,13 @@ std::vector<std::uint8_t> TcamArray::ternary_match_mask(
     throw std::invalid_argument{"TcamArray::ternary_match_mask: query length mismatch"};
   }
   std::vector<std::uint8_t> mask;
-  mask.reserve(rows_.size());
-  for (const auto& row : rows_) {
+  mask.reserve(num_rows());
+  for (std::size_t r = 0; r < num_rows(); ++r) {
+    const Trit* row = trits_.data() + r * word_length_;
     std::uint8_t match = 1;
-    for (std::size_t i = 0; i < row.size(); ++i) {
-      if (query[i] == Trit::kDontCare || row[i].trit == Trit::kDontCare) continue;
-      if (row[i].trit != query[i]) {
+    for (std::size_t i = 0; i < word_length_; ++i) {
+      if (query[i] == Trit::kDontCare || row[i] == Trit::kDontCare) continue;
+      if (row[i] != query[i]) {
         match = 0;
         break;
       }
@@ -218,12 +291,13 @@ std::vector<std::size_t> TcamArray::hamming_distances(
     throw std::invalid_argument{"TcamArray::hamming_distances: query length mismatch"};
   }
   std::vector<std::size_t> distances;
-  distances.reserve(rows_.size());
-  for (const auto& row : rows_) {
+  distances.reserve(num_rows());
+  for (std::size_t r = 0; r < num_rows(); ++r) {
+    const Trit* row = trits_.data() + r * word_length_;
     std::size_t d = 0;
-    for (std::size_t i = 0; i < row.size(); ++i) {
-      if (row[i].trit == Trit::kDontCare) continue;
-      const bool stored = row[i].trit == Trit::kOne;
+    for (std::size_t i = 0; i < word_length_; ++i) {
+      if (row[i] == Trit::kDontCare) continue;
+      const bool stored = row[i] == Trit::kOne;
       if (stored != (query[i] != 0)) ++d;
     }
     distances.push_back(d);

@@ -7,6 +7,15 @@
 // row's matchline conductance is therefore proportional to its Hamming
 // distance from the query, which is exactly how the TCAM+LSH baseline of
 // ref [3] performs nearest-neighbor search.
+//
+// Evaluation follows the paper's Sec. IV-A methodology: a cell's state is
+// fixed between programming events, so each cell is compiled into a
+// conductance table entry (its matchline conductance for query bit 0 and
+// for query bit 1) when it is written, and a search is a gather-add over
+// those entries. Unperturbed cells share one nominal entry per trit; a cell
+// with a nonzero Vth offset gets a private entry. The entries come from the
+// analog channel model and each row sums them in column order, so the
+// totals are bit-identical to evaluating the model at search time.
 #pragma once
 
 #include "cam/array.hpp"
@@ -43,7 +52,9 @@ class TcamArray {
   explicit TcamArray(const TcamArrayConfig& config);
 
   /// Writes one ternary row; returns its index. Throws std::length_error
-  /// when the array is at `config.max_rows` capacity.
+  /// when the array is at `config.max_rows` capacity and
+  /// std::invalid_argument for a symbol outside {kZero, kOne, kDontCare};
+  /// a rejected row draws no programming noise and stores nothing.
   std::size_t add_row(std::span<const Trit> word);
 
   /// Writes one binary row (no don't-cares).
@@ -68,7 +79,7 @@ class TcamArray {
 
   /// True when `config.max_rows` is set and every physical slot is used.
   [[nodiscard]] bool full() const noexcept {
-    return config_.max_rows > 0 && rows_.size() >= config_.max_rows;
+    return config_.max_rows > 0 && valid_.size() >= config_.max_rows;
   }
 
   /// Matchline conductance of every row for a binary `query` [S].
@@ -126,12 +137,13 @@ class TcamArray {
 
   /// Injects retention drift in place (see McamArray::apply_drift): every
   /// cell's two Vth offsets get N(0, sigma) draws from a dedicated Rng
-  /// seeded with `seed`; the programming Rng is untouched. Returns the
-  /// number of cells perturbed; sigma <= 0 is a no-op.
+  /// seeded with `seed`; the programming Rng is untouched, and the
+  /// conductance table is recompiled. Returns the number of cells
+  /// perturbed; sigma <= 0 is a no-op.
   std::size_t apply_drift(double sigma, std::uint64_t seed);
 
   /// Number of programmed rows.
-  [[nodiscard]] std::size_t num_rows() const noexcept { return rows_.size(); }
+  [[nodiscard]] std::size_t num_rows() const noexcept { return valid_.size(); }
   /// Cells per row.
   [[nodiscard]] std::size_t word_length() const noexcept { return word_length_; }
   /// Configuration in use.
@@ -140,17 +152,33 @@ class TcamArray {
   [[nodiscard]] const fefet::LevelMap& level_map() const noexcept { return map_; }
 
  private:
-  struct CellState {
-    Trit trit = Trit::kZero;
+  /// One conductance table entry: the cell's matchline conductance for
+  /// query bit 0 and 1 [S], and the Vth offsets it was compiled from.
+  struct CompiledCell {
+    double g[2]{};
     float dvth_left = 0.0f;
     float dvth_right = 0.0f;
   };
 
-  [[nodiscard]] double cell_conductance(const CellState& cell, std::uint8_t input) const;
+  /// Analog channel-model conductance of a cell storing `trit` with the
+  /// given FeFET Vth offsets, for search input `input` (0 or 1).
+  [[nodiscard]] double cell_conductance(Trit trit, float dvth_left, float dvth_right,
+                                        std::uint8_t input) const;
+
+  /// Table entry for a cell: the shared nominal entry of `trit` when both
+  /// offsets are zero, else a new private entry.
+  [[nodiscard]] std::uint32_t compile_cell(Trit trit, float dvth_left, float dvth_right);
+
+  /// Per-row sum of table entries over `columns`, in that order, each
+  /// column read at `inputs[column]`.
+  [[nodiscard]] std::vector<double> sweep(std::span<const std::uint32_t> columns,
+                                          std::span<const std::uint8_t> inputs) const;
 
   TcamArrayConfig config_;
   fefet::LevelMap map_;
-  std::vector<std::vector<CellState>> rows_;
+  std::vector<Trit> trits_;          ///< Programmed trit of every cell, row-major.
+  std::vector<std::uint32_t> cell_;  ///< Table entry of every cell, row-major.
+  std::vector<CompiledCell> table_;  ///< [0, 3): nominal entry per trit; then private.
   std::vector<std::uint8_t> valid_;
   std::size_t valid_rows_ = 0;
   std::size_t word_length_ = 0;

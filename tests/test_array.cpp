@@ -24,6 +24,34 @@ TEST(McamArray, AddRowValidation) {
   EXPECT_EQ(array.word_length(), 3u);
 }
 
+TEST(McamArray, RejectedRowDrawsNoProgrammingNoise) {
+  // A row rejected at a late cell must not consume programming Rng draws:
+  // the live array has to match a snapshot replay, which re-adds only the
+  // accepted rows.
+  McamArrayConfig config;
+  config.vth_sigma = 0.05;
+  config.seed = 3;
+  McamArray live{config};
+  live.add_row(row({1, 2, 3, 4}));
+  EXPECT_THROW((void)live.add_row(row({1, 2, 99, 4})), std::out_of_range);
+  live.add_row(row({5, 6, 7, 0}));
+  McamArray replay{config};
+  replay.add_row(row({1, 2, 3, 4}));
+  replay.add_row(row({5, 6, 7, 0}));
+  ASSERT_EQ(live.num_rows(), 2u);
+  for (const auto& query : {row({5, 6, 7, 0}), row({0, 1, 2, 3})}) {
+    EXPECT_EQ(live.search_conductances(query), replay.search_conductances(query));
+  }
+  EXPECT_DOUBLE_EQ(live.row_health(1).sum_abs_shift_v, replay.row_health(1).sum_abs_shift_v);
+
+  // A rejected first row leaves the word length unset.
+  McamArray fresh{config};
+  EXPECT_THROW((void)fresh.add_row(row({1, 99})), std::out_of_range);
+  EXPECT_EQ(fresh.word_length(), 0u);
+  fresh.add_row(row({1, 2, 3}));
+  EXPECT_EQ(fresh.word_length(), 3u);
+}
+
 TEST(McamArray, SearchConductancesEqualLutSums) {
   McamArray array{McamArrayConfig{}};
   array.add_row(row({0, 3, 7}));

@@ -17,6 +17,38 @@ std::vector<std::uint8_t> bits(std::initializer_list<int> values) {
   return out;
 }
 
+/// 64-bit FNV-1a over raw bytes: pins IEEE-754 bit patterns, not values.
+class Fnv1a {
+ public:
+  void bytes(const void* data, std::size_t n) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < n; ++i) {
+      hash_ ^= p[i];
+      hash_ *= 1099511628211ULL;
+    }
+  }
+  void f64(double v) { bytes(&v, sizeof v); }
+  void u64(std::uint64_t v) { bytes(&v, sizeof v); }
+  [[nodiscard]] std::uint64_t value() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 14695981039346656037ULL;
+};
+
+/// Random ternary word: each position is kDontCare with `dont_care_rate`,
+/// else a fair bit.
+std::vector<Trit> random_trits(Rng& rng, std::size_t width, double dont_care_rate) {
+  std::vector<Trit> word(width);
+  for (Trit& t : word) {
+    if (rng.bernoulli(dont_care_rate)) {
+      t = Trit::kDontCare;
+    } else {
+      t = rng.bernoulli(0.5) ? Trit::kOne : Trit::kZero;
+    }
+  }
+  return word;
+}
+
 TEST(TcamArray, HammingDistances) {
   TcamArray tcam{TcamArrayConfig{}};
   tcam.add_row_bits(bits({0, 0, 0, 0}));
@@ -118,6 +150,37 @@ TEST(TcamArray, Validation) {
   EXPECT_THROW((void)tcam.add_row_bits(bits({1, 0, 1})), std::invalid_argument);
   EXPECT_THROW((void)tcam.search_conductances(bits({1})), std::invalid_argument);
   EXPECT_THROW((void)tcam.hamming_distances(bits({1, 0, 1})), std::invalid_argument);
+}
+
+TEST(TcamArray, OutOfRangeTritRejectedBeforeProgramming) {
+  // A symbol outside {kZero, kOne, kDontCare} is rejected up front: no
+  // noise draw, nothing stored, so the array still matches a replay of the
+  // accepted rows.
+  TcamArrayConfig config;
+  config.vth_sigma = 0.05;
+  config.seed = 3;
+  const std::vector<Trit> first{Trit::kOne, Trit::kZero, Trit::kDontCare, Trit::kOne};
+  const std::vector<Trit> second{Trit::kZero, Trit::kZero, Trit::kOne, Trit::kDontCare};
+  std::vector<Trit> bad = first;
+  bad[2] = static_cast<Trit>(3);
+  TcamArray live{config};
+  live.add_row(first);
+  EXPECT_THROW((void)live.add_row(bad), std::invalid_argument);
+  live.add_row(second);
+  TcamArray replay{config};
+  replay.add_row(first);
+  replay.add_row(second);
+  ASSERT_EQ(live.num_rows(), 2u);
+  EXPECT_EQ(live.row_trits(1), second);
+  for (const auto& query : {bits({1, 0, 1, 1}), bits({0, 1, 0, 0})}) {
+    EXPECT_EQ(live.search_conductances(query), replay.search_conductances(query));
+  }
+
+  // A rejected first row leaves the word length unset.
+  TcamArray fresh{config};
+  EXPECT_THROW((void)fresh.add_row(bad), std::invalid_argument);
+  EXPECT_EQ(fresh.num_rows(), 0u);
+  EXPECT_EQ(fresh.word_length(), 0u);
 }
 
 TEST(TcamArray, NearestOnEmptyThrows) {
@@ -329,6 +392,67 @@ TEST(TcamArray, ProgrammingNoiseKeepsSmallDistanceOrdering) {
   tcam.add_row_bits(bits({1, 1, 1, 1, 0, 0, 0, 0}));
   const SearchOutcome outcome = tcam.nearest(bits({0, 0, 0, 0, 0, 0, 0, 0}));
   EXPECT_EQ(outcome.row, 0u);
+}
+
+TEST(TcamArray, GoldenConductanceBits) {
+  // Pins the raw bits of every conductance-derived output - binary and
+  // ternary sweeps, nearest(), and the readback health sums - across
+  // programming noise, injected drift, apply_drift and clear() + re-add.
+  // Any change to how cells are evaluated or summed (order included) moves
+  // the hash. The expected value was recorded with the per-cell analog
+  // channel model on x86-64 glibc; it depends on that libm's exp/log bits.
+  Fnv1a hash;
+  std::uint64_t seed = 40;
+  for (const double vth_sigma : {0.0, 0.05}) {
+    for (const double drift_sigma : {0.0, 0.03}) {
+      for (const std::size_t width : {std::size_t{7}, std::size_t{32}, std::size_t{64}}) {
+        TcamArrayConfig config;
+        config.vth_sigma = vth_sigma;
+        config.drift_sigma = drift_sigma;
+        config.seed = ++seed;
+        TcamArray tcam{config};
+        Rng data{seed * 7919};
+        std::vector<std::vector<Trit>> rows;
+        for (int r = 0; r < 40; ++r) rows.push_back(random_trits(data, width, 0.15));
+        std::vector<std::vector<std::uint8_t>> binary_queries;
+        std::vector<std::vector<Trit>> ternary_queries;
+        for (int q = 0; q < 6; ++q) {
+          std::vector<std::uint8_t> query(width);
+          for (auto& b : query) b = data.bernoulli(0.5) ? 1 : 0;
+          binary_queries.push_back(query);
+          ternary_queries.push_back(random_trits(data, width, 0.25));
+        }
+        const auto digest = [&] {
+          for (const auto& query : binary_queries) {
+            for (double g : tcam.search_conductances(query)) hash.f64(g);
+            const SearchOutcome outcome = tcam.nearest(query);
+            hash.u64(outcome.row);
+            hash.f64(outcome.conductance);
+          }
+          for (const auto& query : ternary_queries) {
+            for (double g : tcam.search_conductances(std::span<const Trit>{query})) {
+              hash.f64(g);
+            }
+          }
+          for (std::size_t r = 0; r < tcam.num_rows(); ++r) {
+            const RowHealth health = tcam.row_health(r);
+            hash.u64(health.mismatched);
+            hash.f64(health.sum_abs_shift_v);
+            hash.f64(health.max_abs_shift_v);
+          }
+        };
+        for (const auto& row : rows) tcam.add_row(row);
+        ASSERT_TRUE(tcam.invalidate_row(3));  // nearest() must skip a tombstone.
+        digest();
+        EXPECT_EQ(tcam.apply_drift(0.04, seed + 1000), rows.size() * width);
+        digest();
+        tcam.clear();
+        for (const auto& row : rows) tcam.add_row(row);
+        digest();
+      }
+    }
+  }
+  EXPECT_EQ(hash.value(), 0x66348b6a17cc6889ULL) << std::hex << hash.value();
 }
 
 }  // namespace

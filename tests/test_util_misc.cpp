@@ -1,12 +1,16 @@
 #include "util/linalg.hpp"
 #include "util/table.hpp"
 
+#include "util/rng.hpp"
+
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <vector>
 
@@ -58,6 +62,38 @@ TEST(Linalg, ArgminArgmax) {
 
 TEST(Linalg, ArgminEmptyIsZero) {
   EXPECT_EQ(argmin({}), 0u);
+}
+
+TEST(Linalg, ArgsortTopKIsFullSortPrefix) {
+  // Every k on either side of the heap-select / quickselect crossover must
+  // return exactly the first k entries of a full sort by (value, index):
+  // heavy ties (Hamming-style keys), +inf tombstones, k past n.
+  Rng rng{21};
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{128},
+                              std::size_t{4096}}) {
+    std::vector<double> xs(n);
+    for (double& x : xs) {
+      x = rng.bernoulli(0.1) ? std::numeric_limits<double>::infinity()
+                             : 1e-6 * static_cast<double>(rng.index(8));
+    }
+    std::vector<std::size_t> sorted(n);
+    for (std::size_t i = 0; i < n; ++i) sorted[i] = i;
+    std::sort(sorted.begin(), sorted.end(), [&xs](std::size_t a, std::size_t b) {
+      if (xs[a] != xs[b]) return xs[a] < xs[b];
+      return a < b;
+    });
+    std::vector<std::size_t> ks{0, 1, n + 5, 10, 11, 255, 256, 641};
+    if (n > 0) {
+      ks.push_back(n - 1);
+      ks.push_back(n);
+    }
+    for (const std::size_t k : ks) {
+      const std::size_t kk = std::min(k, n);
+      const std::vector<std::size_t> expected(sorted.begin(),
+                                              sorted.begin() + static_cast<std::ptrdiff_t>(kk));
+      EXPECT_EQ(argsort_top_k(xs, k), expected) << "n=" << n << " k=" << k;
+    }
+  }
 }
 
 TEST(TextTable, RendersAlignedGrid) {
