@@ -10,6 +10,13 @@
 
 namespace mcam::cam {
 
+namespace {
+
+/// Largest cell storage add_row reserves up front: 2^20 cells, 18 MiB.
+constexpr std::size_t kMaxReservedCells = std::size_t{1} << 20;
+
+}  // namespace
+
 std::vector<std::size_t> rank_by_sensing(std::span<const double> row_conductances,
                                          SensingMode sensing,
                                          const circuit::MatchlineParams& matchline,
@@ -57,7 +64,21 @@ std::vector<std::size_t> rank_by_sensing(std::span<const double> row_conductance
 
 McamArray::McamArray(const McamArrayConfig& config)
     : config_(config), lut_(ConductanceLut::nominal(config.level_map, config.channel)),
-      rng_(config.seed) {}
+      g_exp_cap_(config.channel.g0 * std::exp(60.0)), rng_(config.seed) {
+  const auto& map = config_.level_map;
+  const double v_slope = config_.channel.v_slope;
+  const std::size_t n = map.num_states();
+  drive_.reserve(n * n);
+  for (std::size_t input = 0; input < n; ++input) {
+    const double v_in = map.input_voltage(input);
+    for (std::size_t stored = 0; stored < n; ++stored) {
+      drive_.push_back(
+          {lut_.g(input, stored),
+           config_.channel.g0 * std::exp((map.invert(v_in) - map.left_fefet_vth(stored)) / v_slope),
+           config_.channel.g0 * std::exp((v_in - map.right_fefet_vth(stored)) / v_slope)});
+    }
+  }
+}
 
 std::size_t McamArray::add_row(std::span<const std::uint16_t> levels) {
   if (levels.empty()) throw std::invalid_argument{"McamArray::add_row: empty row"};
@@ -76,33 +97,60 @@ std::size_t McamArray::add_row(std::span<const std::uint16_t> levels) {
       throw std::out_of_range{"McamArray::add_row: level exceeds map"};
     }
   }
+  if (word_length_ == 0 && config_.max_rows > 0 &&
+      config_.max_rows <= kMaxReservedCells / levels.size()) {
+    // A bounded bank never grows past its capacity: reserve it exactly,
+    // so no growth slack stays allocated. A bound past any physical bank
+    // grows on demand instead of allocating for rows it may never get.
+    const std::size_t cells = config_.max_rows * levels.size();
+    level_.reserve(cells);
+    kind_.reserve(cells);
+    dvth_.reserve(cells);
+    factor_.reserve(cells);
+    valid_.reserve(config_.max_rows);
+  }
   word_length_ = levels.size();
-  std::vector<CellState> row;
-  row.reserve(levels.size());
   for (std::uint16_t level : levels) {
-    CellState cell;
-    cell.level = level;
+    FefetPair dvth;
     if (config_.vth_sigma > 0.0) {
-      cell.dvth_left = static_cast<float>(rng_.normal(0.0, config_.vth_sigma));
-      cell.dvth_right = static_cast<float>(rng_.normal(0.0, config_.vth_sigma));
+      dvth.left = static_cast<float>(rng_.normal(0.0, config_.vth_sigma));
+      dvth.right = static_cast<float>(rng_.normal(0.0, config_.vth_sigma));
     }
     if (config_.drift_sigma > 0.0) {
-      cell.dvth_left += static_cast<float>(rng_.normal(0.0, config_.drift_sigma));
-      cell.dvth_right += static_cast<float>(rng_.normal(0.0, config_.drift_sigma));
+      dvth.left += static_cast<float>(rng_.normal(0.0, config_.drift_sigma));
+      dvth.right += static_cast<float>(rng_.normal(0.0, config_.drift_sigma));
     }
+    CellKind kind = CellKind::kNominal;
     if (config_.stuck_short_rate > 0.0 && rng_.bernoulli(config_.stuck_short_rate)) {
-      cell.fault = CellFault::kStuckShort;
+      kind = CellKind::kStuckShort;
       ++faulty_cells_;
     } else if (config_.stuck_open_rate > 0.0 && rng_.bernoulli(config_.stuck_open_rate)) {
-      cell.fault = CellFault::kStuckOpen;
+      kind = CellKind::kStuckOpen;
       ++faulty_cells_;
     }
-    row.push_back(cell);
+    level_.push_back(static_cast<std::uint8_t>(level));
+    kind_.push_back(kind);
+    dvth_.push_back(dvth);
+    factor_.emplace_back();
+    compile_cell(kind_.size() - 1);
   }
-  rows_.push_back(std::move(row));
   valid_.push_back(1);
   ++valid_rows_;
-  return rows_.size() - 1;
+  return valid_.size() - 1;
+}
+
+void McamArray::compile_cell(std::size_t at) {
+  if (kind_[at] == CellKind::kStuckShort || kind_[at] == CellKind::kStuckOpen) return;
+  const FefetPair dvth = dvth_[at];
+  if (dvth.left == 0.0f && dvth.right == 0.0f) {
+    kind_[at] = CellKind::kNominal;
+    factor_[at] = {1.0f, 1.0f};
+    return;
+  }
+  const double v_slope = config_.channel.v_slope;
+  kind_[at] = CellKind::kOffset;
+  factor_[at] = {static_cast<float>(std::exp(-static_cast<double>(dvth.left) / v_slope)),
+                 static_cast<float>(std::exp(-static_cast<double>(dvth.right) / v_slope))};
 }
 
 void McamArray::program(std::span<const std::vector<std::uint16_t>> rows) {
@@ -110,7 +158,10 @@ void McamArray::program(std::span<const std::vector<std::uint16_t>> rows) {
 }
 
 void McamArray::clear() noexcept {
-  rows_.clear();
+  level_.clear();
+  kind_.clear();
+  dvth_.clear();
+  factor_.clear();
   valid_.clear();
   valid_rows_ = 0;
   word_length_ = 0;
@@ -118,7 +169,7 @@ void McamArray::clear() noexcept {
 }
 
 bool McamArray::invalidate_row(std::size_t i) {
-  if (i >= rows_.size()) throw std::out_of_range{"McamArray::invalidate_row: bad row"};
+  if (i >= num_rows()) throw std::out_of_range{"McamArray::invalidate_row: bad row"};
   if (!valid_[i]) return false;
   valid_[i] = 0;
   --valid_rows_;
@@ -126,21 +177,19 @@ bool McamArray::invalidate_row(std::size_t i) {
 }
 
 std::vector<std::uint16_t> McamArray::row_levels(std::size_t i) const {
-  if (i >= rows_.size()) throw std::out_of_range{"McamArray::row_levels: bad row"};
-  std::vector<std::uint16_t> levels;
-  levels.reserve(rows_[i].size());
-  for (const CellState& cell : rows_[i]) levels.push_back(cell.level);
-  return levels;
+  if (i >= num_rows()) throw std::out_of_range{"McamArray::row_levels: bad row"};
+  const auto first = level_.begin() + static_cast<std::ptrdiff_t>(i * word_length_);
+  return {first, first + static_cast<std::ptrdiff_t>(word_length_)};
 }
 
 std::vector<std::uint16_t> McamArray::row_readback(std::size_t i) const {
-  if (i >= rows_.size()) throw std::out_of_range{"McamArray::row_readback: bad row"};
+  if (i >= num_rows()) throw std::out_of_range{"McamArray::row_readback: bad row"};
   const auto& map = config_.level_map;
   std::vector<std::uint16_t> levels;
-  levels.reserve(rows_[i].size());
-  for (const CellState& cell : rows_[i]) {
-    const double right = map.right_fefet_vth(cell.level) + cell.dvth_right;
-    const double left = map.left_fefet_vth(cell.level) + cell.dvth_left;
+  levels.reserve(word_length_);
+  for (std::size_t at = i * word_length_; at < (i + 1) * word_length_; ++at) {
+    const double right = map.right_fefet_vth(level_[at]) + dvth_[at].right;
+    const double left = map.left_fefet_vth(level_[at]) + dvth_[at].left;
     std::size_t best = 0;
     double best_d = std::numeric_limits<double>::infinity();
     for (std::size_t s = 0; s < map.num_states(); ++s) {
@@ -161,17 +210,17 @@ std::vector<std::uint16_t> McamArray::row_readback(std::size_t i) const {
 
 RowHealth McamArray::row_health(std::size_t i) const {
   const std::vector<std::uint16_t> readback = row_readback(i);  // bounds-checks i
-  const auto& row = rows_[i];
   RowHealth health;
-  health.cells = row.size();
-  for (std::size_t c = 0; c < row.size(); ++c) {
-    if (row[c].fault != CellFault::kNone) {
+  health.cells = word_length_;
+  for (std::size_t c = 0; c < word_length_; ++c) {
+    const std::size_t at = i * word_length_ + c;
+    if (kind_[at] == CellKind::kStuckShort || kind_[at] == CellKind::kStuckOpen) {
       ++health.faulty;
       continue;
     }
-    if (readback[c] != row[c].level) ++health.mismatched;
-    const double shift = std::max(std::abs(static_cast<double>(row[c].dvth_left)),
-                                  std::abs(static_cast<double>(row[c].dvth_right)));
+    if (readback[c] != level_[at]) ++health.mismatched;
+    const double shift = std::max(std::abs(static_cast<double>(dvth_[at].left)),
+                                  std::abs(static_cast<double>(dvth_[at].right)));
     health.sum_abs_shift_v += shift;
     health.max_abs_shift_v = std::max(health.max_abs_shift_v, shift);
   }
@@ -181,41 +230,17 @@ RowHealth McamArray::row_health(std::size_t i) const {
 std::size_t McamArray::apply_drift(double sigma, std::uint64_t seed) {
   if (sigma <= 0.0) return 0;
   Rng rng{seed};
-  std::size_t cells = 0;
-  for (auto& row : rows_) {
-    for (CellState& cell : row) {
-      cell.dvth_left += static_cast<float>(rng.normal(0.0, sigma));
-      cell.dvth_right += static_cast<float>(rng.normal(0.0, sigma));
-      ++cells;
-    }
+  for (std::size_t at = 0; at < dvth_.size(); ++at) {
+    dvth_[at].left += static_cast<float>(rng.normal(0.0, sigma));
+    dvth_[at].right += static_cast<float>(rng.normal(0.0, sigma));
+    compile_cell(at);
   }
-  return cells;
+  return dvth_.size();
 }
 
 bool McamArray::row_valid(std::size_t i) const {
-  if (i >= rows_.size()) throw std::out_of_range{"McamArray::row_valid: bad row"};
+  if (i >= num_rows()) throw std::out_of_range{"McamArray::row_valid: bad row"};
   return valid_[i] != 0;
-}
-
-double McamArray::cell_conductance(const CellState& cell, std::size_t input) const {
-  if (cell.fault == CellFault::kStuckShort) {
-    // Shorted cell: conducts at the series-resistance cap regardless of the
-    // stored state or input - it permanently leaks its matchline.
-    return config_.channel.g_leak + 1.0 / config_.channel.r_on;
-  }
-  if (cell.fault == CellFault::kStuckOpen) {
-    // Open cell: only leakage, i.e. it matches everything.
-    return 2.0 * config_.channel.g_leak;
-  }
-  if (cell.dvth_left == 0.0f && cell.dvth_right == 0.0f) {
-    return lut_.g(input, cell.level);
-  }
-  const auto& map = config_.level_map;
-  const double v_in = map.input_voltage(input);
-  const double od_right = v_in - (map.right_fefet_vth(cell.level) + cell.dvth_right);
-  const double od_left = map.invert(v_in) - (map.left_fefet_vth(cell.level) + cell.dvth_left);
-  return fefet::channel_conductance(config_.channel, od_right) +
-         fefet::channel_conductance(config_.channel, od_left);
 }
 
 std::vector<double> McamArray::search_conductances(
@@ -223,14 +248,53 @@ std::vector<double> McamArray::search_conductances(
   if (query.size() != word_length_) {
     throw std::invalid_argument{"McamArray::search: query length mismatch"};
   }
-  std::vector<double> totals;
-  totals.reserve(rows_.size());
-  for (const auto& row : rows_) {
-    double g_total = 0.0;
-    for (std::size_t i = 0; i < row.size(); ++i) {
-      g_total += cell_conductance(row[i], query[i]);
+  // Each column's drive: the table block of its input state, indexed by
+  // the stored level.
+  const std::size_t n = config_.level_map.num_states();
+  std::vector<const DriveEntry*> drive(query.size());
+  for (std::size_t c = 0; c < query.size(); ++c) {
+    if (query[c] >= n) throw std::out_of_range{"McamArray::search: level exceeds map"};
+    drive[c] = drive_.data() + query[c] * n;
+  }
+  const double g_leak = config_.channel.g_leak;
+  const double r_on = config_.channel.r_on;
+  const double g_cap = g_exp_cap_;
+  // A shorted cell conducts at the series-resistance cap whatever its
+  // state or input, permanently leaking its matchline; an open cell only
+  // leaks, i.e. it matches everything.
+  const double g_short = g_leak + 1.0 / r_on;
+  const double g_open = 2.0 * g_leak;
+  const std::size_t w = word_length_;
+  std::vector<double> totals(num_rows());
+  for (std::size_t r = 0; r < totals.size(); ++r) {
+    const std::uint8_t* level = level_.data() + r * w;
+    const CellKind* kind = kind_.data() + r * w;
+    const FefetPair* factor = factor_.data() + r * w;
+    double g = 0.0;
+    for (std::size_t c = 0; c < w; ++c) {
+      const DriveEntry& entry = drive[c][level[c]];
+      switch (kind[c]) {
+        case CellKind::kNominal:
+          g += entry.g_nominal;
+          break;
+        case CellKind::kOffset: {
+          // fefet::channel_conductance per FeFET, with the exponential
+          // gathered and scaled instead of evaluated.
+          const double g_right = std::min(entry.e_right * factor[c].right, g_cap);
+          const double g_left = std::min(entry.e_left * factor[c].left, g_cap);
+          g += (g_leak + g_right / (1.0 + g_right * r_on)) +
+               (g_leak + g_left / (1.0 + g_left * r_on));
+          break;
+        }
+        case CellKind::kStuckShort:
+          g += g_short;
+          break;
+        case CellKind::kStuckOpen:
+          g += g_open;
+          break;
+      }
     }
-    totals.push_back(g_total);
+    totals[r] = g;
   }
   return totals;
 }

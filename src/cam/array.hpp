@@ -113,6 +113,16 @@ struct SearchOutcome {
 /// Programming-time Vth noise (config.vth_sigma) is sampled once per cell
 /// FeFET when the row is written - subsequent searches see the same
 /// hardware instance, as in a real chip.
+///
+/// Cells are compiled when they are programmed (add_row, apply_drift). The
+/// channel exponential of an offset FeFET splits as
+///   exp((V_g - V_th(s) - dV) / v_slope) = E[input][s] * exp(-dV / v_slope),
+/// so each cell stores its two factors exp(-dV / v_slope) as floats, and a
+/// search gathers E from a per-array table and multiplies: no exp per
+/// query. A cell with both offsets zero reads its exact LUT entry, and a
+/// stuck cell its fault constant, so a noise-free array sums exactly the
+/// LUT; an offset cell is within 1e-7 relative of the per-cell analog
+/// model (the float factors' rounding).
 class McamArray {
  public:
   explicit McamArray(const McamArrayConfig& config);
@@ -121,6 +131,15 @@ class McamArray {
   /// must be < 2^bits (else std::out_of_range, before any noise is drawn
   /// or anything is stored). Returns the row index. Throws
   /// std::length_error when the array is at `config.max_rows` capacity.
+  ///
+  /// Draw order on the array's Rng (seeded with config.seed; clear() does
+  /// not reseed it), per cell in column order: when vth_sigma > 0, the
+  /// left then the right FeFET's N(0, vth_sigma) offset; when
+  /// drift_sigma > 0, an N(0, drift_sigma) draw added to the left then the
+  /// right offset (each draw rounded to float before it is added); when
+  /// stuck_short_rate > 0, a bernoulli(stuck_short_rate) stuck-short
+  /// draw, and only when that is false and stuck_open_rate > 0, a
+  /// bernoulli(stuck_open_rate) stuck-open draw.
   std::size_t add_row(std::span<const std::uint16_t> levels);
 
   /// Writes many rows (each inner vector is one data point).
@@ -146,10 +165,12 @@ class McamArray {
 
   /// True when `config.max_rows` is set and every physical slot is used.
   [[nodiscard]] bool full() const noexcept {
-    return config_.max_rows > 0 && rows_.size() >= config_.max_rows;
+    return config_.max_rows > 0 && num_rows() >= config_.max_rows;
   }
 
-  /// Total conductance of every row for `query` [S].
+  /// Total conductance of every row for `query` [S]: each row's compiled
+  /// cells summed in column order. Throws std::invalid_argument on a
+  /// length mismatch and std::out_of_range on a level >= 2^bits.
   [[nodiscard]] std::vector<double> search_conductances(
       std::span<const std::uint16_t> query) const;
 
@@ -189,11 +210,11 @@ class McamArray {
   [[nodiscard]] RowHealth row_health(std::size_t i) const;
 
   /// Injects retention drift in place: perturbs both FeFET Vth offsets of
-  /// every programmed cell by N(0, sigma) draws from a dedicated Rng
-  /// seeded with `seed`. The array's own programming Rng is untouched, so
-  /// later add_row noise/fault sampling replays exactly as if no drift
-  /// was injected. Returns the number of cells perturbed; sigma <= 0 is a
-  /// no-op.
+  /// every programmed cell (row-major, left then right) by N(0, sigma)
+  /// draws from a dedicated Rng seeded with `seed`, and recompiles the
+  /// cells. The array's own programming Rng is untouched, so later add_row
+  /// noise/fault sampling replays exactly as if no drift was injected.
+  /// Returns the number of cells perturbed; sigma <= 0 is a no-op.
   std::size_t apply_drift(double sigma, std::uint64_t seed);
 
   /// Exact-match search: indices of rows whose every cell matches `query`
@@ -202,7 +223,7 @@ class McamArray {
                                                        double g_match_limit_per_cell) const;
 
   /// Number of programmed rows.
-  [[nodiscard]] std::size_t num_rows() const noexcept { return rows_.size(); }
+  [[nodiscard]] std::size_t num_rows() const noexcept { return valid_.size(); }
   /// Cells per row (0 until the first row is written).
   [[nodiscard]] std::size_t word_length() const noexcept { return word_length_; }
   /// Configuration the array was built with.
@@ -211,27 +232,40 @@ class McamArray {
   [[nodiscard]] const ConductanceLut& lut() const noexcept { return lut_; }
 
  private:
-  /// Manufacturing fault of one cell.
-  enum class CellFault : std::uint8_t {
-    kNone = 0,
-    kStuckShort,  ///< Cell always conducts at the on-state cap.
-    kStuckOpen,   ///< Cell never conducts beyond leakage.
+  /// How a search evaluates a cell.
+  enum class CellKind : std::uint8_t {
+    kNominal = 0,  ///< Both Vth offsets zero: the cell's LUT entry.
+    kOffset,       ///< Offset FeFETs: E entries times the compiled factors.
+    kStuckShort,   ///< Fault: always conducts at the on-state cap.
+    kStuckOpen,    ///< Fault: never conducts beyond leakage.
   };
 
-  /// Per-cell programmed state plus its sampled Vth offsets and fault.
-  struct CellState {
-    std::uint16_t level = 0;
-    CellFault fault = CellFault::kNone;
-    float dvth_left = 0.0f;
-    float dvth_right = 0.0f;
+  /// One value per FeFET of a cell.
+  struct FefetPair {
+    float left = 0.0f;
+    float right = 0.0f;
   };
 
-  /// Conductance of one programmed cell for a given input state.
-  [[nodiscard]] double cell_conductance(const CellState& cell, std::size_t input) const;
+  /// Compiled drive of one (input, stored state) pair: the LUT entry and
+  /// each FeFET's offset-free exponential branch g0 * exp(V_ov / v_slope).
+  struct DriveEntry {
+    double g_nominal = 0.0;
+    double e_left = 0.0;
+    double e_right = 0.0;
+  };
+
+  /// Sets cell `at`'s kind and factors from its offsets, unless it is stuck.
+  void compile_cell(std::size_t at);
 
   McamArrayConfig config_;
   ConductanceLut lut_;
-  std::vector<std::vector<CellState>> rows_;
+  std::vector<DriveEntry> drive_;  ///< Indexed [input * 2^bits + stored].
+  double g_exp_cap_ = 0.0;         ///< Exponential branch clamp, g0 * e^60 [S].
+  // Cell storage, row-major, reserved to max_rows x word_length.
+  std::vector<std::uint8_t> level_;  ///< Programmed level.
+  std::vector<CellKind> kind_;
+  std::vector<FefetPair> dvth_;      ///< Vth offsets [V]; readback and health read them.
+  std::vector<FefetPair> factor_;    ///< exp(-dvth / v_slope), compiled from dvth_.
   std::vector<std::uint8_t> valid_;
   std::size_t valid_rows_ = 0;
   std::size_t word_length_ = 0;

@@ -3,8 +3,30 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 namespace mcam::encoding {
+
+namespace {
+
+/// The values a full ascending sort of `column` would put at `idx` and at
+/// min(idx + 1, size - 1), found by selection. Requires every element
+/// before `from` to be <= every element from `from` on, and from <= idx;
+/// leaves the same true for from = idx + 1.
+std::pair<float, float> adjacent_order_stats(std::vector<float>& column, std::size_t from,
+                                             std::size_t idx) {
+  const auto first = column.begin();
+  std::nth_element(first + static_cast<std::ptrdiff_t>(from),
+                   first + static_cast<std::ptrdiff_t>(idx), column.end());
+  const float next = idx + 1 < column.size()
+                         ? *std::min_element(first + static_cast<std::ptrdiff_t>(idx + 1),
+                                             column.end())
+                         : column[idx];
+  return {column[idx], next};
+}
+
+}  // namespace
 
 UniformQuantizer UniformQuantizer::fit(std::span<const std::vector<float>> rows,
                                        unsigned bits, double clip_percentile) {
@@ -22,19 +44,33 @@ UniformQuantizer UniformQuantizer::fit(std::span<const std::vector<float>> rows,
   q.bits_ = bits;
   q.lo_.resize(width);
   q.hi_.resize(width);
+  // Each bound interpolates the sorted column at floor(pos) and the next
+  // position; those order statistics are selected instead of sorted for.
+  // The high bound's selection runs only above the low bound's position.
+  const double last = static_cast<double>(rows.size() - 1);
+  const double lo_pos = clip_percentile / 100.0 * last;
+  const double hi_pos = (100.0 - clip_percentile) / 100.0 * last;
+  const auto lo_idx = static_cast<std::size_t>(lo_pos);
+  const auto hi_idx = static_cast<std::size_t>(hi_pos);
+  const auto interpolate = [](double pos, std::size_t idx, float at, float next) {
+    const double frac = pos - static_cast<double>(idx);
+    return static_cast<float>(at * (1.0 - frac) + next * frac);
+  };
   std::vector<float> column(rows.size());
   for (std::size_t f = 0; f < width; ++f) {
-    for (std::size_t r = 0; r < rows.size(); ++r) column[r] = rows[r][f];
-    std::sort(column.begin(), column.end());
-    const auto pick = [&column](double p) {
-      const double pos = p / 100.0 * static_cast<double>(column.size() - 1);
-      const auto lo_idx = static_cast<std::size_t>(pos);
-      const std::size_t hi_idx = std::min(lo_idx + 1, column.size() - 1);
-      const double frac = pos - static_cast<double>(lo_idx);
-      return static_cast<float>(column[lo_idx] * (1.0 - frac) + column[hi_idx] * frac);
-    };
-    q.lo_[f] = pick(clip_percentile);
-    q.hi_[f] = pick(100.0 - clip_percentile);
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+      column[r] = rows[r][f];
+      if (!std::isfinite(column[r])) {
+        throw std::invalid_argument{"UniformQuantizer::fit: non-finite value at feature " +
+                                    std::to_string(f)};
+      }
+    }
+    const auto [lo_at, lo_next] = adjacent_order_stats(column, 0, lo_idx);
+    const auto [hi_at, hi_next] = hi_idx == lo_idx
+                                      ? std::pair{lo_at, lo_next}
+                                      : adjacent_order_stats(column, lo_idx + 1, hi_idx);
+    q.lo_[f] = interpolate(lo_pos, lo_idx, lo_at, lo_next);
+    q.hi_[f] = interpolate(hi_pos, hi_idx, hi_at, hi_next);
     if (!(q.hi_[f] > q.lo_[f])) q.hi_[f] = q.lo_[f] + 1.0f;  // Constant feature.
   }
   return q;
@@ -65,12 +101,17 @@ std::vector<std::uint16_t> UniformQuantizer::quantize(std::span<const float> row
     throw std::invalid_argument{"UniformQuantizer::quantize: width mismatch"};
   }
   const auto levels = static_cast<float>(num_levels());
+  const float top = levels - 1.0f;
   std::vector<std::uint16_t> out(row.size());
   for (std::size_t f = 0; f < row.size(); ++f) {
-    const float t = (row[f] - lo_[f]) / (hi_[f] - lo_[f]) * levels;
-    const auto level = static_cast<long>(std::floor(t));
-    out[f] = static_cast<std::uint16_t>(
-        std::clamp<long>(level, 0, static_cast<long>(num_levels()) - 1));
+    if (!std::isfinite(row[f])) {
+      throw std::invalid_argument{"UniformQuantizer::quantize: non-finite value at feature " +
+                                  std::to_string(f)};
+    }
+    const float t = std::floor((row[f] - lo_[f]) / (hi_[f] - lo_[f]) * levels);
+    // Saturated as a float: a finite feature far outside the fitted range
+    // can still overflow t to +-inf, which no integer cast may see.
+    out[f] = static_cast<std::uint16_t>(t > 0.0f ? std::min(t, top) : 0.0f);
   }
   return out;
 }

@@ -21,6 +21,8 @@ class UniformQuantizer {
   /// Fits the per-feature range [lo, hi] on `rows`.
   /// `clip_percentile` in [0, 50): clip the range to the
   /// [p, 100-p] percentiles to shed outliers; 0 = exact min/max.
+  /// Throws std::invalid_argument naming the feature index when any value
+  /// is NaN or infinite.
   [[nodiscard]] static UniformQuantizer fit(std::span<const std::vector<float>> rows,
                                             unsigned bits, double clip_percentile = 0.0);
 
@@ -31,7 +33,9 @@ class UniformQuantizer {
   [[nodiscard]] static UniformQuantizer from_state(unsigned bits, std::vector<float> lo,
                                                    std::vector<float> hi);
 
-  /// Quantizes one vector to levels in [0, 2^bits).
+  /// Quantizes one vector to levels in [0, 2^bits); values outside the
+  /// fitted range saturate. Throws std::invalid_argument naming the
+  /// feature index when a value is NaN or infinite.
   [[nodiscard]] std::vector<std::uint16_t> quantize(std::span<const float> row) const;
 
   /// Quantizes every row.

@@ -1,5 +1,7 @@
 #include "cam/array.hpp"
 
+#include "fnv1a.hpp"
+
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -22,6 +24,20 @@ TEST(McamArray, AddRowValidation) {
   EXPECT_THROW((void)array.add_row(row({1, 2, 9})), std::out_of_range);
   EXPECT_EQ(array.num_rows(), 1u);
   EXPECT_EQ(array.word_length(), 3u);
+}
+
+TEST(McamArray, OversizedRowBoundGrowsOnDemand) {
+  // Bounded banks reserve their cell storage up front; a bound far past
+  // any physical bank (from a spec string or a snapshot) must not turn
+  // into one huge allocation.
+  for (const std::size_t max_rows : {std::size_t{1} << 40, std::size_t{1} << 62}) {
+    McamArrayConfig config;
+    config.max_rows = max_rows;
+    McamArray array{config};
+    array.add_row(row({1, 2, 3, 4, 5, 6}));
+    array.add_row(row({6, 5, 4, 3, 2, 1}));
+    EXPECT_EQ(array.nearest(row({6, 5, 4, 3, 2, 1})).row, 1u);
+  }
 }
 
 TEST(McamArray, RejectedRowDrawsNoProgrammingNoise) {
@@ -169,6 +185,8 @@ TEST(McamArray, QueryLengthMismatchThrows) {
   McamArray array{McamArrayConfig{}};
   array.add_row(row({1, 2, 3}));
   EXPECT_THROW((void)array.search_conductances(row({1, 2})), std::invalid_argument);
+  // A level past the map would index past the compiled drive table.
+  EXPECT_THROW((void)array.search_conductances(row({1, 2, 8})), std::out_of_range);
 }
 
 TEST(McamArray, NearestOnEmptyThrows) {
@@ -271,6 +289,217 @@ TEST_P(McamArrayBits, SelfMatchAlwaysWins) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Widths, McamArrayBits, ::testing::Values(1u, 2u, 3u, 4u));
+
+/// The per-cell analog model the compiled sweep must reproduce: cells
+/// rebuilt by replaying McamArray::add_row's documented draws on an Rng
+/// with the array's seed, each evaluated per query as a stuck-fault
+/// constant, the exact LUT entry (both offsets zero) or two
+/// fefet::channel_conductance calls.
+class AnalogReference {
+ public:
+  explicit AnalogReference(const McamArrayConfig& config)
+      : config_(config), lut_(ConductanceLut::nominal(config.level_map, config.channel)),
+        rng_(config.seed) {}
+
+  void add_row(std::span<const std::uint16_t> levels) {
+    for (const std::uint16_t level : levels) {
+      Cell cell;
+      cell.level = level;
+      if (config_.vth_sigma > 0.0) {
+        cell.dvth_left = static_cast<float>(rng_.normal(0.0, config_.vth_sigma));
+        cell.dvth_right = static_cast<float>(rng_.normal(0.0, config_.vth_sigma));
+      }
+      if (config_.drift_sigma > 0.0) {
+        cell.dvth_left += static_cast<float>(rng_.normal(0.0, config_.drift_sigma));
+        cell.dvth_right += static_cast<float>(rng_.normal(0.0, config_.drift_sigma));
+      }
+      if (config_.stuck_short_rate > 0.0 && rng_.bernoulli(config_.stuck_short_rate)) {
+        cell.stuck_short = true;
+      } else if (config_.stuck_open_rate > 0.0 && rng_.bernoulli(config_.stuck_open_rate)) {
+        cell.stuck_open = true;
+      }
+      cells_.push_back(cell);
+    }
+    width_ = levels.size();
+  }
+
+  void apply_drift(double sigma, std::uint64_t seed) {
+    Rng rng{seed};
+    for (Cell& cell : cells_) {
+      cell.dvth_left += static_cast<float>(rng.normal(0.0, sigma));
+      cell.dvth_right += static_cast<float>(rng.normal(0.0, sigma));
+    }
+  }
+
+  /// Drops the cells; like McamArray::clear, the Rng is not reseeded.
+  void clear() { cells_.clear(); }
+
+  [[nodiscard]] std::vector<double> totals(std::span<const std::uint16_t> query) const {
+    std::vector<double> out;
+    for (std::size_t first = 0; first < cells_.size(); first += width_) {
+      double g = 0.0;
+      for (std::size_t c = 0; c < width_; ++c) g += conductance(cells_[first + c], query[c]);
+      out.push_back(g);
+    }
+    return out;
+  }
+
+ private:
+  struct Cell {
+    std::uint16_t level = 0;
+    bool stuck_short = false;
+    bool stuck_open = false;
+    float dvth_left = 0.0f;
+    float dvth_right = 0.0f;
+  };
+
+  [[nodiscard]] double conductance(const Cell& cell, std::size_t input) const {
+    const fefet::ChannelParams& channel = config_.channel;
+    if (cell.stuck_short) return channel.g_leak + 1.0 / channel.r_on;
+    if (cell.stuck_open) return 2.0 * channel.g_leak;
+    if (cell.dvth_left == 0.0f && cell.dvth_right == 0.0f) return lut_.g(input, cell.level);
+    const fefet::LevelMap& map = config_.level_map;
+    const double v_in = map.input_voltage(input);
+    return fefet::channel_conductance(
+               channel, v_in - (map.right_fefet_vth(cell.level) + cell.dvth_right)) +
+           fefet::channel_conductance(
+               channel, map.invert(v_in) - (map.left_fefet_vth(cell.level) + cell.dvth_left));
+  }
+
+  McamArrayConfig config_;
+  ConductanceLut lut_;
+  Rng rng_;
+  std::vector<Cell> cells_;
+  std::size_t width_ = 0;
+};
+
+std::vector<std::vector<std::uint16_t>> random_levels(Rng& rng, std::size_t count,
+                                                      std::size_t width, std::size_t states) {
+  std::vector<std::vector<std::uint16_t>> out(count, std::vector<std::uint16_t>(width));
+  for (auto& levels : out) {
+    for (auto& level : levels) level = static_cast<std::uint16_t>(rng.index(states));
+  }
+  return out;
+}
+
+TEST(McamArray, CompiledMatchesAnalogModel) {
+  std::uint64_t seed = 70;
+  for (const unsigned bits : {1u, 2u, 3u, 4u, 6u}) {
+    for (const double vth_sigma : {0.01, 0.05, 0.5}) {
+      for (const double drift_sigma : {0.0, 0.03}) {
+        for (const double fault_rate : {0.0, 0.02}) {
+          McamArrayConfig config;
+          config.level_map = fefet::LevelMap{bits};
+          config.vth_sigma = vth_sigma;
+          config.drift_sigma = drift_sigma;
+          config.stuck_short_rate = fault_rate;
+          config.stuck_open_rate = fault_rate;
+          config.seed = ++seed;
+          McamArray array{config};
+          AnalogReference reference{config};
+          Rng data{seed * 7919};
+          const std::size_t states = config.level_map.num_states();
+          const auto rows = random_levels(data, 40, 24, states);
+          const auto queries = random_levels(data, 8, 24, states);
+          const auto check = [&](const char* phase) {
+            SCOPED_TRACE(::testing::Message() << "bits=" << bits << " vth_sigma=" << vth_sigma
+                                              << " drift_sigma=" << drift_sigma
+                                              << " fault_rate=" << fault_rate << " " << phase);
+            for (const auto& query : queries) {
+              const std::vector<double> got = array.search_conductances(query);
+              const std::vector<double> want = reference.totals(query);
+              ASSERT_EQ(got.size(), want.size());
+              for (std::size_t r = 0; r < got.size(); ++r) {
+                ASSERT_LE(std::abs(got[r] - want[r]), 1e-7 * want[r]) << "row " << r;
+              }
+              EXPECT_EQ(array.k_nearest(query, 10),
+                        rank_by_sensing(want, array.valid_mask(), SensingMode::kIdealSum,
+                                        config.matchline, array.word_length(),
+                                        config.sense_clock_period, 10));
+            }
+          };
+          for (const auto& row : rows) {
+            array.add_row(row);
+            reference.add_row(row);
+          }
+          check("fresh");
+          array.apply_drift(0.04, seed + 1000);
+          reference.apply_drift(0.04, seed + 1000);
+          check("after apply_drift");
+          array.clear();
+          reference.clear();
+          for (const auto& row : rows) {
+            array.add_row(row);
+            reference.add_row(row);
+          }
+          check("after clear and re-add");
+          // Offsets of several volts push factors past float range (inf and
+          // 0): the on-state clamp must keep every saturated FeFET finite.
+          array.apply_drift(4.0, seed + 2000);
+          reference.apply_drift(4.0, seed + 2000);
+          check("after a 4 V drift");
+        }
+      }
+    }
+  }
+}
+
+TEST(McamArray, GoldenConductanceBits) {
+  // Pins the raw bits of every conductance-derived output - sweeps,
+  // nearest(), k_nearest() and the readback health sums - across
+  // programming noise, injected drift, stuck faults, apply_drift and
+  // clear() + re-add. Any change to how cells are compiled, evaluated or
+  // summed (order included) moves the hash. The expected value was
+  // recorded with the compiled exponential factors on x86-64 glibc; it
+  // depends on that libm's exp bits.
+  testing_util::Fnv1a hash;
+  std::uint64_t seed = 90;
+  for (const unsigned bits : {1u, 3u, 6u}) {
+    for (const double vth_sigma : {0.0, 0.05}) {
+      for (const double drift_sigma : {0.0, 0.03}) {
+        for (const double fault_rate : {0.0, 0.02}) {
+          McamArrayConfig config;
+          config.level_map = fefet::LevelMap{bits};
+          config.vth_sigma = vth_sigma;
+          config.drift_sigma = drift_sigma;
+          config.stuck_short_rate = fault_rate;
+          config.stuck_open_rate = fault_rate;
+          config.seed = ++seed;
+          McamArray array{config};
+          Rng data{seed * 7919};
+          const std::size_t states = config.level_map.num_states();
+          const auto rows = random_levels(data, 40, 24, states);
+          const auto queries = random_levels(data, 6, 24, states);
+          const auto digest = [&] {
+            for (const auto& query : queries) {
+              for (double g : array.search_conductances(query)) hash.f64(g);
+              const SearchOutcome outcome = array.nearest(query);
+              hash.u64(outcome.row);
+              hash.f64(outcome.conductance);
+              for (std::size_t r : array.k_nearest(query, 10)) hash.u64(r);
+            }
+            for (std::size_t r = 0; r < array.num_rows(); ++r) {
+              const RowHealth health = array.row_health(r);
+              hash.u64(health.mismatched);
+              hash.u64(health.faulty);
+              hash.f64(health.sum_abs_shift_v);
+              hash.f64(health.max_abs_shift_v);
+            }
+          };
+          for (const auto& row : rows) array.add_row(row);
+          ASSERT_TRUE(array.invalidate_row(3));  // nearest() must skip a tombstone.
+          digest();
+          EXPECT_EQ(array.apply_drift(0.04, seed + 1000), rows.size() * 24);
+          digest();
+          array.clear();
+          for (const auto& row : rows) array.add_row(row);
+          digest();
+        }
+      }
+    }
+  }
+  EXPECT_EQ(hash.value(), 0x550c8d53eda2b9e0ULL) << std::hex << hash.value();
+}
 
 }  // namespace
 }  // namespace mcam::cam

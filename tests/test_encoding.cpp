@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <numbers>
+#include <string>
 
 namespace mcam::encoding {
 namespace {
@@ -137,6 +139,35 @@ TEST(UniformQuantizer, Validation) {
   EXPECT_THROW((void)UniformQuantizer::fit(toy_rows(), 3, 60.0), std::invalid_argument);
   const UniformQuantizer q = UniformQuantizer::fit(toy_rows(), 3);
   EXPECT_THROW((void)q.quantize(std::vector<float>{1.0f}), std::invalid_argument);
+}
+
+TEST(UniformQuantizer, NonFiniteValuesThrowNamingTheFeature) {
+  // NaN would break std::sort's ordering contract in fit and, like +-inf,
+  // reach an undefined float-to-integer cast in quantize.
+  const UniformQuantizer q = UniformQuantizer::fit(toy_rows(), 3);
+  for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
+                          std::numeric_limits<float>::infinity(),
+                          -std::numeric_limits<float>::infinity()}) {
+    auto rows = toy_rows();
+    rows[2][1] = bad;
+    try {
+      (void)UniformQuantizer::fit(rows, 3);
+      ADD_FAILURE() << "fit accepted " << bad;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string{e.what()}.find("feature 1"), std::string::npos) << e.what();
+    }
+    try {
+      (void)q.quantize(std::vector<float>{0.0f, 20.0f, bad});
+      ADD_FAILURE() << "quantize accepted " << bad;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string{e.what()}.find("feature 2"), std::string::npos) << e.what();
+    }
+  }
+  // Finite values far outside the range still saturate, even where the
+  // scaled position overflows float.
+  const UniformQuantizer unit = UniformQuantizer::from_state(3, {-1.0f}, {1.0f});
+  EXPECT_EQ(unit.quantize(std::vector<float>{3e38f})[0], 7u);
+  EXPECT_EQ(unit.quantize(std::vector<float>{-3e38f})[0], 0u);
 }
 
 TEST(Signature, PackUnpackRoundTrip) {

@@ -9,8 +9,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <tuple>
+#include <vector>
 
 namespace mcam {
 namespace {
@@ -132,6 +136,47 @@ TEST_P(QuantizerProperties, DequantizeQuantizeIsIdempotent) {
 
 INSTANTIATE_TEST_SUITE_P(Widths, QuantizerProperties,
                          ::testing::Values(1u, 2u, 3u, 4u, 6u, 8u));
+
+/// The range bound fit() documents: the clip-percentile position of a fully
+/// sorted column, linearly interpolated between its neighbours.
+float sorted_pick(std::vector<float> column, double percentile) {
+  std::sort(column.begin(), column.end());
+  const double pos = percentile / 100.0 * static_cast<double>(column.size() - 1);
+  const auto lo_idx = static_cast<std::size_t>(pos);
+  const std::size_t hi_idx = std::min(lo_idx + 1, column.size() - 1);
+  const double frac = pos - static_cast<double>(lo_idx);
+  return static_cast<float>(column[lo_idx] * (1.0 - frac) + column[hi_idx] * frac);
+}
+
+TEST(QuantizerFit, SelectedBoundsEqualSortedPicks) {
+  // fit() selects its two order-statistic pairs instead of sorting each
+  // column; the bounds must be bit-identical to the sorted picks, ties and
+  // the one- and two-row edge cases included.
+  Rng rng{404};
+  for (const std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{17},
+                              std::size_t{256}, std::size_t{2048}}) {
+    for (const double clip : {0.0, 1.0, 2.5}) {
+      std::vector<std::vector<float>> rows(n, std::vector<float>(4));
+      for (auto& row : rows) {
+        row[0] = static_cast<float>(rng.normal(0.0, 3.0));                    // Distinct.
+        row[1] = static_cast<float>(rng.index(4)) - 1.5f;                     // Heavy ties.
+        row[2] = rng.bernoulli(0.9) ? 2.25f : static_cast<float>(rng.uniform(1.0, 9.0));
+        row[3] = 7.0f;                                                         // Constant.
+      }
+      const auto q = encoding::UniformQuantizer::fit(rows, 3, clip);
+      for (std::size_t f = 0; f < 4; ++f) {
+        std::vector<float> column;
+        for (const auto& row : rows) column.push_back(row[f]);
+        const float lo = sorted_pick(column, clip);
+        float hi = sorted_pick(column, 100.0 - clip);
+        if (!(hi > lo)) hi = lo + 1.0f;
+        SCOPED_TRACE(::testing::Message() << "n=" << n << " clip=" << clip << " feature=" << f);
+        EXPECT_EQ(std::bit_cast<std::uint32_t>(q.lows()[f]), std::bit_cast<std::uint32_t>(lo));
+        EXPECT_EQ(std::bit_cast<std::uint32_t>(q.highs()[f]), std::bit_cast<std::uint32_t>(hi));
+      }
+    }
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Engine-level invariant: quantization refinement never hurts on clean,

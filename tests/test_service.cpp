@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -238,6 +239,24 @@ TEST(QueryService, FailedQueriesReportErrorNotCrash) {
   EXPECT_FALSE(response.error.empty());
   const ServiceStats stats = service.stats();
   EXPECT_EQ(stats.failed, 1u);
+}
+
+TEST(QueryService, NonFiniteMcamQueryFailsNamingTheFeature) {
+  // A NaN feature used to reach an undefined float-to-integer cast in the
+  // quantizer and resolve kOk with an arbitrary level; it must fail the
+  // request with the feature named, and leave the service serving.
+  const Data data = make_data(60, 4, 4, 402);
+  auto index = search::make_index("mcam3", EngineConfig{});
+  index->add(data.rows, data.labels);
+  QueryService service{*index, QueryServiceConfig{}};
+  std::vector<float> query = data.queries[0];
+  query[2] = std::numeric_limits<float>::quiet_NaN();
+  const QueryResponse response = service.query_one(query, 3);
+  EXPECT_EQ(response.status, RequestStatus::kFailed);
+  EXPECT_NE(response.error.find("non-finite value at feature 2"), std::string::npos)
+      << response.error;
+  EXPECT_EQ(service.query_one(data.queries[0], 3).status, RequestStatus::kOk);
+  EXPECT_EQ(service.stats().failed, 1u);
 }
 
 TEST(Tombstones, EraseIsNeverServedFromAnyPath) {

@@ -2,6 +2,8 @@
 
 #include "sig/multiprobe.hpp"
 
+#include "fnv1a.hpp"
+
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,23 +19,7 @@ std::vector<std::uint8_t> bits(std::initializer_list<int> values) {
   return out;
 }
 
-/// 64-bit FNV-1a over raw bytes: pins IEEE-754 bit patterns, not values.
-class Fnv1a {
- public:
-  void bytes(const void* data, std::size_t n) {
-    const auto* p = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < n; ++i) {
-      hash_ ^= p[i];
-      hash_ *= 1099511628211ULL;
-    }
-  }
-  void f64(double v) { bytes(&v, sizeof v); }
-  void u64(std::uint64_t v) { bytes(&v, sizeof v); }
-  [[nodiscard]] std::uint64_t value() const { return hash_; }
-
- private:
-  std::uint64_t hash_ = 14695981039346656037ULL;
-};
+using testing_util::Fnv1a;
 
 /// Random ternary word: each position is kDontCare with `dont_care_rate`,
 /// else a fair bit.
