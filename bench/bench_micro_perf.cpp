@@ -1,6 +1,6 @@
-// google-benchmark microbenchmarks of the hot paths: array search, LUT
-// construction, quantization, LSH encoding, batched top-k queries and full
-// few-shot episodes.
+// google-benchmark microbenchmarks of the hot paths: array search,
+// nomination, LUT construction, quantization, LSH encoding, batched top-k
+// queries and full few-shot episodes.
 #include "cam/array.hpp"
 #include "cam/lut.hpp"
 #include "cam/tcam.hpp"
@@ -9,6 +9,7 @@
 #include "experiments/harness.hpp"
 #include "search/batch.hpp"
 #include "search/engine.hpp"
+#include "util/linalg.hpp"
 
 #include <benchmark/benchmark.h>
 
@@ -83,6 +84,49 @@ void BM_TcamSearchWithVariation(benchmark::State& state) {
   run_tcam_sweep(state, coarse_sized_tcam(0.05));
 }
 BENCHMARK(BM_TcamSearchWithVariation);
+
+// Nomination: argsort_top_k over sweep outputs, on each side of its radix
+// crossover - the refine coarse stage's 4096 TCAM keys at k = 641, and one
+// e2e MCAM bank's 128 keys at k = 10. It cycles through 16 queries' keys
+// so the comparator paths cannot learn one input's branches. Items are
+// keys ranked.
+void BM_Nominate(benchmark::State& state, const std::vector<std::vector<double>>& sweeps,
+                 std::size_t k) {
+  std::size_t q = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(argsort_top_k(sweeps[q], k));
+    q = (q + 1) % sweeps.size();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(sweeps.front().size()));
+}
+
+std::vector<std::vector<double>> tcam_sweeps() {
+  const cam::TcamArray tcam = coarse_sized_tcam(0.0);
+  Rng rng{13};
+  std::vector<std::vector<double>> sweeps;
+  std::vector<std::uint8_t> query(tcam.word_length());
+  for (int q = 0; q < 16; ++q) {
+    for (auto& b : query) b = rng.bernoulli(0.5) ? 1 : 0;
+    sweeps.push_back(tcam.search_conductances(query));
+  }
+  return sweeps;
+}
+
+std::vector<std::vector<double>> mcam_bank_sweeps() {
+  cam::McamArrayConfig config;
+  config.vth_sigma = 0.05;
+  cam::McamArray array{config};
+  array.program(random_rows(128, 48, 8, 3));
+  std::vector<std::vector<double>> sweeps;
+  for (const auto& query : random_rows(16, 48, 8, 14)) {
+    sweeps.push_back(array.search_conductances(query));
+  }
+  return sweeps;
+}
+
+BENCHMARK_CAPTURE(BM_Nominate, tcam_4096_k641, tcam_sweeps(), 641);
+BENCHMARK_CAPTURE(BM_Nominate, mcam_bank_128_k10, mcam_bank_sweeps(), 10);
 
 void BM_LutBuildNominal(benchmark::State& state) {
   const fefet::LevelMap map{static_cast<unsigned>(state.range(0))};

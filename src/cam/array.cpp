@@ -32,34 +32,41 @@ std::vector<std::size_t> rank_by_sensing(std::span<const double> row_conductance
                                          const circuit::MatchlineParams& matchline,
                                          std::size_t word_length,
                                          double sense_clock_period, std::size_t k) {
-  std::vector<double> keys;
-  if (sensing == SensingMode::kMatchlineTiming) {
+  // Slowest discharge = nearest: timing mode ranks negated crossing times,
+  // so the ascending ranking yields descending times with the same
+  // low-index tie-break. Each matchline discharges independently, so
+  // tombstoning a row never perturbs the crossing times of the survivors.
+  const bool timing = sensing == SensingMode::kMatchlineTiming;
+  std::vector<double> times;
+  if (timing) {
     const circuit::Matchline ml{matchline, word_length};
     const circuit::WinnerTakeAllSense sense{ml, sense_clock_period};
-    keys = sense.sense(row_conductances).times;
-    // Slowest discharge = nearest: negate so the ascending argsort yields
-    // descending times with the same low-index tie-break. Each matchline
-    // discharges independently, so tombstoning a row never perturbs the
-    // crossing times of the survivors.
-    for (double& t : keys) t = -t;
-  } else {
-    keys.assign(row_conductances.begin(), row_conductances.end());
+    times = sense.sense(row_conductances).times;
   }
-  if (!row_valid.empty()) {
-    // Tombstoned rows are gated off the WTA amplifier: give them an
-    // infinite key so they sort behind every live row, then truncate the
-    // ranking to the live count. Rows beyond a short mask count as valid,
-    // mirroring the empty-mask (all-valid) convention.
-    std::size_t live = keys.size();
-    for (std::size_t r = 0; r < keys.size() && r < row_valid.size(); ++r) {
-      if (!row_valid[r]) {
-        keys[r] = std::numeric_limits<double>::infinity();
-        --live;
-      }
-    }
-    return argsort_top_k(keys, std::min(k, live));
+  std::vector<std::uint64_t> keys(row_conductances.size());
+  for (std::size_t r = 0; r < keys.size(); ++r) {
+    keys[r] = order_key(timing ? -times[r] : row_conductances[r]);
   }
-  return argsort_top_k(keys, k);
+  // Tombstoned rows are gated off the WTA amplifier, so only live rows
+  // compete: their keys are compacted in row order (which keeps the
+  // low-index tie-break), ranked, and mapped back to rows. A heavily
+  // masked sweep (a rare tag band) thus ranks only its few live keys.
+  // Rows beyond a short mask count as valid, mirroring the empty-mask
+  // (all-valid) convention.
+  const auto masked_end =
+      row_valid.begin() + static_cast<std::ptrdiff_t>(std::min(row_valid.size(), keys.size()));
+  if (std::find(row_valid.begin(), masked_end, 0) == masked_end) return argsort_top_k(keys, k);
+  std::vector<std::size_t> rows(keys.size());
+  std::size_t live = 0;
+  for (std::size_t r = 0; r < keys.size(); ++r) {
+    keys[live] = keys[r];
+    rows[live] = r;
+    live += r >= row_valid.size() || row_valid[r] != 0;
+  }
+  keys.resize(live);
+  std::vector<std::size_t> ranked = argsort_top_k(keys, k);
+  for (std::size_t& r : ranked) r = rows[r];
+  return ranked;
 }
 
 McamArray::McamArray(const McamArrayConfig& config)

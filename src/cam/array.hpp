@@ -89,10 +89,11 @@ struct SearchOutcome {
 /// time - the order a repeated winner-take-all sense would latch
 /// matchlines. Ties resolve to the lower row index, matching the WTA
 /// amplifier and argmin, so the top-1 always equals the `nearest()`
-/// winner of the array the conductances came from. k is clamped to the
-/// row count. Lives here, next to SensingMode and the arrays' own
-/// `nearest()` dispatch, so a new sensing mode is implemented in one
-/// module.
+/// winner of the array the conductances came from. Keys compare as
+/// order_key images (util/linalg.hpp): -0.0 == +0.0, NaN after +inf. k is
+/// clamped to the row count. Lives here, next to SensingMode and the
+/// arrays' own `nearest()` dispatch, so a new sensing mode is implemented
+/// in one module.
 [[nodiscard]] std::vector<std::size_t> rank_by_sensing(
     std::span<const double> row_conductances, SensingMode sensing,
     const circuit::MatchlineParams& matchline, std::size_t word_length,
@@ -102,7 +103,8 @@ struct SearchOutcome {
 /// An empty mask means every row is valid. Tombstoned rows are modeled as
 /// disconnected from the WTA amplifier (their validity latch gates the
 /// sense input), so the relative order of the surviving rows is exactly
-/// their order in the unmasked ranking. k is clamped to the valid count.
+/// their order in the unmasked ranking, and no tombstone is returned even
+/// when live rows read +inf or NaN. k is clamped to the valid count.
 [[nodiscard]] std::vector<std::size_t> rank_by_sensing(
     std::span<const double> row_conductances, std::span<const std::uint8_t> row_valid,
     SensingMode sensing, const circuit::MatchlineParams& matchline,

@@ -24,14 +24,8 @@ Tensor Tensor::randn(std::vector<std::size_t> shape, Rng& rng, double scale) {
   return t;
 }
 
-float& Tensor::at(std::size_t row, std::size_t col) {
-  if (shape_.size() != 2) throw std::logic_error{"Tensor::at: rank-2 access on non-matrix"};
-  return data_[row * shape_[1] + col];
-}
-
-float Tensor::at(std::size_t row, std::size_t col) const {
-  if (shape_.size() != 2) throw std::logic_error{"Tensor::at: rank-2 access on non-matrix"};
-  return data_[row * shape_[1] + col];
+void Tensor::throw_not_matrix() {
+  throw std::logic_error{"Tensor::at: rank-2 access on non-matrix"};
 }
 
 void Tensor::fill_zero() noexcept { std::fill(data_.begin(), data_.end(), 0.0f); }

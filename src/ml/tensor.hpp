@@ -36,9 +36,16 @@ class Tensor {
   [[nodiscard]] float& operator[](std::size_t i) { return data_[i]; }
   [[nodiscard]] float operator[](std::size_t i) const { return data_[i]; }
 
-  /// 2-D access (requires rank 2).
-  [[nodiscard]] float& at(std::size_t row, std::size_t col);
-  [[nodiscard]] float at(std::size_t row, std::size_t col) const;
+  /// 2-D access (requires rank 2; throws std::logic_error otherwise).
+  /// Inline: the signature-model fits call it in their innermost loops.
+  [[nodiscard]] float& at(std::size_t row, std::size_t col) {
+    if (shape_.size() != 2) throw_not_matrix();
+    return data_[row * shape_[1] + col];
+  }
+  [[nodiscard]] float at(std::size_t row, std::size_t col) const {
+    if (shape_.size() != 2) throw_not_matrix();
+    return data_[row * shape_[1] + col];
+  }
 
   /// Raw storage.
   [[nodiscard]] std::span<float> data() noexcept { return data_; }
@@ -50,6 +57,9 @@ class Tensor {
   void fill_zero() noexcept;
 
  private:
+  /// Out of line and cold, so the inlined accessors stay small.
+  [[noreturn, gnu::cold]] static void throw_not_matrix();
+
   std::vector<std::size_t> shape_;
   std::vector<float> data_;
 };

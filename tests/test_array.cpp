@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 namespace mcam::cam {
@@ -499,6 +501,39 @@ TEST(McamArray, GoldenConductanceBits) {
     }
   }
   EXPECT_EQ(hash.value(), 0x550c8d53eda2b9e0ULL) << std::hex << hash.value();
+}
+
+TEST(RankBySensing, MaskedRankingIsUnmaskedRankingWithoutTombstones) {
+  // 4096 rows, past the radix crossover. Some live rows read +inf or NaN,
+  // which rank last among live rows but still ahead of every tombstone.
+  constexpr std::size_t n = 4096;
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Rng rng{31};
+  std::vector<double> conductances(n);
+  std::vector<std::uint8_t> valid(n);
+  for (std::size_t r = 0; r < n; ++r) {
+    const double u = rng.uniform();
+    conductances[r] =
+        u < 0.02 ? inf : u < 0.04 ? nan : 1e-8 * static_cast<double>(1 + rng.index(40));
+    valid[r] = rng.bernoulli(0.1) ? 0 : 1;
+  }
+  const std::size_t live = static_cast<std::size_t>(std::count(valid.begin(), valid.end(), 1));
+  const circuit::MatchlineParams matchline{};
+  for (const SensingMode mode : {SensingMode::kIdealSum, SensingMode::kMatchlineTiming}) {
+    std::vector<std::size_t> live_order;
+    for (const std::size_t r : rank_by_sensing(conductances, mode, matchline, 32, 0.0, n)) {
+      if (valid[r] != 0) live_order.push_back(r);
+    }
+    for (const std::size_t k : {std::size_t{1}, std::size_t{10}, std::size_t{641}, live, n}) {
+      const std::vector<std::size_t> masked =
+          rank_by_sensing(conductances, valid, mode, matchline, 32, 0.0, k);
+      const std::vector<std::size_t> expected(
+          live_order.begin(), live_order.begin() + static_cast<std::ptrdiff_t>(std::min(k, live)));
+      EXPECT_EQ(masked, expected) << "mode=" << static_cast<int>(mode) << " k=" << k;
+      for (const std::size_t r : masked) ASSERT_NE(valid[r], 0) << "tombstone " << r << " ranked";
+    }
+  }
 }
 
 }  // namespace

@@ -525,6 +525,35 @@ TEST(TwoStageIdentity, LearnedModelsStillExactWhenNominatingEveryRow) {
   }
 }
 
+TEST(TwoStageIdentity, OverflowingCandidateFactorNominatesEveryRow) {
+  // 1844674407370955162 * 10 wraps to 4 in 64 bits; the budget must
+  // saturate at every live (or eligible) row instead, exactly like a
+  // factor that merely covers them.
+  const Data data = make_data(512, 6, 20, 389);
+  EngineConfig config;
+  config.num_features = 6;
+  const std::string tail = ",coarse_bits=16,tag_bits=4,fine=euclidean";
+  auto huge = make_index("refine:candidate_factor=1844674407370955162" + tail, config);
+  auto covering = make_index("refine:candidate_factor=1000" + tail, config);
+  const std::vector<std::vector<std::uint8_t>> bands(data.rows.size(), {1, 0, 0, 0});
+  for (auto* index : {huge.get(), covering.get()}) {
+    dynamic_cast<TwoStageNnIndex&>(*index).add_tagged(data.rows, data.labels, bands);
+  }
+  const std::vector<std::uint8_t> required{1, 0, 0, 0};
+  const auto& huge_two = dynamic_cast<const TwoStageNnIndex&>(*huge);
+  const auto& covering_two = dynamic_cast<const TwoStageNnIndex&>(*covering);
+  for (const auto& q : data.queries) {
+    const QueryResult got = huge->query_one(q, 10);
+    EXPECT_EQ(got.telemetry.fine_candidates, 512u);
+    expect_identical(got, covering->query_one(q, 10), "query_one");
+    const auto filtered = huge_two.query_filtered(q, 10, required, {});
+    ASSERT_TRUE(filtered.has_value());
+    EXPECT_EQ(filtered->telemetry.fine_candidates, 512u);
+    expect_identical(*filtered, *covering_two.query_filtered(q, 10, required, {}),
+                     "query_filtered");
+  }
+}
+
 TEST(TwoStageSpec, BuildsNestedShardedFineStageFromOneSpecString) {
   const Data data = make_data(70, 6, 3, 251);
   EngineConfig config;

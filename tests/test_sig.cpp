@@ -11,6 +11,7 @@
 #include "sig/multiprobe.hpp"
 
 #include "encoding/lsh.hpp"
+#include "fnv1a.hpp"
 #include "util/rng.hpp"
 
 #include <gtest/gtest.h>
@@ -19,6 +20,7 @@
 #include <cmath>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace mcam::sig {
@@ -162,6 +164,26 @@ TEST(SignatureModel, ItqIsDeterministicOrthogonalAndWiderThanFeatures) {
   std::set<std::vector<std::uint64_t>> distinct;
   for (const auto& row : rows) distinct.insert(first->encode(row).words);
   EXPECT_GT(distinct.size(), 16u);
+}
+
+TEST(SignatureModel, GoldenFitBits) {
+  // FNV-1a over the fitted planes and thresholds of the two trained
+  // models: the ML substrate under the fits (Tensor access, loop order)
+  // must not move a signature bit.
+  SignatureModelConfig config;
+  config.num_bits = 24;  // Wider than the features: itq cycles its PCA.
+  config.seed = 7;
+  const auto rows = make_rows(300, 12, 41);
+  const std::vector<std::pair<const char*, std::uint64_t>> goldens{
+      {"itq", 0x1edbbc315a52deaaULL}, {"trained", 0x7c20b481d5f87dabULL}};
+  for (const auto& [key, golden] : goldens) {
+    auto model = SignatureModelFactory::instance().create(key, config);
+    model->fit(rows);
+    testing_util::Fnv1a hash;
+    hash.bytes(model->planes().data(), model->planes().size() * sizeof(float));
+    hash.bytes(model->thresholds().data(), model->thresholds().size() * sizeof(float));
+    EXPECT_EQ(hash.value(), golden) << key << " 0x" << std::hex << hash.value();
+  }
 }
 
 TEST(SignatureModel, InstallStateRoundTripsBitExactly) {

@@ -6,12 +6,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 namespace mcam {
@@ -64,36 +67,91 @@ TEST(Linalg, ArgminEmptyIsZero) {
   EXPECT_EQ(argmin({}), 0u);
 }
 
+/// The ranking contract, spelled without order_key: ascending by value,
+/// -0.0 == +0.0, every NaN after +inf, ties to the lower index.
+std::vector<std::size_t> full_sort_reference(const std::vector<double>& xs) {
+  std::vector<std::size_t> sorted(xs.size());
+  for (std::size_t i = 0; i < sorted.size(); ++i) sorted[i] = i;
+  std::sort(sorted.begin(), sorted.end(), [&xs](std::size_t a, std::size_t b) {
+    const bool nan_a = std::isnan(xs[a]);
+    const bool nan_b = std::isnan(xs[b]);
+    if (nan_a != nan_b) return nan_b;
+    if (!nan_a && xs[a] != xs[b]) return xs[a] < xs[b];
+    return a < b;
+  });
+  return sorted;
+}
+
+/// A TCAM-style matchline total: 32 cells, each one of two conductances,
+/// summed in column order. Rows at one Hamming distance differ only in
+/// their last bits (the order of the additions), so keys differ over ~55
+/// bit positions.
+double conductance_shaped(Rng& rng) {
+  double sum = 0.0;
+  for (int cell = 0; cell < 32; ++cell) sum += rng.bernoulli(0.5) ? 1.7e-8 : 7.3e-8;
+  return sum;
+}
+
 TEST(Linalg, ArgsortTopKIsFullSortPrefix) {
-  // Every k on either side of the heap-select / quickselect crossover must
-  // return exactly the first k entries of a full sort by (value, index):
-  // heavy ties (Hamming-style keys), +inf tombstones, k past n.
+  // Every k on either side of the comparator / radix crossover must
+  // return exactly the first k entries of a full sort by (value, index).
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<std::pair<const char*, std::function<double(Rng&)>>> key_sets{
+      {"hamming-tied+inf",
+       [](Rng& rng) {
+         return rng.bernoulli(0.1) ? kInf : 1e-6 * static_cast<double>(rng.index(8));
+       }},
+      {"conductance", conductance_shaped},
+      {"negated-times",
+       [](Rng& rng) { return -1e-9 * static_cast<double>(1 + rng.index(64)) * 1.01; }},
+      {"signed-zero-inf-nan",
+       [nan](Rng& rng) {
+         const std::vector<double> specials{0.0, -0.0, kInf, -kInf, nan, -nan, 1.0, -1.0};
+         return rng.bernoulli(0.5) ? specials[rng.index(specials.size())] : rng.normal(0.0, 1.0);
+       }},
+      {"all-equal", [](Rng&) { return 2.5e-7; }},
+  };
   Rng rng{21};
-  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{128},
-                              std::size_t{4096}}) {
-    std::vector<double> xs(n);
-    for (double& x : xs) {
-      x = rng.bernoulli(0.1) ? std::numeric_limits<double>::infinity()
-                             : 1e-6 * static_cast<double>(rng.index(8));
-    }
-    std::vector<std::size_t> sorted(n);
-    for (std::size_t i = 0; i < n; ++i) sorted[i] = i;
-    std::sort(sorted.begin(), sorted.end(), [&xs](std::size_t a, std::size_t b) {
-      if (xs[a] != xs[b]) return xs[a] < xs[b];
-      return a < b;
-    });
-    std::vector<std::size_t> ks{0, 1, n + 5, 10, 11, 255, 256, 641};
-    if (n > 0) {
-      ks.push_back(n - 1);
-      ks.push_back(n);
-    }
-    for (const std::size_t k : ks) {
-      const std::size_t kk = std::min(k, n);
-      const std::vector<std::size_t> expected(sorted.begin(),
-                                              sorted.begin() + static_cast<std::ptrdiff_t>(kk));
-      EXPECT_EQ(argsort_top_k(xs, k), expected) << "n=" << n << " k=" << k;
+  for (const auto& [name, draw] : key_sets) {
+    for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{128},
+                                std::size_t{255}, std::size_t{256}, std::size_t{4096},
+                                std::size_t{16384}}) {
+      std::vector<double> xs(n);
+      for (double& x : xs) x = draw(rng);
+      const std::vector<std::size_t> sorted = full_sort_reference(xs);
+      std::vector<std::size_t> ks{0, 1, 23, 24, 641, n + 5};
+      if (n >= 16) {
+        ks.push_back(n / 16 - 1);
+        ks.push_back(n / 16);
+      }
+      if (n > 0) {
+        ks.push_back(n - 1);
+        ks.push_back(n);
+      }
+      for (const std::size_t k : ks) {
+        const std::size_t kk = std::min(k, n);
+        const std::vector<std::size_t> expected(
+            sorted.begin(), sorted.begin() + static_cast<std::ptrdiff_t>(kk));
+        EXPECT_EQ(argsort_top_k(xs, k), expected) << name << " n=" << n << " k=" << k;
+      }
     }
   }
+}
+
+TEST(Linalg, ConductanceKeysDifferOverMostBits) {
+  // Guards the "conductance" key set above: its order_key images differ
+  // over about 55 bit positions, so the radix path runs every digit.
+  Rng rng{21};
+  std::uint64_t any = 0;
+  std::uint64_t all = ~std::uint64_t{0};
+  for (int i = 0; i < 4096; ++i) {
+    const std::uint64_t key = order_key(conductance_shaped(rng));
+    any |= key;
+    all &= key;
+  }
+  const std::uint64_t diff = any ^ all;
+  EXPECT_GE(64 - std::countl_zero(diff) - std::countr_zero(diff), 50);
 }
 
 TEST(TextTable, RendersAlignedGrid) {
