@@ -154,11 +154,7 @@ class BenchReport {
   }
 
   static const char* build_flags() {
-#if defined(MCAM_OBS_DISABLED) && defined(NDEBUG)
-    return "release,obs-disabled";
-#elif defined(MCAM_OBS_DISABLED)
-    return "debug,obs-disabled";
-#elif defined(NDEBUG)
+#if defined(NDEBUG)
     return "release";
 #else
     return "debug";

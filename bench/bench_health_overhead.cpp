@@ -2,10 +2,10 @@
 // drift scrubber must separate a drifted device from a clean one.
 //
 // Three checks, all hard failures for CI:
-//   1. Bit-identity: results served with the canary machinery compiled in
-//      but sampling off (the default) are identical (indices, distances,
-//      labels, telemetry) to querying the index directly. Health monitors
-//      observe the pipeline; they must never steer it.
+//   1. Bit-identity: results served with canary sampling off (the
+//      default) are identical (indices, distances, labels, telemetry) to
+//      querying the index directly. Health monitors observe the
+//      pipeline; they must never steer it.
 //   2. Disabled-path cost gate: with sampling off the per-query cost is
 //      exactly one RecallCanary::should_sample() call - a constant-false
 //      branch, no ticket draw, no lock. The gate asserts this computed
@@ -15,10 +15,6 @@
 //   3. Detection smoke: a clean scrub raises no drift alarm; after
 //      inject_drift the next scrub fires mcam_health_alarms_total{kind=
 //      drift} - and the clean run's report stays all-quiet.
-//
-// Under -DMCAM_OBS_DISABLED the canary stub is inert (constant false, no
-// thread) and scrub_now() returns no banks, so the gate passes with a
-// zero bound and the detection smoke degrades to asserting quiet.
 #include "bench_common.hpp"
 
 #include "obs/health/health.hpp"
@@ -153,7 +149,6 @@ int main(int argc, char** argv) {
     for (const obs::health::BankHealth& bank : drifted.banks) {
       drifted_score = std::max(drifted_score, bank.drift_score);
     }
-#ifndef MCAM_OBS_DISABLED
     if (clean_alarms != 0) {
       std::fprintf(stderr, "FAIL: clean scrub raised %llu drift alarms\n",
                    static_cast<unsigned long long>(clean_alarms));
@@ -166,12 +161,6 @@ int main(int argc, char** argv) {
                    kDriftSigma, drifted_score);
       return 1;
     }
-#else
-    if (clean_alarms != 0 || drift_alarms != 0) {
-      std::fprintf(stderr, "FAIL: MCAM_OBS_DISABLED stub reported alarms\n");
-      return 1;
-    }
-#endif
   }
 
   std::printf("spec: %s | %zu rows, %zu queries, k=%zu\n", kSpec.c_str(), kRows,

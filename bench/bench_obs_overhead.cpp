@@ -13,9 +13,6 @@
 //   3. Sampled / always-on costs are measured and reported (informational:
 //      end-to-end timing diffs are too noisy to gate, but the numbers
 //      document what trace_sample=N buys).
-//
-// Under -DMCAM_OBS_DISABLED the span stubs compile to nothing, the trace
-// record is empty, and the gate passes with a zero bound.
 #include "bench_common.hpp"
 
 #include "obs/trace.hpp"

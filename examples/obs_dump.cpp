@@ -10,9 +10,6 @@
 //   GET /metrics  ->  obs::to_prometheus(obs::snapshot())
 //   trace log     ->  obs::TraceSink::global().to_jsonl()
 //   GET /health   ->  obs::to_json(service.health_report())
-//
-// Build with -DMCAM_OBS_DISABLED=ON and the same program prints empty
-// sections: the serving code is unchanged, the instruments are stubs.
 #include "obs/exporters.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"

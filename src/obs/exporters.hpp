@@ -1,8 +1,7 @@
 // Renderers for a MetricsSnapshot: Prometheus text exposition format and
 // JSON-lines, the two formats a scrape endpoint or a log shipper would
-// serve. Pure functions over the snapshot data structs, so they work (and
-// are golden-file tested) independently of whether the instruments were
-// compiled in (MCAM_OBS_DISABLED).
+// serve. Pure functions over the snapshot data structs, so they are
+// golden-file tested on hand-built snapshots.
 #pragma once
 
 #include "obs/health/health.hpp"
@@ -48,7 +47,7 @@ namespace mcam::obs {
 ///    "scrubs":3,"drift_alarms":0,"drift_alarm_active":false}
 ///
 /// Like the snapshot renderers this is a pure function over the report
-/// struct, available under MCAM_OBS_DISABLED (where reports are empty).
+/// struct.
 [[nodiscard]] std::string to_json(const health::HealthReport& report);
 
 namespace detail {

@@ -107,8 +107,6 @@ std::size_t inject_drift(search::NnIndex& index, double sigma, std::uint64_t see
   return inject_into(index, sigma, seed);
 }
 
-#ifndef MCAM_OBS_DISABLED
-
 RecallCanary::RecallCanary(CanaryOptions options, GroundTruthFn ground_truth,
                            Labels labels)
     : options_(options),
@@ -321,7 +319,5 @@ void HealthMonitor::worker_loop() {
     lock.lock();
   }
 }
-
-#endif  // MCAM_OBS_DISABLED
 
 }  // namespace mcam::obs::health

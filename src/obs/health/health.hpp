@@ -31,12 +31,6 @@
 // Nothing here is persisted by snapshots: canary/scrub statistics restart
 // at zero on restore, and drift itself is *cured* by restore (load_state
 // replays the row writes, i.e. reprograms the cells).
-//
-// With MCAM_OBS_DISABLED the RecallCanary / HealthMonitor compile to
-// inert stubs (no threads, should_sample() constant false, empty
-// reports), while the report structs and the pure device-scrub helpers
-// (scrub_index / inject_drift - device-model code, not instrumentation)
-// stay available, so callers and the exporters compile unchanged.
 #pragma once
 
 #include "obs/metrics.hpp"
@@ -63,7 +57,7 @@ class NnIndex;
 
 namespace mcam::obs::health {
 
-// --- Report data (always defined, independent of MCAM_OBS_DISABLED) -----
+// --- Report data -----------------------------------------------------------
 
 /// Recall-canary knobs.
 struct CanaryOptions {
@@ -136,8 +130,7 @@ struct HealthReport {
   bool drift_alarm_active = false;
 };
 
-// --- Pure device-scrub helpers (compiled in both builds: they are
-// device-model code over the cam layer, not instrumentation) -------------
+// --- Pure device-scrub helpers (device-model code over the cam layer) ------
 
 /// Sweeps every CAM bank reachable from `index` - McamNnEngine,
 /// TcamLshEngine, TwoStageNnIndex (coarse TCAM + fine stage), and
@@ -164,8 +157,6 @@ using GroundTruthFn = std::function<std::optional<std::vector<std::size_t>>(
 /// Sweeps the owner's index under the owner's lock (HealthMonitor never
 /// holds its own lock across the call).
 using ScrubFn = std::function<std::vector<BankHealth>()>;
-
-#ifndef MCAM_OBS_DISABLED
 
 /// Online recall estimator over sampled completed queries. The serving
 /// layer calls the two-phase hot path - `should_sample()` (one relaxed
@@ -292,29 +283,5 @@ class HealthMonitor {
 
   std::thread worker_;  ///< Last member: joined by stop() before the rest dies.
 };
-
-#else  // MCAM_OBS_DISABLED: inert stubs - no threads, no sampling.
-
-class RecallCanary {
- public:
-  RecallCanary(CanaryOptions, GroundTruthFn, Labels = {}) {}
-  [[nodiscard]] bool enabled() const noexcept { return false; }
-  [[nodiscard]] bool should_sample() noexcept { return false; }
-  void enqueue(std::vector<float>, std::size_t, std::vector<std::size_t>,
-               std::uint64_t) {}
-  void drain() {}
-  void stop() {}
-  [[nodiscard]] CanaryReport report() const { return {}; }
-};
-
-class HealthMonitor {
- public:
-  HealthMonitor(MonitorOptions, ScrubFn, const RecallCanary* = nullptr, Labels = {}) {}
-  std::vector<BankHealth> scrub_now() { return {}; }
-  void stop() {}
-  [[nodiscard]] HealthReport report() const { return {}; }
-};
-
-#endif  // MCAM_OBS_DISABLED
 
 }  // namespace mcam::obs::health

@@ -20,8 +20,6 @@ std::vector<double> default_energy_buckets_j() {
   return {1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3};
 }
 
-#ifndef MCAM_OBS_DISABLED
-
 namespace detail {
 
 HistogramCell::HistogramCell(std::vector<double> upper_bounds)
@@ -238,7 +236,5 @@ Registry& Registry::global() {
   static Registry* registry = new Registry();  // invariant-ok: naked-new (leaked singleton)
   return *registry;
 }
-
-#endif  // MCAM_OBS_DISABLED
 
 }  // namespace mcam::obs

@@ -20,12 +20,6 @@
 //  - Instruments may carry labels (sorted key=value pairs); the same
 //    (name, labels) always resolves to the same cell, so two services
 //    incrementing "mcam_serve_requests_total" share one counter.
-//
-// Building with -DMCAM_OBS_DISABLED compiles the instruments down to
-// empty no-op structs (and the registry to a stub): zero code on the hot
-// path, while callers compile unchanged. The snapshot/sample *data*
-// structs stay defined either way, so the exporters and their tests do
-// not depend on the flag.
 #pragma once
 
 #include <atomic>
@@ -41,7 +35,7 @@ namespace mcam::obs {
 /// Sorted key=value metric labels (sorted by the registry on resolve).
 using Labels = std::vector<std::pair<std::string, std::string>>;
 
-// --- Snapshot data (always defined, independent of MCAM_OBS_DISABLED) ----
+// --- Snapshot data ---------------------------------------------------------
 
 struct CounterSample {
   std::string name;
@@ -79,8 +73,6 @@ struct MetricsSnapshot {
 /// Default per-query energy buckets [J] (log-spaced around the paper's
 /// nJ..uJ per-search regime).
 [[nodiscard]] std::vector<double> default_energy_buckets_j();
-
-#ifndef MCAM_OBS_DISABLED
 
 // --- Memory-ordering contract (src/obs/ is the one place relaxed
 // atomics are allowed; scripts/check_invariants.py enforces the border).
@@ -239,44 +231,6 @@ class Registry {
   static constexpr std::size_t kShards = 8;
   std::unique_ptr<Shard[]> shards_;  ///< Array of kShards (Shard defined in the .cpp).
 };
-
-#else  // MCAM_OBS_DISABLED: inert instruments, stub registry.
-
-class Counter {
- public:
-  void inc(std::uint64_t = 1) const noexcept {}
-  [[nodiscard]] std::uint64_t value() const noexcept { return 0; }
-};
-class Gauge {
- public:
-  void set(double) const noexcept {}
-  [[nodiscard]] double value() const noexcept { return 0.0; }
-};
-class Histogram {
- public:
-  void observe(double) const noexcept {}
-  [[nodiscard]] std::uint64_t count() const noexcept { return 0; }
-  [[nodiscard]] double sum() const noexcept { return 0.0; }
-};
-
-class Registry {
- public:
-  [[nodiscard]] Counter counter(const std::string&, Labels = {}) { return {}; }
-  [[nodiscard]] Gauge gauge(const std::string&, Labels = {}) { return {}; }
-  [[nodiscard]] Histogram histogram(const std::string&, std::vector<double>,
-                                    Labels = {}) {
-    return {};
-  }
-  [[nodiscard]] MetricsSnapshot snapshot() const { return {}; }
-  void reset() {}
-  std::size_t remove_labeled(const std::string&, const std::string&) { return 0; }
-  [[nodiscard]] static Registry& global() {
-    static Registry registry;
-    return registry;
-  }
-};
-
-#endif  // MCAM_OBS_DISABLED
 
 /// Shorthand for Registry::global().
 [[nodiscard]] inline Registry& registry() { return Registry::global(); }

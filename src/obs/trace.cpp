@@ -73,8 +73,6 @@ std::size_t env_trace_sample() {
   return value;
 }
 
-#ifndef MCAM_OBS_DISABLED
-
 namespace {
 
 double ms_between(std::chrono::steady_clock::time_point from,
@@ -158,7 +156,5 @@ TraceSink& TraceSink::global() {
   static TraceSink* sink = new TraceSink();  // invariant-ok: naked-new (leaked singleton)
   return *sink;
 }
-
-#endif  // MCAM_OBS_DISABLED
 
 }  // namespace mcam::obs

@@ -27,10 +27,7 @@
 //
 // Tracing is strictly observational: a traced query returns bit-identical
 // results to an untraced one (asserted across the factory registry in
-// tests and gated by bench_obs_overhead). With MCAM_OBS_DISABLED the
-// span/sampler types compile to no-ops (should_sample() is constant
-// false, so sampled branches dead-code-eliminate) while the record
-// structs stay defined for the exporters.
+// tests and gated by bench_obs_overhead).
 #pragma once
 
 #include <chrono>
@@ -66,8 +63,6 @@ struct TraceRecord {
 
 /// One JSON line for a finished trace (the obs_dump / log-shipper format).
 [[nodiscard]] std::string to_json(const TraceRecord& record);
-
-#ifndef MCAM_OBS_DISABLED
 
 /// An in-flight query's trace. `add` is thread-safe (bank fan-out spans
 /// complete concurrently); everything else is owned by the serving layer.
@@ -200,59 +195,6 @@ class TraceSink {
   std::size_t capacity_;
   std::uint64_t next_id_ = 1;
 };
-
-#else  // MCAM_OBS_DISABLED: tracing compiles out entirely.
-
-class Trace {
- public:
-  explicit Trace(std::string) {}
-  void add(SpanRecord) {}
-  [[nodiscard]] std::chrono::steady_clock::time_point started() const noexcept {
-    return {};
-  }
-  [[nodiscard]] TraceRecord finish() { return {}; }
-};
-
-[[nodiscard]] inline Trace* current_trace() noexcept { return nullptr; }
-
-class ScopedTraceContext {
- public:
-  explicit ScopedTraceContext(Trace*) noexcept {}
-};
-
-class TraceSpan {
- public:
-  explicit TraceSpan(const char*) noexcept {}
-  TraceSpan(Trace*, const char*) noexcept {}
-  void note(const char*, double) noexcept {}
-  void tag(const char*) noexcept {}
-  [[nodiscard]] bool active() const noexcept { return false; }
-  void close() noexcept {}
-};
-
-class TraceSampler {
- public:
-  explicit TraceSampler(std::size_t = 0) noexcept {}
-  void set_every(std::size_t) noexcept {}
-  [[nodiscard]] std::size_t every() const noexcept { return 0; }
-  [[nodiscard]] bool should_sample() noexcept { return false; }
-};
-
-class TraceSink {
- public:
-  explicit TraceSink(std::size_t = 256) {}
-  void record(TraceRecord) {}
-  [[nodiscard]] std::vector<TraceRecord> recent() const { return {}; }
-  [[nodiscard]] std::uint64_t recorded_total() const noexcept { return 0; }
-  void clear() {}
-  [[nodiscard]] std::string to_jsonl() const { return {}; }
-  [[nodiscard]] static TraceSink& global() {
-    static TraceSink sink;
-    return sink;
-  }
-};
-
-#endif  // MCAM_OBS_DISABLED
 
 /// The 1-in-N default from the MCAM_TRACE_SAMPLE environment variable
 /// (read once; 0 / unset / unparsable = 0 = off). Serving configs whose

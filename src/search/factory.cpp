@@ -6,6 +6,10 @@
 #include "search/sharded.hpp"
 #include "sig/model.hpp"
 
+#include <cctype>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <set>
 #include <stdexcept>
@@ -106,9 +110,13 @@ EngineFactory::Builder sharded_builder(std::string base) {
       "vth_sigma)"};
 }
 
-/// Full-consumption numeric parses; anything trailing is malformed.
-std::uint64_t parse_unsigned(const std::string& key, const std::string& value,
-                             const std::string& spec) {
+/// Full-consumption numeric parses into `field`; anything trailing is
+/// malformed. An unsigned value must start with a digit (stoull would skip
+/// leading space and wrap a '-') and fit the field's type; every double
+/// key is a physical magnitude, so it must be finite and >= 0.
+template <typename Field>
+void parse_unsigned(Field& field, const std::string& key, const std::string& value,
+                    const std::string& spec) {
   std::size_t used = 0;
   std::uint64_t parsed = 0;
   try {
@@ -116,14 +124,17 @@ std::uint64_t parse_unsigned(const std::string& key, const std::string& value,
   } catch (const std::exception&) {
     throw_spec_error("bad value '" + value + "' for key '" + key + "'", spec);
   }
-  if (used != value.size() || value.front() == '-') {
+  if (used != value.size() || std::isdigit(static_cast<unsigned char>(value.front())) == 0) {
     throw_spec_error("bad value '" + value + "' for key '" + key + "'", spec);
   }
-  return parsed;
+  if (parsed > static_cast<std::uint64_t>(std::numeric_limits<Field>::max())) {
+    throw_spec_error("out-of-range value '" + value + "' for key '" + key + "'", spec);
+  }
+  field = static_cast<Field>(parsed);
 }
 
-double parse_double(const std::string& key, const std::string& value,
-                    const std::string& spec) {
+void parse_double(double& field, const std::string& key, const std::string& value,
+                  const std::string& spec) {
   std::size_t used = 0;
   double parsed = 0.0;
   try {
@@ -134,47 +145,52 @@ double parse_double(const std::string& key, const std::string& value,
   if (used != value.size()) {
     throw_spec_error("bad value '" + value + "' for key '" + key + "'", spec);
   }
-  return parsed;
+  if (!std::isfinite(parsed) || parsed < 0.0) {
+    throw_spec_error("bad value '" + value + "' for key '" + key +
+                         "' (must be finite and >= 0)",
+                     spec);
+  }
+  field = parsed;
 }
 
 void apply_spec_override(EngineConfig& config, const std::string& key,
                          const std::string& value, const std::string& spec) {
   if (key == "bits") {
-    config.mcam_bits = static_cast<unsigned>(parse_unsigned(key, value, spec));
+    parse_unsigned(config.mcam_bits, key, value, spec);
   } else if (key == "bank_rows") {
-    config.bank_rows = static_cast<std::size_t>(parse_unsigned(key, value, spec));
+    parse_unsigned(config.bank_rows, key, value, spec);
   } else if (key == "shard_workers") {
-    config.shard_workers = static_cast<std::size_t>(parse_unsigned(key, value, spec));
+    parse_unsigned(config.shard_workers, key, value, spec);
   } else if (key == "lsh_bits") {
-    config.lsh_bits = static_cast<std::size_t>(parse_unsigned(key, value, spec));
+    parse_unsigned(config.lsh_bits, key, value, spec);
   } else if (key == "num_features") {
-    config.num_features = static_cast<std::size_t>(parse_unsigned(key, value, spec));
+    parse_unsigned(config.num_features, key, value, spec);
   } else if (key == "seed") {
-    config.seed = parse_unsigned(key, value, spec);
+    parse_unsigned(config.seed, key, value, spec);
   } else if (key == "vth_sigma") {
-    config.vth_sigma = parse_double(key, value, spec);
+    parse_double(config.vth_sigma, key, value, spec);
   } else if (key == "drift_sigma") {
-    config.drift_sigma = parse_double(key, value, spec);
+    parse_double(config.drift_sigma, key, value, spec);
   } else if (key == "clip_percentile") {
-    config.clip_percentile = parse_double(key, value, spec);
+    parse_double(config.clip_percentile, key, value, spec);
   } else if (key == "sense_clock_period") {
-    config.sense_clock_period = parse_double(key, value, spec);
+    parse_double(config.sense_clock_period, key, value, spec);
   } else if (key == "coarse_bits") {
-    config.coarse_bits = static_cast<std::size_t>(parse_unsigned(key, value, spec));
+    parse_unsigned(config.coarse_bits, key, value, spec);
   } else if (key == "candidate_factor") {
-    config.candidate_factor = static_cast<std::size_t>(parse_unsigned(key, value, spec));
+    parse_unsigned(config.candidate_factor, key, value, spec);
   } else if (key == "exhaustive") {
-    config.refine_exhaustive = parse_unsigned(key, value, spec) != 0;
+    parse_unsigned(config.refine_exhaustive, key, value, spec);
   } else if (key == "probes") {
-    config.probes = static_cast<std::size_t>(parse_unsigned(key, value, spec));
+    parse_unsigned(config.probes, key, value, spec);
   } else if (key == "sig") {
     // Validated against the signature-model registry when the refine
     // engine is built (the registry is open, so parse time is too early).
     config.sig_model = value;
   } else if (key == "tag_bits") {
-    config.tag_bits = static_cast<std::size_t>(parse_unsigned(key, value, spec));
+    parse_unsigned(config.tag_bits, key, value, spec);
   } else if (key == "trace_sample") {
-    config.trace_sample = static_cast<std::size_t>(parse_unsigned(key, value, spec));
+    parse_unsigned(config.trace_sample, key, value, spec);
   } else if (key == "filter") {
     if (value != "band" && value != "post" && value != "auto") {
       throw_spec_error("bad value '" + value + "' for key 'filter' (band|post|auto)",

@@ -132,8 +132,9 @@ struct EngineSpec {
 /// rerank precision), trace_sample (1-in-N serving-layer stage-trace
 /// sampling, 0 = off), and fine (fine_spec; consumes the rest of the
 /// spec, so it must come last). Unknown keys, malformed or empty values,
-/// and duplicate keys throw std::invalid_argument naming the offending
-/// spec string and listing the known keys.
+/// unsigned values that do not fit their field, non-finite or negative
+/// double values, and duplicate keys throw std::invalid_argument naming
+/// the offending spec string and listing the known keys.
 [[nodiscard]] EngineSpec parse_engine_spec(const std::string& spec,
                                            const EngineConfig& base = EngineConfig{});
 

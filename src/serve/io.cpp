@@ -2,6 +2,7 @@
 
 #include <array>
 #include <bit>
+#include <cstdio>
 #include <cstring>
 
 namespace mcam::serve::io {
@@ -201,6 +202,35 @@ void expect_tag(Reader& in, const std::string& tag) {
     throw SnapshotError{"engine payload tag mismatch: expected '" + tag + "', found '" +
                         found + "'"};
   }
+}
+
+void write_file(const std::string& path, std::span<const std::uint8_t> bytes) {
+  std::FILE* file = std::fopen(path.c_str(), "wb");
+  if (file == nullptr) {
+    throw SnapshotError{"cannot open '" + path + "' for writing"};
+  }
+  const std::size_t written = std::fwrite(bytes.data(), 1, bytes.size(), file);
+  const bool flushed = std::fclose(file) == 0;
+  if (written != bytes.size() || !flushed) {
+    throw SnapshotError{"short write to '" + path + "'"};
+  }
+}
+
+std::vector<std::uint8_t> read_file(const std::string& path) {
+  std::FILE* file = std::fopen(path.c_str(), "rb");
+  if (file == nullptr) {
+    throw SnapshotError{"cannot open '" + path + "' for reading"};
+  }
+  std::vector<std::uint8_t> bytes;
+  std::array<std::uint8_t, 64 * 1024> chunk;
+  std::size_t got = 0;
+  while ((got = std::fread(chunk.data(), 1, chunk.size(), file)) > 0) {
+    bytes.insert(bytes.end(), chunk.begin(), chunk.begin() + static_cast<std::ptrdiff_t>(got));
+  }
+  const bool clean = std::ferror(file) == 0;
+  std::fclose(file);
+  if (!clean) throw SnapshotError{"read error on '" + path + "'"};
+  return bytes;
 }
 
 }  // namespace mcam::serve::io

@@ -7,7 +7,9 @@
 // endianness) and every float through its IEEE-754 bit pattern. Reads are
 // bounds-checked: a truncated or corrupted payload throws SnapshotError
 // instead of reading past the buffer, which is what lets the snapshot
-// layer validate untrusted files before touching any engine state.
+// layer validate untrusted files before touching any engine state. The
+// whole-file reader and writer at the bottom are the one place snapshot
+// bytes meet the filesystem.
 //
 // This header is dependency-free on purpose: search/index.hpp forward
 // declares Writer/Reader for the NnIndex snapshot hooks, and only the
@@ -123,5 +125,11 @@ class Reader {
 /// written by a different backend than the one restoring it. Shared by
 /// every `load_state` implementation.
 void expect_tag(Reader& in, const std::string& tag);
+
+/// Whole-file byte IO shared by index snapshots, collection snapshots and
+/// the collection manager's manifest; throws SnapshotError naming `path`
+/// when the file cannot be opened or on a short read or write.
+void write_file(const std::string& path, std::span<const std::uint8_t> bytes);
+[[nodiscard]] std::vector<std::uint8_t> read_file(const std::string& path);
 
 }  // namespace mcam::serve::io

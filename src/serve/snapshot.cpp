@@ -1,7 +1,6 @@
 #include "serve/snapshot.hpp"
 
 #include <array>
-#include <cstdio>
 #include <utility>
 
 namespace mcam::serve {
@@ -214,33 +213,11 @@ std::unique_ptr<search::NnIndex> load_with_store(std::span<const std::uint8_t> b
 
 void save_file(const search::NnIndex& index, const std::string& name,
                const search::EngineConfig& config, const std::string& path) {
-  const std::vector<std::uint8_t> blob = save(index, name, config);
-  std::FILE* file = std::fopen(path.c_str(), "wb");
-  if (file == nullptr) {
-    throw io::SnapshotError{"cannot open '" + path + "' for writing"};
-  }
-  const std::size_t written = std::fwrite(blob.data(), 1, blob.size(), file);
-  const bool flushed = std::fclose(file) == 0;
-  if (written != blob.size() || !flushed) {
-    throw io::SnapshotError{"short write to '" + path + "'"};
-  }
+  io::write_file(path, save(index, name, config));
 }
 
 std::unique_ptr<search::NnIndex> load_file(const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) {
-    throw io::SnapshotError{"cannot open '" + path + "' for reading"};
-  }
-  std::vector<std::uint8_t> blob;
-  std::array<std::uint8_t, 64 * 1024> chunk;
-  std::size_t got = 0;
-  while ((got = std::fread(chunk.data(), 1, chunk.size(), file)) > 0) {
-    blob.insert(blob.end(), chunk.begin(), chunk.begin() + static_cast<std::ptrdiff_t>(got));
-  }
-  const bool read_error = std::ferror(file) != 0;
-  std::fclose(file);
-  if (read_error) throw io::SnapshotError{"read error on '" + path + "'"};
-  return load(blob);
+  return load(io::read_file(path));
 }
 
 }  // namespace mcam::serve

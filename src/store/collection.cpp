@@ -2,8 +2,6 @@
 
 #include "serve/io.hpp"
 
-#include <array>
-#include <cstdio>
 #include <stdexcept>
 #include <utility>
 
@@ -151,7 +149,7 @@ std::vector<std::uint8_t> Collection::snapshot() const {
 }
 
 void Collection::save_file(const std::string& path) const {
-  detail::write_file(path, snapshot());
+  serve::io::write_file(path, snapshot());
 }
 
 std::unique_ptr<Collection> Collection::restore(std::span<const std::uint8_t> blob,
@@ -191,40 +189,7 @@ std::unique_ptr<Collection> Collection::restore(std::span<const std::uint8_t> bl
 
 std::unique_ptr<Collection> Collection::load_file(const std::string& path,
                                                   CollectionOptions options) {
-  return restore(detail::read_file(path), options);
+  return restore(serve::io::read_file(path), options);
 }
-
-namespace detail {
-
-void write_file(const std::string& path, std::span<const std::uint8_t> bytes) {
-  std::FILE* file = std::fopen(path.c_str(), "wb");
-  if (file == nullptr) {
-    throw serve::io::SnapshotError{"cannot open '" + path + "' for writing"};
-  }
-  const std::size_t written = std::fwrite(bytes.data(), 1, bytes.size(), file);
-  const bool flushed = std::fclose(file) == 0;
-  if (written != bytes.size() || !flushed) {
-    throw serve::io::SnapshotError{"short write to '" + path + "'"};
-  }
-}
-
-std::vector<std::uint8_t> read_file(const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) {
-    throw serve::io::SnapshotError{"cannot open '" + path + "' for reading"};
-  }
-  std::vector<std::uint8_t> bytes;
-  std::array<std::uint8_t, 64 * 1024> chunk;
-  std::size_t got = 0;
-  while ((got = std::fread(chunk.data(), 1, chunk.size(), file)) > 0) {
-    bytes.insert(bytes.end(), chunk.begin(), chunk.begin() + static_cast<std::ptrdiff_t>(got));
-  }
-  const bool clean = std::ferror(file) == 0;
-  std::fclose(file);
-  if (!clean) throw serve::io::SnapshotError{"read error on '" + path + "'"};
-  return bytes;
-}
-
-}  // namespace detail
 
 }  // namespace mcam::store

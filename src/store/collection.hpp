@@ -163,11 +163,4 @@ class Collection {
   std::uint64_t generation_ = 0;
 };
 
-namespace detail {
-/// Whole-file byte IO shared by collection snapshots and the manager
-/// manifest; throws serve::io::SnapshotError on any short read/write.
-void write_file(const std::string& path, std::span<const std::uint8_t> bytes);
-[[nodiscard]] std::vector<std::uint8_t> read_file(const std::string& path);
-}  // namespace detail
-
 }  // namespace mcam::store

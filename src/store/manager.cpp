@@ -357,12 +357,12 @@ std::size_t CollectionManager::save(const std::string& dir) const {
     manifest.str(entry->name);
     manifest.str(filename);
   }
-  detail::write_file(dir + "/" + kManifestName, manifest.buffer());
+  serve::io::write_file(dir + "/" + kManifestName, manifest.buffer());
   return entries.size();
 }
 
 std::size_t CollectionManager::load(const std::string& dir) {
-  const std::vector<std::uint8_t> bytes = detail::read_file(dir + "/" + kManifestName);
+  const std::vector<std::uint8_t> bytes = serve::io::read_file(dir + "/" + kManifestName);
   if (bytes.size() < sizeof(kManifestMagic) ||
       std::memcmp(bytes.data(), kManifestMagic, sizeof(kManifestMagic)) != 0) {
     throw serve::io::SnapshotError{"bad manifest magic in '" + dir + "'"};

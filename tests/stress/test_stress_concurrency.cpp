@@ -525,9 +525,6 @@ TEST(StressSharded, ConcurrentBatchExecutorsShareOneIndex) {
 }
 
 // --- Metrics registry tortures ----------------------------------------------
-// Compiled out with the obs layer: under MCAM_OBS_DISABLED the instruments
-// are no-op stubs and there is no concurrency left to torture.
-#ifndef MCAM_OBS_DISABLED
 
 TEST(StressMetrics, ResolveVsIncrementVsSnapshotTorture) {
   obs::Registry& registry = obs::registry();
@@ -712,8 +709,6 @@ TEST(StressTrace, ConcurrentSpansOnOneTrace) {
     EXPECT_GE(span.elapsed_ms, 0.0);
   }
 }
-
-#endif  // MCAM_OBS_DISABLED
 
 }  // namespace
 }  // namespace mcam

@@ -36,12 +36,6 @@
 namespace mcam {
 namespace {
 
-// With MCAM_OBS_DISABLED the canary/monitor are inert stubs (covered by
-// test_health's stub suite); there is nothing concurrent to torture, so
-// the whole file - helpers included, to stay -Wunused-function-clean -
-// compiles away.
-#ifndef MCAM_OBS_DISABLED
-
 // --- Profile knobs (the test_stress_concurrency contract) -------------------
 
 bool long_profile() {
@@ -344,8 +338,6 @@ TEST(StressHealth, ScrubRacesAddEraseCompactionOnShardedBanks) {
   }
   EXPECT_EQ(live_rows, index->size());
 }
-
-#endif  // MCAM_OBS_DISABLED
 
 }  // namespace
 }  // namespace mcam

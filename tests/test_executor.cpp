@@ -202,7 +202,6 @@ TEST(Executor, ZeroBoundsThrowNamingTheField) {
   }
 }
 
-#ifndef MCAM_OBS_DISABLED
 TEST(Executor, SampledTraceCarriesQueueWaitAndAdmission) {
   Tenant tenant{"mcam_executor_test", {}, 16};
   ExecutorOptions traced = options(8, 4);
@@ -230,7 +229,6 @@ TEST(Executor, SampledTraceCarriesQueueWaitAndAdmission) {
   tenant.stats.fill(stats);
   EXPECT_EQ(stats.traces_recorded, 1u);
 }
-#endif  // MCAM_OBS_DISABLED
 
 }  // namespace
 }  // namespace mcam::serve

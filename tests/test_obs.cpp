@@ -53,10 +53,6 @@ Blobs make_blobs(std::size_t per_class, std::size_t classes, std::size_t dim,
   return blobs;
 }
 
-// Trace-inspection helpers are only referenced by the obs-enabled suite
-// below; guard them so the -DMCAM_OBS_DISABLED build stays
-// -Wunused-function-clean.
-#ifndef MCAM_OBS_DISABLED
 const obs::SpanRecord* find_span(const obs::TraceRecord& record, const char* name) {
   for (const obs::SpanRecord& span : record.spans) {
     if (std::strcmp(span.name, name) == 0) return &span;
@@ -71,7 +67,6 @@ double note_value(const obs::SpanRecord& span, const char* key) {
   ADD_FAILURE() << "span '" << span.name << "' has no note '" << key << "'";
   return -1.0;
 }
-#endif  // MCAM_OBS_DISABLED
 
 // --- Shared percentile estimator ------------------------------------------
 
@@ -107,7 +102,7 @@ TEST(Statistics, PercentileWindowSlidesAndEstimates) {
   EXPECT_EQ(window.total(), 0u);
 }
 
-// --- Exporters (always compiled; golden strings) ---------------------------
+// --- Exporters (golden strings) --------------------------------------------
 
 using obs::MetricsSnapshot;
 
@@ -169,9 +164,6 @@ TEST(Exporters, EmptySnapshotRendersEmpty) {
   EXPECT_EQ(obs::to_jsonl(MetricsSnapshot{}), "");
 }
 
-// The health exporter renders externally-built data in both obs builds:
-// under -DMCAM_OBS_DISABLED the canary/monitor classes are stubs, but the
-// report structs and this JSON surface must keep working unchanged.
 TEST(Exporters, HealthReportJsonGolden) {
   obs::health::HealthReport report;
   report.canary.sampled = 10;
@@ -239,7 +231,7 @@ TEST(TraceConfig, EffectiveSampleFallsBackToEnvironment) {
   EXPECT_EQ(obs::effective_trace_sample(0), obs::env_trace_sample());
 }
 
-// --- Tracing is strictly observational (works in both obs builds) ----------
+// --- Tracing is strictly observational -------------------------------------
 
 TEST(TracingObservational, TracedQueriesBitIdenticalAcrossFactoryRegistry) {
   const Blobs blobs = make_blobs(6, 3, 8, 0.5, 91);
@@ -273,8 +265,6 @@ TEST(TracingObservational, TracedQueriesBitIdenticalAcrossFactoryRegistry) {
     }
   }
 }
-
-#ifndef MCAM_OBS_DISABLED
 
 // --- Registry semantics ----------------------------------------------------
 
@@ -713,8 +703,6 @@ TEST(StoreObservability, DroppedCollectionSeriesVanishAndRecreateRestartsAtZero)
       << "request counters restart at zero (got " << ok_requests << ")";
   EXPECT_TRUE(manager.drop_collection("obs_drop_c1"));
 }
-
-#endif  // MCAM_OBS_DISABLED
 
 }  // namespace
 }  // namespace mcam

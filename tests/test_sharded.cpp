@@ -492,6 +492,23 @@ TEST(EngineSpec, ParsesOverridesAndRejectsUnknownKeys) {
   EXPECT_THROW((void)parse_engine_spec("mcam:bits"), std::invalid_argument);
   EXPECT_THROW((void)parse_engine_spec("mcam:"), std::invalid_argument);
   EXPECT_THROW((void)parse_engine_spec(":bits=2"), std::invalid_argument);
+
+  // Value holes: stoull skips a leading space (hiding a '-') and wraps
+  // negatives; a 64-bit value must not truncate into a narrower field;
+  // a NaN, negative or infinite magnitude must not build a silently
+  // noise-free (or nonsense) array.
+  for (const char* bad :
+       {"mcam:bank_rows= -5", "mcam:bank_rows=+5", "mcam:bits=4294967299",
+        "refine:exhaustive=2", "mcam:vth_sigma=nan", "mcam:vth_sigma=-0.5",
+        "mcam:vth_sigma=inf", "mcam:drift_sigma=-1", "mcam:clip_percentile=nan",
+        "mcam:sense_clock_period=-1e-9"}) {
+    EXPECT_THROW((void)parse_engine_spec(bad), std::invalid_argument) << bad;
+  }
+  const EngineSpec edges =
+      parse_engine_spec("mcam:bits=4294967295,seed=18446744073709551615,vth_sigma=0");
+  EXPECT_EQ(edges.config.mcam_bits, 4294967295u);
+  EXPECT_EQ(edges.config.seed, 18446744073709551615u);
+  EXPECT_EQ(edges.config.vth_sigma, 0.0);
 }
 
 TEST(EngineSpec, RejectsDuplicateKeysAndEmptyValuesNamingTheSpec) {

@@ -387,6 +387,24 @@ TEST(Collection, SnapshotRoundTripRestoresFilteredBehavior) {
   EXPECT_THROW((void)Collection::restore(engine_blob), serve::io::SnapshotError);
 }
 
+TEST(Collection, LoadFileOnMissingPathThrowsNamingThePath) {
+  // Index snapshots and collection snapshots share one whole-file reader;
+  // a missing file must surface as a SnapshotError naming the path.
+  const std::string path = ::testing::TempDir() + "mcam_store_missing.snap";
+  std::filesystem::remove(path);
+  const auto expect_names_path = [&](const char* what, const auto& load) {
+    try {
+      load();
+      ADD_FAILURE() << what << " loaded a missing file";
+    } catch (const serve::io::SnapshotError& error) {
+      EXPECT_NE(std::string{error.what()}.find("'" + path + "'"), std::string::npos)
+          << what << ": " << error.what();
+    }
+  };
+  expect_names_path("serve::load_file", [&] { (void)serve::load_file(path); });
+  expect_names_path("Collection::load_file", [&] { (void)Collection::load_file(path); });
+}
+
 // ---------------------------------------------------------------------------
 // CollectionManager: fleet persistence, admission control, stats
 // ---------------------------------------------------------------------------
