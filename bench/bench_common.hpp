@@ -7,6 +7,7 @@
 // can ingest without scraping stdout.
 #pragma once
 
+#include "cam/kernels/kernels.hpp"
 #include "obs/exporters.hpp"
 #include "util/table.hpp"
 
@@ -42,7 +43,8 @@ inline void emit(const TextTable& table, const std::string& name) {
 }
 
 /// Machine-readable bench telemetry: one `BENCH_<name>.json` file of
-/// named metrics (value + unit), free-form notes, and host facts, which
+/// named metrics (value + unit), free-form notes, and host facts (cores,
+/// compiler, arch, build type and the dispatched CAM backend), which
 /// CI uploads as an artifact. Opt-in: enabled by a `--json` argv flag
 /// (writes under ./results) or the MCAM_BENCH_JSON environment variable
 /// (its value is the output directory). Disabled, every call is a no-op,
@@ -86,6 +88,10 @@ class BenchReport {
     out += arch();
     out += "\",\"build\":\"";
     out += build_flags();
+    // The CAM sweep backend that ran, so files from AVX-512 and other
+    // hosts can be told apart.
+    out += "\",\"cam_kernel\":\"";
+    out += cam::kernels::active_ops().name;
     out += "\"},\"notes\":{";
     bool first = true;
     for (const auto& [key, value] : notes_) {

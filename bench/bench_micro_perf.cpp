@@ -2,8 +2,10 @@
 // nomination, LUT construction, quantization, LSH encoding, batched top-k
 // queries and full few-shot episodes.
 #include "cam/array.hpp"
+#include "cam/kernels/kernels.hpp"
 #include "cam/lut.hpp"
 #include "cam/tcam.hpp"
+#include "distance/kernels/kernels.hpp"
 #include "encoding/lsh.hpp"
 #include "encoding/quantizer.hpp"
 #include "experiments/harness.hpp"
@@ -27,10 +29,29 @@ std::vector<std::vector<std::uint16_t>> random_rows(std::size_t rows, std::size_
   return out;
 }
 
+// Each array sweep bench has a forced-scalar twin (suffix Scalar), and
+// every run is labelled with the CAM backend that ran, so one run shows
+// both the kernel gain and what hosts without AVX-512 pay. The guard pins
+// the dispatch to the scalar reference for one run and restores it after.
+class CamBackend {
+ public:
+  CamBackend(benchmark::State& state, bool scalar) : saved_(distance::kernels::force_scalar()) {
+    distance::kernels::set_force_scalar(saved_ || scalar);
+    state.SetLabel(cam::kernels::active_ops().name);
+  }
+  ~CamBackend() { distance::kernels::set_force_scalar(saved_); }
+  CamBackend(const CamBackend&) = delete;
+  CamBackend& operator=(const CamBackend&) = delete;
+
+ private:
+  bool saved_;
+};
+
 // MCAM sweep at the shape of one sharded-mcam3 bank in the end-to-end
 // bench: 128 rows of 48 3-bit cells. Items are cells, so the reported
 // time per item reads directly against the traced cam.ns_per_cell.
-void run_mcam_sweep(benchmark::State& state, double vth_sigma) {
+void run_mcam_sweep(benchmark::State& state, double vth_sigma, bool scalar) {
+  const CamBackend backend{state, scalar};
   cam::McamArrayConfig config;
   config.vth_sigma = vth_sigma;
   cam::McamArray array{config};
@@ -43,11 +64,21 @@ void run_mcam_sweep(benchmark::State& state, double vth_sigma) {
                           static_cast<std::int64_t>(array.num_rows() * array.word_length()));
 }
 
-void BM_McamArraySearch(benchmark::State& state) { run_mcam_sweep(state, 0.0); }
+void BM_McamArraySearch(benchmark::State& state) { run_mcam_sweep(state, 0.0, false); }
 BENCHMARK(BM_McamArraySearch);
 
-void BM_McamArraySearchWithVariation(benchmark::State& state) { run_mcam_sweep(state, 0.05); }
+void BM_McamArraySearchScalar(benchmark::State& state) { run_mcam_sweep(state, 0.0, true); }
+BENCHMARK(BM_McamArraySearchScalar);
+
+void BM_McamArraySearchWithVariation(benchmark::State& state) {
+  run_mcam_sweep(state, 0.05, false);
+}
 BENCHMARK(BM_McamArraySearchWithVariation);
+
+void BM_McamArraySearchWithVariationScalar(benchmark::State& state) {
+  run_mcam_sweep(state, 0.05, true);
+}
+BENCHMARK(BM_McamArraySearchWithVariationScalar);
 
 // TCAM sweep at the refine coarse stage's size: 4096 rows of 32-bit
 // signatures. Nominal cells share the three per-trit conductance table
@@ -66,7 +97,8 @@ cam::TcamArray coarse_sized_tcam(double vth_sigma) {
   return tcam;
 }
 
-void run_tcam_sweep(benchmark::State& state, const cam::TcamArray& tcam) {
+void run_tcam_sweep(benchmark::State& state, const cam::TcamArray& tcam, bool scalar) {
+  const CamBackend backend{state, scalar};
   Rng rng{12};
   std::vector<std::uint8_t> query(tcam.word_length());
   for (auto& b : query) b = rng.bernoulli(0.5) ? 1 : 0;
@@ -77,13 +109,25 @@ void run_tcam_sweep(benchmark::State& state, const cam::TcamArray& tcam) {
                           static_cast<std::int64_t>(tcam.num_rows() * tcam.word_length()));
 }
 
-void BM_TcamSearch(benchmark::State& state) { run_tcam_sweep(state, coarse_sized_tcam(0.0)); }
+void BM_TcamSearch(benchmark::State& state) {
+  run_tcam_sweep(state, coarse_sized_tcam(0.0), false);
+}
 BENCHMARK(BM_TcamSearch);
 
+void BM_TcamSearchScalar(benchmark::State& state) {
+  run_tcam_sweep(state, coarse_sized_tcam(0.0), true);
+}
+BENCHMARK(BM_TcamSearchScalar);
+
 void BM_TcamSearchWithVariation(benchmark::State& state) {
-  run_tcam_sweep(state, coarse_sized_tcam(0.05));
+  run_tcam_sweep(state, coarse_sized_tcam(0.05), false);
 }
 BENCHMARK(BM_TcamSearchWithVariation);
+
+void BM_TcamSearchWithVariationScalar(benchmark::State& state) {
+  run_tcam_sweep(state, coarse_sized_tcam(0.05), true);
+}
+BENCHMARK(BM_TcamSearchWithVariationScalar);
 
 // Nomination: argsort_top_k over sweep outputs, on each side of its radix
 // crossover - the refine coarse stage's 4096 TCAM keys at k = 641, and one

@@ -17,6 +17,8 @@ constexpr std::size_t kMaxReservedCells = std::size_t{1} << 20;
 
 }  // namespace
 
+using kernels::cell_at;
+
 std::vector<std::size_t> rank_by_sensing(std::span<const double> row_conductances,
                                          SensingMode sensing,
                                          const circuit::MatchlineParams& matchline,
@@ -71,20 +73,32 @@ std::vector<std::size_t> rank_by_sensing(std::span<const double> row_conductance
 
 McamArray::McamArray(const McamArrayConfig& config)
     : config_(config), lut_(ConductanceLut::nominal(config.level_map, config.channel)),
-      g_exp_cap_(config.channel.g0 * std::exp(60.0)), rng_(config.seed) {
+      rng_(config.seed) {
   const auto& map = config_.level_map;
-  const double v_slope = config_.channel.v_slope;
+  const auto& channel = config_.channel;
   const std::size_t n = map.num_states();
-  drive_.reserve(n * n);
+  drive_.states = n;
+  drive_.g_nominal.reserve(n * n);
+  drive_.e_left.reserve(n * n);
+  drive_.e_right.reserve(n * n);
   for (std::size_t input = 0; input < n; ++input) {
     const double v_in = map.input_voltage(input);
     for (std::size_t stored = 0; stored < n; ++stored) {
-      drive_.push_back(
-          {lut_.g(input, stored),
-           config_.channel.g0 * std::exp((map.invert(v_in) - map.left_fefet_vth(stored)) / v_slope),
-           config_.channel.g0 * std::exp((v_in - map.right_fefet_vth(stored)) / v_slope)});
+      drive_.g_nominal.push_back(lut_.g(input, stored));
+      drive_.e_left.push_back(
+          channel.g0 * std::exp((map.invert(v_in) - map.left_fefet_vth(stored)) / channel.v_slope));
+      drive_.e_right.push_back(
+          channel.g0 * std::exp((v_in - map.right_fefet_vth(stored)) / channel.v_slope));
     }
   }
+  drive_.g_leak = channel.g_leak;
+  drive_.r_on = channel.r_on;
+  drive_.g_cap = channel.g0 * std::exp(60.0);
+  // A shorted cell conducts at the series-resistance cap whatever its
+  // state or input, permanently leaking its matchline; an open cell only
+  // leaks, i.e. it matches everything.
+  drive_.g_short = channel.g_leak + 1.0 / channel.r_on;
+  drive_.g_open = 2.0 * channel.g_leak;
 }
 
 std::size_t McamArray::add_row(std::span<const std::uint16_t> levels) {
@@ -93,7 +107,7 @@ std::size_t McamArray::add_row(std::span<const std::uint16_t> levels) {
     throw std::length_error{"McamArray::add_row: bank is full (max_rows = " +
                             std::to_string(config_.max_rows) + ")"};
   }
-  if (word_length_ != 0 && levels.size() != word_length_) {
+  if (cells_.width != 0 && levels.size() != cells_.width) {
     throw std::invalid_argument{"McamArray::add_row: word length mismatch"};
   }
   // Validate before the first noise draw, so a rejected row leaves the
@@ -104,28 +118,30 @@ std::size_t McamArray::add_row(std::span<const std::uint16_t> levels) {
       throw std::out_of_range{"McamArray::add_row: level exceeds map"};
     }
   }
-  if (word_length_ == 0 && config_.max_rows > 0 &&
-      config_.max_rows <= kMaxReservedCells / levels.size()) {
-    // A bounded bank never grows past its capacity: reserve it exactly,
-    // so no growth slack stays allocated. A bound past any physical bank
-    // grows on demand instead of allocating for rows it may never get.
-    const std::size_t cells = config_.max_rows * levels.size();
-    level_.reserve(cells);
-    kind_.reserve(cells);
-    dvth_.reserve(cells);
-    factor_.reserve(cells);
+  const std::size_t row = num_rows();
+  const bool first_row = cells_.width == 0;
+  cells_.width = levels.size();
+  if (first_row && config_.max_rows > 0 &&
+      kernels::num_blocks(config_.max_rows) * kernels::kBlockRows <=
+          kMaxReservedCells / levels.size()) {
+    // A bounded bank never grows past its capacity: reserve it exactly
+    // (in whole blocks), so no growth slack stays allocated. A bound past
+    // any physical bank grows on demand instead of allocating for rows it
+    // may never get.
+    cells_.reserve(config_.max_rows);
     valid_.reserve(config_.max_rows);
   }
-  word_length_ = levels.size();
-  for (std::uint16_t level : levels) {
-    FefetPair dvth;
+  if (row % kernels::kBlockRows == 0) cells_.add_block();
+  for (std::size_t c = 0; c < levels.size(); ++c) {
+    float dvth_left = 0.0f;
+    float dvth_right = 0.0f;
     if (config_.vth_sigma > 0.0) {
-      dvth.left = static_cast<float>(rng_.normal(0.0, config_.vth_sigma));
-      dvth.right = static_cast<float>(rng_.normal(0.0, config_.vth_sigma));
+      dvth_left = static_cast<float>(rng_.normal(0.0, config_.vth_sigma));
+      dvth_right = static_cast<float>(rng_.normal(0.0, config_.vth_sigma));
     }
     if (config_.drift_sigma > 0.0) {
-      dvth.left += static_cast<float>(rng_.normal(0.0, config_.drift_sigma));
-      dvth.right += static_cast<float>(rng_.normal(0.0, config_.drift_sigma));
+      dvth_left += static_cast<float>(rng_.normal(0.0, config_.drift_sigma));
+      dvth_right += static_cast<float>(rng_.normal(0.0, config_.drift_sigma));
     }
     CellKind kind = CellKind::kNominal;
     if (config_.stuck_short_rate > 0.0 && rng_.bernoulli(config_.stuck_short_rate)) {
@@ -135,29 +151,31 @@ std::size_t McamArray::add_row(std::span<const std::uint16_t> levels) {
       kind = CellKind::kStuckOpen;
       ++faulty_cells_;
     }
-    level_.push_back(static_cast<std::uint8_t>(level));
-    kind_.push_back(kind);
-    dvth_.push_back(dvth);
-    factor_.emplace_back();
-    compile_cell(kind_.size() - 1);
+    const std::size_t at = cell_at(row, c, cells_.width);
+    cells_.level[at] = static_cast<std::uint8_t>(levels[c]);
+    cells_.kind[at] = kind;
+    cells_.dvth_left[at] = dvth_left;
+    cells_.dvth_right[at] = dvth_right;
+    compile_cell(row, at);
   }
   valid_.push_back(1);
   ++valid_rows_;
   return valid_.size() - 1;
 }
 
-void McamArray::compile_cell(std::size_t at) {
-  if (kind_[at] == CellKind::kStuckShort || kind_[at] == CellKind::kStuckOpen) return;
-  const FefetPair dvth = dvth_[at];
-  if (dvth.left == 0.0f && dvth.right == 0.0f) {
-    kind_[at] = CellKind::kNominal;
-    factor_[at] = {1.0f, 1.0f};
-    return;
+void McamArray::compile_cell(std::size_t row, std::size_t at) {
+  CellKind& kind = cells_.kind[at];
+  if (kind != CellKind::kStuckShort && kind != CellKind::kStuckOpen) {
+    const double dvth_left = cells_.dvth_left[at];
+    const double dvth_right = cells_.dvth_right[at];
+    const bool nominal = dvth_left == 0.0 && dvth_right == 0.0;
+    const double v_slope = config_.channel.v_slope;
+    kind = nominal ? CellKind::kNominal : CellKind::kOffset;
+    cells_.factor_left[at] = nominal ? 1.0f : static_cast<float>(std::exp(-dvth_left / v_slope));
+    cells_.factor_right[at] =
+        nominal ? 1.0f : static_cast<float>(std::exp(-dvth_right / v_slope));
   }
-  const double v_slope = config_.channel.v_slope;
-  kind_[at] = CellKind::kOffset;
-  factor_[at] = {static_cast<float>(std::exp(-static_cast<double>(dvth.left) / v_slope)),
-                 static_cast<float>(std::exp(-static_cast<double>(dvth.right) / v_slope))};
+  if (kind != CellKind::kNominal) cells_.nominal[row / kernels::kBlockRows] = 0;
 }
 
 void McamArray::program(std::span<const std::vector<std::uint16_t>> rows) {
@@ -165,13 +183,9 @@ void McamArray::program(std::span<const std::vector<std::uint16_t>> rows) {
 }
 
 void McamArray::clear() noexcept {
-  level_.clear();
-  kind_.clear();
-  dvth_.clear();
-  factor_.clear();
+  cells_.clear();
   valid_.clear();
   valid_rows_ = 0;
-  word_length_ = 0;
   faulty_cells_ = 0;
 }
 
@@ -185,18 +199,22 @@ bool McamArray::invalidate_row(std::size_t i) {
 
 std::vector<std::uint16_t> McamArray::row_levels(std::size_t i) const {
   if (i >= num_rows()) throw std::out_of_range{"McamArray::row_levels: bad row"};
-  const auto first = level_.begin() + static_cast<std::ptrdiff_t>(i * word_length_);
-  return {first, first + static_cast<std::ptrdiff_t>(word_length_)};
+  std::vector<std::uint16_t> levels(cells_.width);
+  for (std::size_t c = 0; c < levels.size(); ++c) {
+    levels[c] = cells_.level[cell_at(i, c, cells_.width)];
+  }
+  return levels;
 }
 
 std::vector<std::uint16_t> McamArray::row_readback(std::size_t i) const {
   if (i >= num_rows()) throw std::out_of_range{"McamArray::row_readback: bad row"};
   const auto& map = config_.level_map;
   std::vector<std::uint16_t> levels;
-  levels.reserve(word_length_);
-  for (std::size_t at = i * word_length_; at < (i + 1) * word_length_; ++at) {
-    const double right = map.right_fefet_vth(level_[at]) + dvth_[at].right;
-    const double left = map.left_fefet_vth(level_[at]) + dvth_[at].left;
+  levels.reserve(cells_.width);
+  for (std::size_t c = 0; c < cells_.width; ++c) {
+    const std::size_t at = cell_at(i, c, cells_.width);
+    const double right = map.right_fefet_vth(cells_.level[at]) + cells_.dvth_right[at];
+    const double left = map.left_fefet_vth(cells_.level[at]) + cells_.dvth_left[at];
     std::size_t best = 0;
     double best_d = std::numeric_limits<double>::infinity();
     for (std::size_t s = 0; s < map.num_states(); ++s) {
@@ -218,16 +236,16 @@ std::vector<std::uint16_t> McamArray::row_readback(std::size_t i) const {
 RowHealth McamArray::row_health(std::size_t i) const {
   const std::vector<std::uint16_t> readback = row_readback(i);  // bounds-checks i
   RowHealth health;
-  health.cells = word_length_;
-  for (std::size_t c = 0; c < word_length_; ++c) {
-    const std::size_t at = i * word_length_ + c;
-    if (kind_[at] == CellKind::kStuckShort || kind_[at] == CellKind::kStuckOpen) {
+  health.cells = cells_.width;
+  for (std::size_t c = 0; c < cells_.width; ++c) {
+    const std::size_t at = cell_at(i, c, cells_.width);
+    if (cells_.kind[at] == CellKind::kStuckShort || cells_.kind[at] == CellKind::kStuckOpen) {
       ++health.faulty;
       continue;
     }
-    if (readback[c] != level_[at]) ++health.mismatched;
-    const double shift = std::max(std::abs(static_cast<double>(dvth_[at].left)),
-                                  std::abs(static_cast<double>(dvth_[at].right)));
+    if (readback[c] != cells_.level[at]) ++health.mismatched;
+    const double shift = std::max(std::abs(static_cast<double>(cells_.dvth_left[at])),
+                                  std::abs(static_cast<double>(cells_.dvth_right[at])));
     health.sum_abs_shift_v += shift;
     health.max_abs_shift_v = std::max(health.max_abs_shift_v, shift);
   }
@@ -237,12 +255,16 @@ RowHealth McamArray::row_health(std::size_t i) const {
 std::size_t McamArray::apply_drift(double sigma, std::uint64_t seed) {
   if (sigma <= 0.0) return 0;
   Rng rng{seed};
-  for (std::size_t at = 0; at < dvth_.size(); ++at) {
-    dvth_[at].left += static_cast<float>(rng.normal(0.0, sigma));
-    dvth_[at].right += static_cast<float>(rng.normal(0.0, sigma));
-    compile_cell(at);
+  std::fill(cells_.nominal.begin(), cells_.nominal.end(), std::uint8_t{1});
+  for (std::size_t r = 0; r < num_rows(); ++r) {
+    for (std::size_t c = 0; c < cells_.width; ++c) {
+      const std::size_t at = cell_at(r, c, cells_.width);
+      cells_.dvth_left[at] += static_cast<float>(rng.normal(0.0, sigma));
+      cells_.dvth_right[at] += static_cast<float>(rng.normal(0.0, sigma));
+      compile_cell(r, at);
+    }
   }
-  return dvth_.size();
+  return num_rows() * cells_.width;
 }
 
 bool McamArray::row_valid(std::size_t i) const {
@@ -252,57 +274,15 @@ bool McamArray::row_valid(std::size_t i) const {
 
 std::vector<double> McamArray::search_conductances(
     std::span<const std::uint16_t> query) const {
-  if (query.size() != word_length_) {
+  if (query.size() != cells_.width) {
     throw std::invalid_argument{"McamArray::search: query length mismatch"};
   }
-  // Each column's drive: the table block of its input state, indexed by
-  // the stored level.
-  const std::size_t n = config_.level_map.num_states();
-  std::vector<const DriveEntry*> drive(query.size());
-  for (std::size_t c = 0; c < query.size(); ++c) {
-    if (query[c] >= n) throw std::out_of_range{"McamArray::search: level exceeds map"};
-    drive[c] = drive_.data() + query[c] * n;
+  for (const std::uint16_t level : query) {
+    if (level >= drive_.states) throw std::out_of_range{"McamArray::search: level exceeds map"};
   }
-  const double g_leak = config_.channel.g_leak;
-  const double r_on = config_.channel.r_on;
-  const double g_cap = g_exp_cap_;
-  // A shorted cell conducts at the series-resistance cap whatever its
-  // state or input, permanently leaking its matchline; an open cell only
-  // leaks, i.e. it matches everything.
-  const double g_short = g_leak + 1.0 / r_on;
-  const double g_open = 2.0 * g_leak;
-  const std::size_t w = word_length_;
-  std::vector<double> totals(num_rows());
-  for (std::size_t r = 0; r < totals.size(); ++r) {
-    const std::uint8_t* level = level_.data() + r * w;
-    const CellKind* kind = kind_.data() + r * w;
-    const FefetPair* factor = factor_.data() + r * w;
-    double g = 0.0;
-    for (std::size_t c = 0; c < w; ++c) {
-      const DriveEntry& entry = drive[c][level[c]];
-      switch (kind[c]) {
-        case CellKind::kNominal:
-          g += entry.g_nominal;
-          break;
-        case CellKind::kOffset: {
-          // fefet::channel_conductance per FeFET, with the exponential
-          // gathered and scaled instead of evaluated.
-          const double g_right = std::min(entry.e_right * factor[c].right, g_cap);
-          const double g_left = std::min(entry.e_left * factor[c].left, g_cap);
-          g += (g_leak + g_right / (1.0 + g_right * r_on)) +
-               (g_leak + g_left / (1.0 + g_left * r_on));
-          break;
-        }
-        case CellKind::kStuckShort:
-          g += g_short;
-          break;
-        case CellKind::kStuckOpen:
-          g += g_open;
-          break;
-      }
-    }
-    totals[r] = g;
-  }
+  std::vector<double> totals(kernels::num_blocks(num_rows()) * kernels::kBlockRows);
+  kernels::active_ops().mcam_sweep(cells_, drive_, query, totals.data());
+  totals.resize(num_rows());
   return totals;
 }
 
@@ -311,7 +291,7 @@ SearchOutcome McamArray::nearest(std::span<const std::uint16_t> query) const {
   SearchOutcome outcome;
   outcome.row_conductance = search_conductances(query);
   if (config_.sensing == SensingMode::kMatchlineTiming) {
-    const circuit::Matchline ml{config_.matchline, word_length_};
+    const circuit::Matchline ml{config_.matchline, cells_.width};
     const circuit::WinnerTakeAllSense sense{ml, config_.sense_clock_period};
     outcome.sense = sense.sense(outcome.row_conductance);
     outcome.row = outcome.sense.winner;
@@ -319,13 +299,13 @@ SearchOutcome McamArray::nearest(std::span<const std::uint16_t> query) const {
       // The latched winner was a tombstone (its validity latch gates the
       // amplifier): the first live row of the latch order wins instead.
       outcome.row = rank_by_sensing(outcome.row_conductance, valid_, config_.sensing,
-                                    config_.matchline, word_length_,
+                                    config_.matchline, cells_.width,
                                     config_.sense_clock_period, 1)
                         .front();
     }
   } else {
     outcome.row = rank_by_sensing(outcome.row_conductance, valid_, config_.sensing,
-                                  config_.matchline, word_length_,
+                                  config_.matchline, cells_.width,
                                   config_.sense_clock_period, 1)
                       .front();
   }
@@ -336,14 +316,14 @@ SearchOutcome McamArray::nearest(std::span<const std::uint16_t> query) const {
 std::vector<std::size_t> McamArray::k_nearest(std::span<const std::uint16_t> query,
                                               std::size_t k) const {
   if (valid_rows_ == 0) throw std::logic_error{"McamArray::k_nearest: array is empty"};
-  return rank_by_sensing(search_conductances(query), valid_, SensingMode::kIdealSum,
-                         config_.matchline, word_length_, config_.sense_clock_period, k);
+  return rank_by_sensing(search_conductances(query), valid_, config_.sensing,
+                         config_.matchline, cells_.width, config_.sense_clock_period, k);
 }
 
 std::vector<std::size_t> McamArray::exact_matches(std::span<const std::uint16_t> query,
                                                   double g_match_limit_per_cell) const {
   const std::vector<double> totals = search_conductances(query);
-  const double limit = g_match_limit_per_cell * static_cast<double>(word_length_);
+  const double limit = g_match_limit_per_cell * static_cast<double>(cells_.width);
   std::vector<std::size_t> matches;
   for (std::size_t r = 0; r < totals.size(); ++r) {
     if (valid_[r] && totals[r] <= limit) matches.push_back(r);

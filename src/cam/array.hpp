@@ -15,6 +15,7 @@
 #pragma once
 
 #include "cam/cell.hpp"
+#include "cam/kernels/kernels.hpp"
 #include "cam/lut.hpp"
 #include "circuit/senseamp.hpp"
 #include "util/rng.hpp"
@@ -124,7 +125,8 @@ struct SearchOutcome {
 /// query. A cell with both offsets zero reads its exact LUT entry, and a
 /// stuck cell its fault constant, so a noise-free array sums exactly the
 /// LUT; an offset cell is within 1e-7 relative of the per-cell analog
-/// model (the float factors' rounding).
+/// model (the float factors' rounding). Cells live in the blocked store of
+/// cam/kernels/, whose kernels sweep one row per SIMD lane.
 class McamArray {
  public:
   explicit McamArray(const McamArrayConfig& config);
@@ -180,10 +182,11 @@ class McamArray {
   /// total conductance = slowest matchline).
   [[nodiscard]] SearchOutcome nearest(std::span<const std::uint16_t> query) const;
 
-  /// Top-k search: row indices in increasing-distance order (the order in
-  /// which a repeated winner-take-all sense would latch matchlines from
-  /// slowest to fastest). Tombstoned rows never appear; k is clamped to
-  /// the valid row count.
+  /// Top-k search: row indices in increasing-distance order under the
+  /// configured sensing mode (the order in which a repeated winner-take-all
+  /// sense would latch matchlines from slowest to fastest), so the first
+  /// index is the `nearest()` winner. Tombstoned rows never appear; k is
+  /// clamped to the valid row count.
   [[nodiscard]] std::vector<std::size_t> k_nearest(std::span<const std::uint16_t> query,
                                                    std::size_t k) const;
 
@@ -227,50 +230,26 @@ class McamArray {
   /// Number of programmed rows.
   [[nodiscard]] std::size_t num_rows() const noexcept { return valid_.size(); }
   /// Cells per row (0 until the first row is written).
-  [[nodiscard]] std::size_t word_length() const noexcept { return word_length_; }
+  [[nodiscard]] std::size_t word_length() const noexcept { return cells_.width; }
   /// Configuration the array was built with.
   [[nodiscard]] const McamArrayConfig& config() const noexcept { return config_; }
   /// Nominal conductance table used for cell evaluation.
   [[nodiscard]] const ConductanceLut& lut() const noexcept { return lut_; }
 
  private:
-  /// How a search evaluates a cell.
-  enum class CellKind : std::uint8_t {
-    kNominal = 0,  ///< Both Vth offsets zero: the cell's LUT entry.
-    kOffset,       ///< Offset FeFETs: E entries times the compiled factors.
-    kStuckShort,   ///< Fault: always conducts at the on-state cap.
-    kStuckOpen,    ///< Fault: never conducts beyond leakage.
-  };
+  using CellKind = kernels::McamCellKind;
 
-  /// One value per FeFET of a cell.
-  struct FefetPair {
-    float left = 0.0f;
-    float right = 0.0f;
-  };
-
-  /// Compiled drive of one (input, stored state) pair: the LUT entry and
-  /// each FeFET's offset-free exponential branch g0 * exp(V_ov / v_slope).
-  struct DriveEntry {
-    double g_nominal = 0.0;
-    double e_left = 0.0;
-    double e_right = 0.0;
-  };
-
-  /// Sets cell `at`'s kind and factors from its offsets, unless it is stuck.
-  void compile_cell(std::size_t at);
+  /// Sets cell `at`'s kind and factors from its offsets, unless it is
+  /// stuck; a cell that is not kNominal clears the nominal flag of row
+  /// `row`'s block.
+  void compile_cell(std::size_t row, std::size_t at);
 
   McamArrayConfig config_;
   ConductanceLut lut_;
-  std::vector<DriveEntry> drive_;  ///< Indexed [input * 2^bits + stored].
-  double g_exp_cap_ = 0.0;         ///< Exponential branch clamp, g0 * e^60 [S].
-  // Cell storage, row-major, reserved to max_rows x word_length.
-  std::vector<std::uint8_t> level_;  ///< Programmed level.
-  std::vector<CellKind> kind_;
-  std::vector<FefetPair> dvth_;      ///< Vth offsets [V]; readback and health read them.
-  std::vector<FefetPair> factor_;    ///< exp(-dvth / v_slope), compiled from dvth_.
+  kernels::McamDrive drive_;
+  kernels::McamCells cells_;  ///< Bounded banks reserve max_rows, rounded up to a block.
   std::vector<std::uint8_t> valid_;
   std::size_t valid_rows_ = 0;
-  std::size_t word_length_ = 0;
   std::size_t faulty_cells_ = 0;
   Rng rng_;
 };

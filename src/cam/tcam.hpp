@@ -15,10 +15,13 @@
 // those entries. Unperturbed cells share one nominal entry per trit; a cell
 // with a nonzero Vth offset gets a private entry. The entries come from the
 // analog channel model and each row sums them in column order, so the
-// totals are bit-identical to evaluating the model at search time.
+// totals are bit-identical to evaluating the model at search time. Cells
+// live in the blocked store of cam/kernels/, whose kernels sweep one row
+// per SIMD lane.
 #pragma once
 
 #include "cam/array.hpp"
+#include "cam/kernels/kernels.hpp"
 #include "fefet/device.hpp"
 #include "fefet/levels.hpp"
 
@@ -145,43 +148,33 @@ class TcamArray {
   /// Number of programmed rows.
   [[nodiscard]] std::size_t num_rows() const noexcept { return valid_.size(); }
   /// Cells per row.
-  [[nodiscard]] std::size_t word_length() const noexcept { return word_length_; }
+  [[nodiscard]] std::size_t word_length() const noexcept { return cells_.width; }
   /// Configuration in use.
   [[nodiscard]] const TcamArrayConfig& config() const noexcept { return config_; }
   /// The 1-bit level map realizing the ternary cell voltages.
   [[nodiscard]] const fefet::LevelMap& level_map() const noexcept { return map_; }
 
  private:
-  /// One conductance table entry: the cell's matchline conductance for
-  /// query bit 0 and 1 [S], and the Vth offsets it was compiled from.
-  struct CompiledCell {
-    double g[2]{};
-    float dvth_left = 0.0f;
-    float dvth_right = 0.0f;
-  };
-
   /// Analog channel-model conductance of a cell storing `trit` with the
   /// given FeFET Vth offsets, for search input `input` (0 or 1).
   [[nodiscard]] double cell_conductance(Trit trit, float dvth_left, float dvth_right,
                                         std::uint8_t input) const;
 
-  /// Table entry for a cell: the shared nominal entry of `trit` when both
-  /// offsets are zero, else a new private entry.
-  [[nodiscard]] std::uint32_t compile_cell(Trit trit, float dvth_left, float dvth_right);
+  /// Stores cell `at`'s trit and table entry: the shared nominal entry of
+  /// `trit` when both offsets are zero, else a new private entry, which
+  /// clears the nominal flag of row `row`'s block.
+  void compile_cell(std::size_t row, std::size_t at, Trit trit, float dvth_left,
+                    float dvth_right);
 
-  /// Per-row sum of table entries over `columns`, in that order, each
-  /// column read at `inputs[column]`.
-  [[nodiscard]] std::vector<double> sweep(std::span<const std::uint32_t> columns,
-                                          std::span<const std::uint8_t> inputs) const;
+  /// Per-row conductance for a query (see kernels::CamKernelOps::tcam_sweep).
+  [[nodiscard]] std::vector<double> sweep(std::span<const std::uint8_t> query,
+                                          bool ternary) const;
 
   TcamArrayConfig config_;
   fefet::LevelMap map_;
-  std::vector<Trit> trits_;          ///< Programmed trit of every cell, row-major.
-  std::vector<std::uint32_t> cell_;  ///< Table entry of every cell, row-major.
-  std::vector<CompiledCell> table_;  ///< [0, 3): nominal entry per trit; then private.
+  kernels::TcamCells cells_;
   std::vector<std::uint8_t> valid_;
   std::size_t valid_rows_ = 0;
-  std::size_t word_length_ = 0;
   Rng rng_;
 };
 

@@ -167,6 +167,21 @@ TEST(TopK, FirstEqualsNearest) {
   }
 }
 
+TEST(TopK, FirstEqualsNearestUnderCoarseSenseClock) {
+  // A 1 s sense clock latches both rows in the same cycle: the tie goes to
+  // the lower index, although row 1 has the lower conductance. k_nearest
+  // must rank under the configured sensing, as nearest() does.
+  McamArrayConfig config;
+  config.sensing = SensingMode::kMatchlineTiming;
+  config.sense_clock_period = 1.0;
+  McamArray array{config};
+  array.add_row(std::vector<std::uint16_t>{0, 0, 0, 2});
+  array.add_row(std::vector<std::uint16_t>{0, 0, 0, 1});
+  const std::vector<std::uint16_t> query{0, 0, 0, 0};
+  ASSERT_EQ(array.nearest(query).row, 0u);
+  EXPECT_EQ(array.k_nearest(query, 2), (std::vector<std::size_t>{0, 1}));
+}
+
 TEST(TopK, ClampsToRowCount) {
   McamArray array{McamArrayConfig{}};
   array.program(random_rows(5, 8, 21));

@@ -10,6 +10,7 @@
 //    scalar (MCAM_FORCE_SCALAR / set_force_scalar).
 #include "distance/kernels/kernels.hpp"
 #include "distance/kernels/row_store.hpp"
+#include "force_scalar_guard.hpp"
 #include "search/engine.hpp"
 #include "search/factory.hpp"
 #include "serve/io.hpp"
@@ -34,15 +35,7 @@ constexpr MetricKind kAllKinds[] = {MetricKind::kEuclidean, MetricKind::kSquared
                                     MetricKind::kCosine, MetricKind::kManhattan,
                                     MetricKind::kLinf};
 
-/// Restores the force-scalar dispatch state on scope exit.
-class ForceScalarGuard {
- public:
-  ForceScalarGuard() : saved_(kernels::force_scalar()) {}
-  ~ForceScalarGuard() { kernels::set_force_scalar(saved_); }
-
- private:
-  bool saved_;
-};
+using testing_util::ForceScalarGuard;
 
 std::vector<float> random_row(Rng& rng, std::size_t dim) {
   std::vector<float> row(dim);
