@@ -1,6 +1,6 @@
 // google-benchmark microbenchmarks of the hot paths: array search,
-// nomination, LUT construction, quantization, LSH encoding, batched top-k
-// queries and full few-shot episodes.
+// nomination, exact scoring, LUT construction, quantization, LSH
+// encoding, batched top-k queries and full few-shot episodes.
 #include "cam/array.hpp"
 #include "cam/kernels/kernels.hpp"
 #include "cam/lut.hpp"
@@ -11,6 +11,7 @@
 #include "experiments/harness.hpp"
 #include "search/batch.hpp"
 #include "search/engine.hpp"
+#include "search/knn.hpp"
 #include "util/linalg.hpp"
 
 #include <benchmark/benchmark.h>
@@ -29,19 +30,19 @@ std::vector<std::vector<std::uint16_t>> random_rows(std::size_t rows, std::size_
   return out;
 }
 
-// Each array sweep bench has a forced-scalar twin (suffix Scalar), and
-// every run is labelled with the CAM backend that ran, so one run shows
-// both the kernel gain and what hosts without AVX-512 pay. The guard pins
-// the dispatch to the scalar reference for one run and restores it after.
-class CamBackend {
+// Each array sweep and exact-scoring bench has a forced-scalar twin
+// (suffix Scalar), and every run is labelled with the backend that ran,
+// so one run shows both the kernel gain and what hosts without AVX-512
+// (sweeps) or AVX2 (scoring) pay. The guard pins the dispatch to the
+// scalar reference for one run and restores it after.
+class PinnedBackend {
  public:
-  CamBackend(benchmark::State& state, bool scalar) : saved_(distance::kernels::force_scalar()) {
+  explicit PinnedBackend(bool scalar) : saved_(distance::kernels::force_scalar()) {
     distance::kernels::set_force_scalar(saved_ || scalar);
-    state.SetLabel(cam::kernels::active_ops().name);
   }
-  ~CamBackend() { distance::kernels::set_force_scalar(saved_); }
-  CamBackend(const CamBackend&) = delete;
-  CamBackend& operator=(const CamBackend&) = delete;
+  ~PinnedBackend() { distance::kernels::set_force_scalar(saved_); }
+  PinnedBackend(const PinnedBackend&) = delete;
+  PinnedBackend& operator=(const PinnedBackend&) = delete;
 
  private:
   bool saved_;
@@ -51,7 +52,8 @@ class CamBackend {
 // bench: 128 rows of 48 3-bit cells. Items are cells, so the reported
 // time per item reads directly against the traced cam.ns_per_cell.
 void run_mcam_sweep(benchmark::State& state, double vth_sigma, bool scalar) {
-  const CamBackend backend{state, scalar};
+  const PinnedBackend backend{scalar};
+  state.SetLabel(cam::kernels::active_ops().name);
   cam::McamArrayConfig config;
   config.vth_sigma = vth_sigma;
   cam::McamArray array{config};
@@ -98,7 +100,8 @@ cam::TcamArray coarse_sized_tcam(double vth_sigma) {
 }
 
 void run_tcam_sweep(benchmark::State& state, const cam::TcamArray& tcam, bool scalar) {
-  const CamBackend backend{state, scalar};
+  const PinnedBackend backend{scalar};
+  state.SetLabel(cam::kernels::active_ops().name);
   Rng rng{12};
   std::vector<std::uint8_t> query(tcam.word_length());
   for (auto& b : query) b = rng.bernoulli(0.5) ? 1 : 0;
@@ -171,6 +174,66 @@ std::vector<std::vector<double>> mcam_bank_sweeps() {
 
 BENCHMARK_CAPTURE(BM_Nominate, tcam_4096_k641, tcam_sweeps(), 641);
 BENCHMARK_CAPTURE(BM_Nominate, mcam_bank_128_k10, mcam_bank_sweeps(), 10);
+
+// Exact scoring at the end-to-end shapes: the tenants-skewed full scan of
+// a 1024 x 48 collection, and the refine-tcam fine rerank of 640 unique
+// nominees of a 4096 x 48 store, both euclidean at k = 10. Items are rows
+// scored, so the time per item reads against the traced
+// distance.ns_per_candidate. 16 queries rotate, as in BM_Nominate.
+struct ExactStore {
+  search::ExactNnIndex index{distance::MetricKind::kEuclidean};
+  std::vector<std::vector<float>> queries;
+  std::vector<std::vector<std::size_t>> nominees;  ///< Per query.
+};
+
+ExactStore exact_store(std::size_t rows, std::size_t nominees) {
+  ExactStore store;
+  Rng rng{21};
+  std::vector<float> row(48);
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (auto& v : row) v = static_cast<float>(rng.normal());
+    (void)store.index.add(row, 0);
+  }
+  store.queries.assign(16, std::vector<float>(48));
+  for (auto& q : store.queries) {
+    for (auto& v : q) v = static_cast<float>(rng.normal());
+  }
+  for (std::size_t q = 0; q < store.queries.size(); ++q) {
+    std::vector<std::size_t> ids(rows);
+    for (std::size_t id = 0; id < rows; ++id) ids[id] = id;
+    for (std::size_t i = 0; i < nominees; ++i) std::swap(ids[i], ids[i + rng.index(rows - i)]);
+    ids.resize(nominees);
+    store.nominees.push_back(std::move(ids));
+  }
+  return store;
+}
+
+void run_exact(benchmark::State& state, std::size_t rows, std::size_t nominees, bool scalar) {
+  const ExactStore store = exact_store(rows, nominees);
+  const PinnedBackend backend{scalar};
+  state.SetLabel(store.index.kernel_name());
+  std::size_t q = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        nominees == 0 ? store.index.k_nearest(store.queries[q], 10)
+                      : store.index.k_nearest_among(store.queries[q], store.nominees[q], 10));
+    q = (q + 1) % store.queries.size();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(nominees == 0 ? rows : nominees));
+}
+
+void BM_ExactScan(benchmark::State& state) { run_exact(state, 1024, 0, false); }
+BENCHMARK(BM_ExactScan);
+
+void BM_ExactScanScalar(benchmark::State& state) { run_exact(state, 1024, 0, true); }
+BENCHMARK(BM_ExactScanScalar);
+
+void BM_SubsetRerank(benchmark::State& state) { run_exact(state, 4096, 640, false); }
+BENCHMARK(BM_SubsetRerank);
+
+void BM_SubsetRerankScalar(benchmark::State& state) { run_exact(state, 4096, 640, true); }
+BENCHMARK(BM_SubsetRerankScalar);
 
 void BM_LutBuildNominal(benchmark::State& state) {
   const fefet::LevelMap map{static_cast<unsigned>(state.range(0))};

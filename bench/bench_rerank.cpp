@@ -10,6 +10,11 @@
 //     list (512 random ids with duplicates), where per-call dedup and
 //     selection overhead competes with the distance math.
 //
+// A second table times the two shapes the end-to-end bench serves: the
+// `tenants-skewed` full scan (1024 rows x 48 features) and the
+// `refine-tcam` fine rerank (640 unique ids of a 4096 x 48 store), in ns
+// per scored row, next to the traced `distance.ns_per_candidate`.
+//
 // Asserts the tentpole invariants before printing any number:
 //   * dispatched SIMD top-k is *bit-identical* to the scalar kernel on
 //     both workloads (same ids, same distance bits - the backends share
@@ -19,8 +24,10 @@
 //   * on hosts where a SIMD backend dispatched (AVX2/NEON - i.e.
 //     kernels::active_ops() is not the scalar reference), the best kernel
 //     path scores >= 4x faster than the legacy Metric-functor loop.
-// Exits non-zero on any violation, so CI runs it as a smoke step; under
-// MCAM_FORCE_SCALAR=1 the speedup gate is skipped (identity still runs).
+// The identity gates hold on all three stores; the speedup gate reads the
+// 4096 x 64 table. Exits non-zero on any violation, so CI runs it as a
+// smoke step; under MCAM_FORCE_SCALAR=1 the speedup gate is skipped
+// (identity still runs).
 #include "bench_common.hpp"
 
 #include "distance/kernels/kernels.hpp"
@@ -53,6 +60,43 @@ struct Workload {
   std::vector<std::vector<float>> queries;
   std::vector<std::vector<std::size_t>> candidates;  // Per query.
 };
+
+/// One row set under the three scoring paths, plus its queries.
+struct Store {
+  ExactNnIndex functor{mcam::distance::metric_by_name("euclidean")};
+  ExactNnIndex kernel{mcam::distance::MetricKind::kEuclidean};
+  ExactNnIndex int8{mcam::distance::MetricKind::kEuclidean, ExactNnIndex::RerankMode::kInt8};
+  Workload load;
+};
+
+/// `rows` x `features` N(0, 2) rows and kQueries queries, each with
+/// `candidates` random ids (with repeats unless `unique`).
+Store make_store(mcam::Rng& rng, std::size_t rows, std::size_t features,
+                 std::size_t candidates, bool unique) {
+  Store store;
+  std::vector<float> row(features);
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (auto& v : row) v = static_cast<float>(rng.normal(0.0, 2.0));
+    const int label = static_cast<int>(r % 32);
+    for (ExactNnIndex* index : {&store.functor, &store.kernel, &store.int8}) {
+      (void)index->add(row, label);
+    }
+  }
+  store.load.queries.assign(kQueries, std::vector<float>(features));
+  for (auto& q : store.load.queries) {
+    for (auto& v : q) v = static_cast<float>(rng.normal(0.0, 2.0));
+  }
+  store.load.candidates.assign(kQueries, {});
+  for (auto& ids : store.load.candidates) {
+    std::vector<std::uint8_t> taken(rows, 0);
+    while (ids.size() < candidates) {
+      const std::size_t id = rng.index(rows);
+      if (unique && taken[id]++ != 0) continue;
+      ids.push_back(id);
+    }
+  }
+  return store;
+}
 
 /// Best-of-`kRepeats` wall time for running `rank` over every query.
 template <typename RankFn>
@@ -130,6 +174,56 @@ void check_identity(const char* workload, std::size_t q, const RankFn& rank_func
   }
 }
 
+/// A scoring path of the timing tables.
+struct Path {
+  std::string name;
+  std::string kernel;
+  ExactNnIndex Store::*index;
+  bool forced_scalar;
+};
+
+/// Best-of seconds per path over every query of `store`, ranking with
+/// `k_nearest` (`scan`) or `k_nearest_among`.
+std::vector<double> time_paths(const std::vector<Path>& paths, const Store& store, bool scan) {
+  namespace kernels = mcam::distance::kernels;
+  std::vector<double> seconds;
+  for (const Path& path : paths) {
+    kernels::set_force_scalar(path.forced_scalar);
+    const ExactNnIndex& index = store.*path.index;
+    seconds.push_back(best_seconds(store.load, [&](const std::vector<float>& q,
+                                                   const std::vector<std::size_t>& ids) {
+      return scan ? index.k_nearest(q, kTopK) : index.k_nearest_among(q, ids, kTopK);
+    }));
+  }
+  kernels::set_force_scalar(false);
+  return seconds;
+}
+
+/// Identity gates over every query of `store` (full scan and/or subset).
+void check_store(const char* name, const Store& store, bool scan, bool subset) {
+  const auto scan_with = [&store](const ExactNnIndex& index) {
+    return [&index, &store](std::size_t q) {
+      return index.k_nearest(store.load.queries[q], kTopK);
+    };
+  };
+  const auto subset_with = [&store](const ExactNnIndex& index) {
+    return [&index, &store](std::size_t q) {
+      return index.k_nearest_among(store.load.queries[q], store.load.candidates[q], kTopK);
+    };
+  };
+  for (std::size_t q = 0; q < kQueries; ++q) {
+    if (scan) {
+      check_identity((std::string{name} + " full scan").c_str(), q, scan_with(store.functor),
+                     scan_with(store.kernel), scan_with(store.int8));
+    }
+    if (subset) {
+      check_identity((std::string{name} + " subset rerank").c_str(), q,
+                     subset_with(store.functor), subset_with(store.kernel),
+                     subset_with(store.int8));
+    }
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -137,86 +231,37 @@ int main(int argc, char** argv) {
   namespace kernels = distance::kernels;
 
   Rng rng{20260807};
-  std::vector<std::vector<float>> rows(kRows, std::vector<float>(kFeatures));
-  std::vector<int> labels(kRows);
-  for (std::size_t r = 0; r < kRows; ++r) {
-    for (auto& v : rows[r]) v = static_cast<float>(rng.normal(0.0, 2.0));
-    labels[r] = static_cast<int>(r % 32);
-  }
-
-  Workload load;
-  load.queries.assign(kQueries, std::vector<float>(kFeatures));
-  for (auto& q : load.queries) {
-    for (auto& v : q) v = static_cast<float>(rng.normal(0.0, 2.0));
-  }
-  load.candidates.assign(kQueries, {});
-  for (auto& ids : load.candidates) {
-    ids.reserve(kCandidates);
-    for (std::size_t c = 0; c < kCandidates; ++c) ids.push_back(rng.index(kRows));
-  }
-
-  // One index per scoring path, all over the same rows.
-  ExactNnIndex functor_index{distance::metric_by_name("euclidean")};
-  ExactNnIndex kernel_index{distance::MetricKind::kEuclidean};
-  ExactNnIndex int8_index{distance::MetricKind::kEuclidean, ExactNnIndex::RerankMode::kInt8};
-  for (std::size_t r = 0; r < kRows; ++r) {
-    (void)functor_index.add(rows[r], labels[r]);
-    (void)kernel_index.add(rows[r], labels[r]);
-    (void)int8_index.add(rows[r], labels[r]);
-  }
-
-  const auto scan_with = [&load](const ExactNnIndex& index) {
-    return [&index, &load](std::size_t q) { return index.k_nearest(load.queries[q], kTopK); };
-  };
-  const auto subset_with = [&load](const ExactNnIndex& index) {
-    return [&index, &load](std::size_t q) {
-      return index.k_nearest_among(load.queries[q], load.candidates[q], kTopK);
-    };
-  };
+  const Store main_store = make_store(rng, kRows, kFeatures, kCandidates, false);
+  // The e2e shapes: tenants-skewed scans 1024 x 48 collections; the
+  // refine-tcam fine stage reranks 640 unique nominees of 4096 x 48.
+  constexpr std::size_t kTenantRows = 1024;
+  constexpr std::size_t kRefineRows = 4096;
+  constexpr std::size_t kRefineCandidates = 640;
+  constexpr std::size_t kE2eFeatures = 48;
+  const Store tenants = make_store(rng, kTenantRows, kE2eFeatures, 0, true);
+  const Store refine = make_store(rng, kRefineRows, kE2eFeatures, kRefineCandidates, true);
 
   // --- Identity gates (before any timing) -----------------------------------
   const bool simd_dispatched = std::string_view{kernels::active_ops().name} != "scalar";
-  for (std::size_t q = 0; q < kQueries; ++q) {
-    check_identity("full scan", q, scan_with(functor_index), scan_with(kernel_index),
-                   scan_with(int8_index));
-    check_identity("subset rerank", q, subset_with(functor_index), subset_with(kernel_index),
-                   subset_with(int8_index));
-  }
+  check_store("4096x64", main_store, true, true);
+  check_store("tenants-skewed", tenants, true, false);
+  check_store("refine-tcam", refine, false, true);
   std::cout << "identity: SIMD == scalar (bit-exact), int8 recall@" << kTopK
-            << " == 1.0, functor agreement OK (both workloads)\n\n";
+            << " == 1.0, functor agreement OK (every workload)\n\n";
 
   // --- Timing ---------------------------------------------------------------
-  struct Path {
-    std::string name;
-    std::string kernel;
-    const ExactNnIndex* index;
-    bool forced_scalar;
-  };
   const std::vector<Path> paths = {
-      {"metric functor", "functor", &functor_index, false},
-      {"fp32 kernel (forced scalar)", "scalar", &kernel_index, true},
-      {"int8 rerank (forced scalar)", "scalar+int8", &int8_index, true},
-      {"fp32 kernel (dispatched)", kernels::active_ops().name, &kernel_index, false},
-      {"int8 rerank (dispatched)", int8_index.kernel_name(), &int8_index, false},
+      {"metric functor", "functor", &Store::functor, false},
+      {"fp32 kernel (forced scalar)", "scalar", &Store::kernel, true},
+      {"int8 rerank (forced scalar)", "scalar+int8", &Store::int8, true},
+      {"fp32 kernel (dispatched)", kernels::active_ops().name, &Store::kernel, false},
+      {"int8 rerank (dispatched)", main_store.int8.kernel_name(), &Store::int8, false},
   };
 
   const double scan_work = static_cast<double>(kQueries * kRows);
   const double subset_work = static_cast<double>(kQueries * kCandidates);
-  std::vector<double> scan_s;
-  std::vector<double> subset_s;
-  for (const Path& path : paths) {
-    kernels::set_force_scalar(path.forced_scalar);
-    const auto rank_scan = [&](const std::vector<float>& q, const std::vector<std::size_t>&) {
-      return path.index->k_nearest(q, kTopK);
-    };
-    const auto rank_subset = [&](const std::vector<float>& q,
-                                 const std::vector<std::size_t>& ids) {
-      return path.index->k_nearest_among(q, ids, kTopK);
-    };
-    scan_s.push_back(best_seconds(load, rank_scan));
-    subset_s.push_back(best_seconds(load, rank_subset));
-  }
-  kernels::set_force_scalar(false);
+  const std::vector<double> scan_s = time_paths(paths, main_store, true);
+  const std::vector<double> subset_s = time_paths(paths, main_store, false);
 
   TextTable table{"Fine-stage rerank throughput (" + std::to_string(kRows) + " rows x " +
                   std::to_string(kFeatures) + " features, k=" + std::to_string(kTopK) +
@@ -232,6 +277,27 @@ int main(int argc, char** argv) {
   }
   bench::emit(table, "bench_rerank");
 
+  const double tenants_work = static_cast<double>(kQueries * kTenantRows);
+  const double refine_work = static_cast<double>(kQueries * kRefineCandidates);
+  const std::vector<double> tenants_s = time_paths(paths, tenants, true);
+  const std::vector<double> refine_s = time_paths(paths, refine, false);
+  TextTable e2e{"End-to-end shapes (" + std::to_string(kE2eFeatures) +
+                " features, k=" + std::to_string(kTopK) + ", euclidean, best of " +
+                std::to_string(kRepeats) + "): tenants-skewed full scan of " +
+                std::to_string(kTenantRows) + " rows; refine-tcam rerank of " +
+                std::to_string(kRefineCandidates) + " unique ids of " +
+                std::to_string(kRefineRows) + " rows"};
+  e2e.set_header({"path", "kernel", "scan ns/row", "scan us/query", "rerank ns/cand",
+                  "rerank us/query"});
+  for (std::size_t p = 0; p < paths.size(); ++p) {
+    e2e.add_row({paths[p].name, paths[p].kernel,
+                 format_double(1e9 * tenants_s[p] / tenants_work, 1),
+                 format_double(1e6 * tenants_s[p] / kQueries, 1),
+                 format_double(1e9 * refine_s[p] / refine_work, 1),
+                 format_double(1e6 * refine_s[p] / kQueries, 1)});
+  }
+  bench::emit(e2e, "bench_rerank_e2e_shapes");
+
   double best_speedup = 0.0;
   for (std::size_t p = 3; p < paths.size(); ++p) {  // Dispatched paths only.
     best_speedup = std::max(best_speedup, scan_s[0] / scan_s[p]);
@@ -245,6 +311,8 @@ int main(int argc, char** argv) {
   for (std::size_t p = 0; p < paths.size(); ++p) {
     report.metric("scan_" + paths[p].kernel, scan_work / scan_s[p], "rows/s");
     report.metric("subset_" + paths[p].kernel, subset_work / subset_s[p], "cand/s");
+    report.metric("tenants_scan_" + paths[p].kernel, tenants_work / tenants_s[p], "rows/s");
+    report.metric("refine_subset_" + paths[p].kernel, refine_work / refine_s[p], "cand/s");
   }
   report.metric("best_speedup_vs_functor", best_speedup, "x");
   report.write();

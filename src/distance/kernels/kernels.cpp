@@ -9,12 +9,12 @@ namespace mcam::distance::kernels {
 
 namespace {
 
-// The scalar reference. Per lane this is exactly the operation sequence
-// the SIMD backends vectorize - same feature order, same fused
+// The scalar reference, one slab. Per lane this is exactly the operation
+// sequence the SIMD backends vectorize - same feature order, same fused
 // multiply-add, same abs/max semantics - so its accumulators are
 // bit-identical to theirs and every identity test can diff against it.
-void scalar_block_accum(MetricKind kind, const float* slab, const float* query,
-                        std::size_t dim, float* acc) {
+void scalar_slab_accum(MetricKind kind, const float* slab, const float* query,
+                       std::size_t dim, float* acc) {
   for (std::size_t lane = 0; lane < kBlockRows; ++lane) acc[lane] = 0.0f;
   switch (kind) {
     case MetricKind::kEuclidean:
@@ -56,6 +56,13 @@ void scalar_block_accum(MetricKind kind, const float* slab, const float* query,
         }
       }
       break;
+  }
+}
+
+void scalar_block_accum(MetricKind kind, const float* const* slabs, std::size_t count,
+                        const float* query, std::size_t dim, float* acc) {
+  for (std::size_t s = 0; s < count; ++s) {
+    scalar_slab_accum(kind, slabs[s], query, dim, acc + s * kBlockRows);
   }
 }
 

@@ -5,15 +5,18 @@
 // type-erased `distance::Metric` functor costs an indirect call and a
 // scalar loop per row. This layer computes query-vs-block distances over
 // the cache-blocked SoA slabs of `RowStore` (row_store.hpp) - one call per
-// `kBlockRows` rows - with AVX2 (x86-64) / NEON (aarch64) intrinsics
-// behind runtime dispatch, plus a portable scalar kernel that is the
-// bit-exact reference:
+// up to `kMaxBlocksPerCall` slabs of `kBlockRows` rows - with AVX2
+// (x86-64) / NEON (aarch64) intrinsics behind runtime dispatch, plus a
+// portable scalar kernel that is the bit-exact reference:
 //
 //  - Per lane, every backend accumulates in the same order (feature 0..d-1,
 //    FP32, fused multiply-add for the squared/dot accumulators), so the
 //    scalar and SIMD kernels produce *bit-identical* accumulators and
-//    therefore bit-identical top-k orderings. MCAM_FORCE_SCALAR=1 (env,
-//    read at startup) or `set_force_scalar` pins the scalar kernel.
+//    therefore bit-identical top-k orderings. Each slab of a call has its
+//    own accumulator chain, so a SIMD backend overlaps up to
+//    `kMaxBlocksPerCall` FMA latency chains without reordering any lane's
+//    sum. MCAM_FORCE_SCALAR=1 (env, read at startup) or `set_force_scalar`
+//    pins the scalar kernel.
 //  - The int8 kernel computes symmetric int8 dot products with i32
 //    accumulation over per-block max-abs-scaled codes - the same
 //    per-block-range level mapping the MCAM quantizer
@@ -25,7 +28,9 @@
 // Accumulators are finalized to the `double` distances of
 // distance/metrics.hpp by `finalize` (shared, scalar), so kernel results
 // are directly comparable with the free functions up to FP32 accumulation
-// order.
+// order. Where `finalize` is monotone in the accumulator alone
+// (`ranks_on_accumulator`), a ranking may compare raw accumulators and
+// finalize only the rows it returns.
 #pragma once
 
 #include "distance/metrics.hpp"
@@ -37,9 +42,14 @@
 
 namespace mcam::distance::kernels {
 
-/// Rows per cache block = SIMD lanes per `block_accum` call (one AVX2 ymm
-/// register of floats; two NEON q registers).
+/// Rows per cache block = lanes per slab of a `block_accum` call (one AVX2
+/// ymm register of floats; two NEON q registers).
 inline constexpr std::size_t kBlockRows = 8;
+
+/// Most slabs one `block_accum` call scores. Each slab carries its own
+/// accumulator chain, so four slabs keep both AVX2 FMA ports busy where
+/// one slab waits out the FMA latency at every feature.
+inline constexpr std::size_t kMaxBlocksPerCall = 4;
 
 /// int8 code rows are padded to this many bytes (one full SIMD vector), so
 /// the dot kernels never need a scalar tail. Padding codes are zero and
@@ -51,18 +61,23 @@ inline constexpr std::size_t kCodeAlign = 32;
 /// picks and scores the final top-k.
 inline constexpr std::size_t kInt8RescoreSlack = 16;
 
-/// One instruction-set backend. `block_accum` writes kBlockRows per-lane
-/// accumulators for one SoA slab (`slab[d * kBlockRows + lane]`):
-/// sum of fma(diff, diff) for kEuclidean/kSquaredEuclidean, sum of
-/// fma(v, q) for kCosine, sum |diff| for kManhattan, max |diff| for kLinf.
+/// One instruction-set backend. `block_accum` scores `count` (1 to
+/// kMaxBlocksPerCall) SoA slabs, `slabs[s][d * kBlockRows + lane]`, which
+/// need not be adjacent, and writes `count * kBlockRows` per-lane
+/// accumulators, `acc[s * kBlockRows + lane]`. Each lane adds its own
+/// features in index order, starting from +0: sum of fma(diff, diff) for
+/// kEuclidean/kSquaredEuclidean, sum of fma(v, q) for kCosine, sum |diff|
+/// for kManhattan, and for kLinf `acc = |diff| > acc ? |diff| : acc`, so a
+/// NaN feature leaves the max unchanged, as in `distance::linf`. Every
+/// backend returns the scalar reference's bits.
 /// `dot_i8` is the symmetric int8 dot with i32 accumulation over
 /// kCodeAlign-padded row-major codes (`n` must be a multiple of
 /// kCodeAlign).
 struct KernelOps {
   const char* name;       ///< Telemetry tag: "scalar" | "avx2" | "neon".
   const char* int8_name;  ///< Telemetry tag of the int8 path, e.g. "avx2+int8".
-  void (*block_accum)(MetricKind kind, const float* slab, const float* query,
-                      std::size_t dim, float* acc);
+  void (*block_accum)(MetricKind kind, const float* const* slabs, std::size_t count,
+                      const float* query, std::size_t dim, float* acc);
   std::int32_t (*dot_i8)(const std::int8_t* a, const std::int8_t* b, std::size_t n);
 };
 
@@ -87,6 +102,15 @@ void set_force_scalar(bool force) noexcept;
 /// norm is zero), the accumulator itself otherwise.
 [[nodiscard]] double finalize(MetricKind kind, float acc, double query_norm,
                               double row_norm) noexcept;
+
+/// True when `finalize` is strictly increasing in the accumulator alone,
+/// NaN mapping to NaN: every metric but kCosine, whose row norm divides.
+/// `sqrt` is strictly increasing on the doubles of floats, so ranking such
+/// a metric's raw accumulators gives the order, ties and NaN placement of
+/// its finalized distances.
+[[nodiscard]] constexpr bool ranks_on_accumulator(MetricKind kind) noexcept {
+  return kind != MetricKind::kCosine;
+}
 
 /// Query-side norm needed by `finalize` (kCosine only; 0.0 otherwise),
 /// accumulated in the kernels' per-lane order so cosine distances match

@@ -6,9 +6,10 @@
 //
 // Bit-exactness contract (tested against scalar_ops in test_kernels):
 // each lane accumulates features in index order with vfmadd for the
-// squared/dot kernels - exactly std::fma in the scalar reference - and
-// |x| is the same clear-sign-bit operation, so accumulators are
-// bit-identical to the scalar kernel's on every input.
+// squared/dot kernels - exactly std::fma in the scalar reference - |x| is
+// the same clear-sign-bit operation and the linf max keeps the reference's
+// NaN handling, so accumulators are bit-identical to the scalar kernel's
+// on every input.
 #include "distance/kernels/kernels.hpp"
 
 #if defined(__AVX2__) && defined(__FMA__)
@@ -19,43 +20,71 @@ namespace mcam::distance::kernels {
 
 namespace {
 
-void avx2_block_accum(MetricKind kind, const float* slab, const float* query,
-                      std::size_t dim, float* acc) {
-  __m256 a = _mm256_setzero_ps();
+// Scores N slabs with N independent accumulator chains. One slab alone
+// stalls on the 4-cycle FMA latency at every feature; N = 4 chains give
+// the two FMA ports enough independent work. The chains never mix, so
+// each lane's sum is the scalar reference's.
+template <std::size_t N>
+void accum_slabs(MetricKind kind, const float* const* slabs, const float* query,
+                 std::size_t dim, float* acc) {
+  __m256 a[N];
+  const float* slab[N];
+  for (std::size_t s = 0; s < N; ++s) {
+    a[s] = _mm256_setzero_ps();
+    slab[s] = slabs[s];
+  }
   const __m256 sign_mask = _mm256_set1_ps(-0.0f);
+  const auto lanes = [&slab](std::size_t s, std::size_t d) {
+    return _mm256_loadu_ps(slab[s] + d * kBlockRows);
+  };
   switch (kind) {
     case MetricKind::kEuclidean:
     case MetricKind::kSquaredEuclidean:
       for (std::size_t d = 0; d < dim; ++d) {
-        const __m256 v = _mm256_loadu_ps(slab + d * kBlockRows);
         const __m256 q = _mm256_set1_ps(query[d]);
-        const __m256 diff = _mm256_sub_ps(v, q);
-        a = _mm256_fmadd_ps(diff, diff, a);
+        for (std::size_t s = 0; s < N; ++s) {
+          const __m256 diff = _mm256_sub_ps(lanes(s, d), q);
+          a[s] = _mm256_fmadd_ps(diff, diff, a[s]);
+        }
       }
       break;
     case MetricKind::kCosine:
       for (std::size_t d = 0; d < dim; ++d) {
-        const __m256 v = _mm256_loadu_ps(slab + d * kBlockRows);
         const __m256 q = _mm256_set1_ps(query[d]);
-        a = _mm256_fmadd_ps(v, q, a);
+        for (std::size_t s = 0; s < N; ++s) a[s] = _mm256_fmadd_ps(lanes(s, d), q, a[s]);
       }
       break;
     case MetricKind::kManhattan:
       for (std::size_t d = 0; d < dim; ++d) {
-        const __m256 v = _mm256_loadu_ps(slab + d * kBlockRows);
         const __m256 q = _mm256_set1_ps(query[d]);
-        a = _mm256_add_ps(a, _mm256_andnot_ps(sign_mask, _mm256_sub_ps(v, q)));
+        for (std::size_t s = 0; s < N; ++s) {
+          a[s] = _mm256_add_ps(a[s], _mm256_andnot_ps(sign_mask, _mm256_sub_ps(lanes(s, d), q)));
+        }
       }
       break;
     case MetricKind::kLinf:
+      // vmaxps(x, a) is `x > a ? x : a`: a NaN |diff| keeps a, exactly the
+      // scalar reference's `if (diff > acc) acc = diff`.
       for (std::size_t d = 0; d < dim; ++d) {
-        const __m256 v = _mm256_loadu_ps(slab + d * kBlockRows);
         const __m256 q = _mm256_set1_ps(query[d]);
-        a = _mm256_max_ps(a, _mm256_andnot_ps(sign_mask, _mm256_sub_ps(v, q)));
+        for (std::size_t s = 0; s < N; ++s) {
+          a[s] = _mm256_max_ps(_mm256_andnot_ps(sign_mask, _mm256_sub_ps(lanes(s, d), q)), a[s]);
+        }
       }
       break;
   }
-  _mm256_storeu_ps(acc, a);
+  for (std::size_t s = 0; s < N; ++s) _mm256_storeu_ps(acc + s * kBlockRows, a[s]);
+}
+
+void avx2_block_accum(MetricKind kind, const float* const* slabs, std::size_t count,
+                      const float* query, std::size_t dim, float* acc) {
+  static_assert(kMaxBlocksPerCall == 4);
+  switch (count) {
+    case 1: accum_slabs<1>(kind, slabs, query, dim, acc); break;
+    case 2: accum_slabs<2>(kind, slabs, query, dim, acc); break;
+    case 3: accum_slabs<3>(kind, slabs, query, dim, acc); break;
+    default: accum_slabs<4>(kind, slabs, query, dim, acc); break;
+  }
 }
 
 std::int32_t avx2_dot_i8(const std::int8_t* a, const std::int8_t* b, std::size_t n) {

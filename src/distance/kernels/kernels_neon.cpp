@@ -1,8 +1,9 @@
 // NEON backend of the rerank kernel layer (aarch64, where Advanced SIMD
 // is baseline - no special compile flags needed). Same bit-exactness
 // contract as the AVX2 backend: per lane, features accumulate in index
-// order with fused multiply-add (vfmaq = std::fma) and clear-sign-bit
-// abs, so accumulators match the scalar reference bit for bit.
+// order with fused multiply-add (vfmaq = std::fma), clear-sign-bit abs
+// and a NaN-skipping max, so accumulators match the scalar reference bit
+// for bit.
 #include "distance/kernels/kernels.hpp"
 
 #if defined(__aarch64__)
@@ -13,45 +14,81 @@ namespace mcam::distance::kernels {
 
 namespace {
 
-void neon_block_accum(MetricKind kind, const float* slab, const float* query,
-                      std::size_t dim, float* acc) {
-  float32x4_t a0 = vdupq_n_f32(0.0f);
-  float32x4_t a1 = vdupq_n_f32(0.0f);
+// Scores N slabs with N independent pairs of accumulator chains (one q
+// register per half block), so consecutive FMAs do not wait on each
+// other; the chains never mix, so each lane's sum is the scalar
+// reference's.
+template <std::size_t N>
+void accum_slabs(MetricKind kind, const float* const* slabs, const float* query,
+                 std::size_t dim, float* acc) {
+  float32x4_t lo[N];
+  float32x4_t hi[N];
+  const float* slab[N];
+  for (std::size_t s = 0; s < N; ++s) {
+    lo[s] = vdupq_n_f32(0.0f);
+    hi[s] = vdupq_n_f32(0.0f);
+    slab[s] = slabs[s];
+  }
   switch (kind) {
     case MetricKind::kEuclidean:
     case MetricKind::kSquaredEuclidean:
       for (std::size_t d = 0; d < dim; ++d) {
         const float32x4_t q = vdupq_n_f32(query[d]);
-        const float32x4_t d0 = vsubq_f32(vld1q_f32(slab + d * kBlockRows), q);
-        const float32x4_t d1 = vsubq_f32(vld1q_f32(slab + d * kBlockRows + 4), q);
-        a0 = vfmaq_f32(a0, d0, d0);
-        a1 = vfmaq_f32(a1, d1, d1);
+        for (std::size_t s = 0; s < N; ++s) {
+          const float32x4_t d0 = vsubq_f32(vld1q_f32(slab[s] + d * kBlockRows), q);
+          const float32x4_t d1 = vsubq_f32(vld1q_f32(slab[s] + d * kBlockRows + 4), q);
+          lo[s] = vfmaq_f32(lo[s], d0, d0);
+          hi[s] = vfmaq_f32(hi[s], d1, d1);
+        }
       }
       break;
     case MetricKind::kCosine:
       for (std::size_t d = 0; d < dim; ++d) {
         const float32x4_t q = vdupq_n_f32(query[d]);
-        a0 = vfmaq_f32(a0, vld1q_f32(slab + d * kBlockRows), q);
-        a1 = vfmaq_f32(a1, vld1q_f32(slab + d * kBlockRows + 4), q);
+        for (std::size_t s = 0; s < N; ++s) {
+          lo[s] = vfmaq_f32(lo[s], vld1q_f32(slab[s] + d * kBlockRows), q);
+          hi[s] = vfmaq_f32(hi[s], vld1q_f32(slab[s] + d * kBlockRows + 4), q);
+        }
       }
       break;
     case MetricKind::kManhattan:
       for (std::size_t d = 0; d < dim; ++d) {
         const float32x4_t q = vdupq_n_f32(query[d]);
-        a0 = vaddq_f32(a0, vabsq_f32(vsubq_f32(vld1q_f32(slab + d * kBlockRows), q)));
-        a1 = vaddq_f32(a1, vabsq_f32(vsubq_f32(vld1q_f32(slab + d * kBlockRows + 4), q)));
+        for (std::size_t s = 0; s < N; ++s) {
+          lo[s] = vaddq_f32(lo[s], vabsq_f32(vsubq_f32(vld1q_f32(slab[s] + d * kBlockRows), q)));
+          hi[s] = vaddq_f32(hi[s],
+                            vabsq_f32(vsubq_f32(vld1q_f32(slab[s] + d * kBlockRows + 4), q)));
+        }
       }
       break;
     case MetricKind::kLinf:
+      // vmaxnmq returns the number when one operand is a quiet NaN, so a
+      // NaN |diff| keeps the running max, as the scalar reference does.
       for (std::size_t d = 0; d < dim; ++d) {
         const float32x4_t q = vdupq_n_f32(query[d]);
-        a0 = vmaxq_f32(a0, vabsq_f32(vsubq_f32(vld1q_f32(slab + d * kBlockRows), q)));
-        a1 = vmaxq_f32(a1, vabsq_f32(vsubq_f32(vld1q_f32(slab + d * kBlockRows + 4), q)));
+        for (std::size_t s = 0; s < N; ++s) {
+          lo[s] = vmaxnmq_f32(lo[s], vabsq_f32(vsubq_f32(vld1q_f32(slab[s] + d * kBlockRows), q)));
+          hi[s] = vmaxnmq_f32(hi[s],
+                              vabsq_f32(vsubq_f32(vld1q_f32(slab[s] + d * kBlockRows + 4), q)));
+        }
       }
       break;
   }
-  vst1q_f32(acc, a0);
-  vst1q_f32(acc + 4, a1);
+  for (std::size_t s = 0; s < N; ++s) {
+    vst1q_f32(acc + s * kBlockRows, lo[s]);
+    vst1q_f32(acc + s * kBlockRows + 4, hi[s]);
+  }
+}
+
+void neon_block_accum(MetricKind kind, const float* const* slabs, std::size_t count,
+                      const float* query, std::size_t dim, float* acc) {
+  static_assert(kMaxBlocksPerCall == 4);
+  switch (count) {
+    case 1: accum_slabs<1>(kind, slabs, query, dim, acc); break;
+    case 2: accum_slabs<2>(kind, slabs, query, dim, acc); break;
+    case 3: accum_slabs<3>(kind, slabs, query, dim, acc); break;
+    default: accum_slabs<4>(kind, slabs, query, dim, acc); break;
+  }
 }
 
 std::int32_t neon_dot_i8(const std::int8_t* a, const std::int8_t* b, std::size_t n) {

@@ -2,10 +2,13 @@
 
 #include "distance/kernels/kernels.hpp"
 #include "search/index.hpp"
+#include "util/linalg.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 
 namespace mcam::search {
@@ -22,28 +25,39 @@ ExactNnIndex::ExactNnIndex(distance::MetricKind kind, RerankMode mode)
       mode_(mode),
       store_(mode == RerankMode::kInt8 && kernels::int8_supported(kind)) {}
 
+namespace {
+
+static_assert(kernels::kBlockRows <= 8, "a block's live lanes fit one byte");
+
+constexpr std::uint8_t lane_bit(std::size_t i) noexcept {
+  return static_cast<std::uint8_t>(1u << (i % kernels::kBlockRows));
+}
+
+}  // namespace
+
 std::size_t ExactNnIndex::add(std::vector<float> vector, int label) {
   if (store_.rows() > 0 && vector.size() != store_.dim()) {
     throw std::invalid_argument{"ExactNnIndex::add: dimension mismatch"};
   }
   const std::size_t i = store_.add(vector);
   labels_.push_back(label);
-  valid_.push_back(1);
+  if (i % kernels::kBlockRows == 0) live_lanes_.push_back(0);
+  live_lanes_[i / kernels::kBlockRows] |= lane_bit(i);
   ++valid_rows_;
   return i;
 }
 
 bool ExactNnIndex::erase(std::size_t i) {
   if (i >= store_.rows()) throw std::out_of_range{"ExactNnIndex::erase: bad index"};
-  if (!valid_[i]) return false;
-  valid_[i] = 0;
+  if (!row_valid(i)) return false;
+  live_lanes_[i / kernels::kBlockRows] &= static_cast<std::uint8_t>(~lane_bit(i));
   --valid_rows_;
   return true;
 }
 
 bool ExactNnIndex::row_valid(std::size_t i) const {
   if (i >= store_.rows()) throw std::out_of_range{"ExactNnIndex::row_valid: bad index"};
-  return valid_[i] != 0;
+  return (live_lanes_[i / kernels::kBlockRows] & lane_bit(i)) != 0;
 }
 
 void ExactNnIndex::add_all(std::span<const std::vector<float>> rows,
@@ -86,123 +100,202 @@ Neighbor ExactNnIndex::nearest(std::span<const float> query) const {
   return top.front();
 }
 
-namespace {
+/// The one selection behind every ranking: the best `k` candidates by
+/// (order_key of the rank value, id), kept in a bounded max-heap, so a
+/// ranking over n candidates costs O(n log k). Candidates must be offered
+/// in ascending id order; a candidate that ties the current worst has the
+/// higher id and loses, so once the heap is full one double compare
+/// against the worst value rejects almost every row and no key is built
+/// for it.
+class ExactNnIndex::Selection {
+ public:
+  struct Entry {
+    std::uint64_t key;  ///< order_key(value).
+    std::size_t id;
+    double value;  ///< The rank value that was offered.
+  };
 
-/// Shared ranking tail of k_nearest / k_nearest_among: ascending distance,
-/// insertion-order tie-break, k clamped to [1, candidates].
-std::vector<Neighbor> rank_candidates(std::vector<Neighbor> all, std::size_t k) {
-  if (all.empty()) return all;
-  k = std::min(std::max<std::size_t>(k, 1), all.size());
-  std::partial_sort(all.begin(), all.begin() + static_cast<std::ptrdiff_t>(k), all.end(),
-                    [](const Neighbor& a, const Neighbor& b) {
-                      if (a.distance != b.distance) return a.distance < b.distance;
-                      return a.index < b.index;
-                    });
-  all.resize(k);
-  return all;
-}
+  /// `k` >= 1 winners at most.
+  explicit Selection(std::size_t k) : k_(k) { heap_.reserve(k); }
 
-}  // namespace
-
-std::vector<std::size_t> ExactNnIndex::live_ids() const {
-  std::vector<std::size_t> ids;
-  ids.reserve(valid_rows_);
-  for (std::size_t i = 0; i < store_.rows(); ++i) {
-    if (valid_[i]) ids.push_back(i);
+  void offer(double value, std::size_t id) {
+    // NaN on either side fails the compare and falls through to the key
+    // test, which ranks NaN after +inf; so does every offer until k fill.
+    if (value >= bound_) return;
+    admit(value, id);
   }
-  return ids;
+
+  /// False when no lane of a block's kBlockRows raw FP32 accumulators can
+  /// enter, so the block needs no per-lane offers. Only for selections
+  /// whose rank values are all floats, which makes the float bound exact.
+  [[nodiscard]] bool may_admit(const float* acc) const noexcept {
+    if (std::isnan(bound_)) return true;
+    const auto bound = static_cast<float>(bound_);
+    bool any = false;
+    for (std::size_t lane = 0; lane < kernels::kBlockRows; ++lane) any |= acc[lane] < bound;
+    return any;
+  }
+
+  /// The winners, ascending by (key, id). Ends the selection.
+  [[nodiscard]] std::span<const Entry> ranked() {
+    std::sort(heap_.begin(), heap_.end(), before);
+    return heap_;
+  }
+
+ private:
+  static bool before(const Entry& a, const Entry& b) noexcept {
+    return a.key != b.key ? a.key < b.key : a.id < b.id;
+  }
+
+  void admit(double value, std::size_t id) {
+    const Entry entry{order_key(value), id, value};
+    if (heap_.size() < k_) {
+      // Filling: append, and build the heap once when k arrive (never,
+      // when k covers every candidate; ranked() then just sorts).
+      heap_.push_back(entry);
+      if (heap_.size() < k_) return;
+      std::make_heap(heap_.begin(), heap_.end(), before);
+    } else {
+      if (entry.key >= heap_.front().key) return;
+      // Replace the worst: sift the entry down from the root.
+      std::size_t hole = 0;
+      for (std::size_t child = 1; child < k_; child = 2 * hole + 1) {
+        if (child + 1 < k_ && before(heap_[child], heap_[child + 1])) ++child;
+        if (!before(entry, heap_[child])) break;
+        heap_[hole] = heap_[child];
+        hole = child;
+      }
+      heap_[hole] = entry;
+    }
+    bound_ = heap_.front().value;
+  }
+
+  std::size_t k_;
+  double bound_ = std::numeric_limits<double>::quiet_NaN();  ///< Worst kept value.
+  std::vector<Entry> heap_;  ///< Once full, a max-heap on (key, id): worst in front.
+};
+
+void ExactNnIndex::append_lane(std::vector<LiveBlock>& blocks, std::size_t id) {
+  const std::size_t b = id / kernels::kBlockRows;
+  if (blocks.empty() || blocks.back().block != b) blocks.push_back({b, 0});
+  blocks.back().lanes |= lane_bit(id);
 }
 
-std::vector<Neighbor> ExactNnIndex::score_ids_fp32(
-    std::span<const float> query, std::span<const std::size_t> ids) const {
-  // Candidate ids arrive sorted, so consecutive ids sharing a block are
-  // served by a single block_accum call: the kernel computes all
-  // kBlockRows lane accumulators at once and only the requested lanes are
-  // finalized. A dense id list (full scan) degenerates to one kernel call
-  // per block with zero waste.
+void ExactNnIndex::score_fp32(std::span<const float> query,
+                              std::span<const LiveBlock> blocks, Selection& top) const {
+  // Up to kMaxBlocksPerCall touched blocks share one kernel call, however
+  // far apart, so the kernel runs that many accumulator chains at once; a
+  // full scan streams every live block with zero waste. Metrics whose
+  // finalize is monotone in the accumulator rank on it, and only the
+  // winners are finalized (in rank()); cosine finalizes every lane.
   const kernels::KernelOps& ops = kernels::active_ops();
   const distance::MetricKind kind = *kind_;
+  const bool on_accumulator = kernels::ranks_on_accumulator(kind);
   const double qn = kernels::query_norm(kind, query);
-  alignas(32) float acc[kernels::kBlockRows];
-  std::vector<Neighbor> out;
-  out.reserve(ids.size());
-  std::size_t pos = 0;
-  while (pos < ids.size()) {
-    const std::size_t b = ids[pos] / kernels::kBlockRows;
-    ops.block_accum(kind, store_.block(b), query.data(), store_.dim(), acc);
-    const std::size_t block_end = (b + 1) * kernels::kBlockRows;
-    for (; pos < ids.size() && ids[pos] < block_end; ++pos) {
-      const std::size_t id = ids[pos];
-      out.push_back(Neighbor{
-          id, labels_[id],
-          kernels::finalize(kind, acc[id % kernels::kBlockRows], qn, store_.norm(id))});
+  const float* slabs[kernels::kMaxBlocksPerCall];
+  alignas(32) float acc[kernels::kMaxBlocksPerCall * kernels::kBlockRows];
+  for (std::size_t pos = 0; pos < blocks.size();) {
+    const std::size_t count = std::min(kernels::kMaxBlocksPerCall, blocks.size() - pos);
+    for (std::size_t s = 0; s < count; ++s) slabs[s] = store_.block(blocks[pos + s].block);
+    ops.block_accum(kind, slabs, count, query.data(), store_.dim(), acc);
+    for (std::size_t s = 0; s < count; ++s, ++pos) {
+      const float* lane_acc = acc + s * kernels::kBlockRows;
+      if (on_accumulator && !top.may_admit(lane_acc)) continue;
+      const std::size_t first = blocks[pos].block * kernels::kBlockRows;
+      for (unsigned lanes = blocks[pos].lanes; lanes != 0; lanes &= lanes - 1) {
+        const auto lane = static_cast<std::size_t>(std::countr_zero(lanes));
+        const std::size_t id = first + lane;
+        top.offer(on_accumulator ? static_cast<double>(lane_acc[lane])
+                                 : kernels::finalize(kind, lane_acc[lane], qn, store_.norm(id)),
+                  id);
+      }
     }
   }
-  return out;
 }
 
-std::vector<Neighbor> ExactNnIndex::score_ids_functor(
-    std::span<const float> query, std::span<const std::size_t> ids) const {
-  std::vector<float> scratch(store_.dim());
-  std::vector<Neighbor> out;
-  out.reserve(ids.size());
-  for (const std::size_t id : ids) {
-    store_.copy_row(id, scratch);
-    out.push_back(Neighbor{id, labels_[id], metric_(query, scratch)});
+void ExactNnIndex::score_functor(std::span<const float> query,
+                                 std::span<const LiveBlock> blocks, Selection& top) const {
+  std::vector<float> row(store_.dim());
+  for (const LiveBlock& block : blocks) {
+    for (unsigned lanes = block.lanes; lanes != 0; lanes &= lanes - 1) {
+      const std::size_t id =
+          block.block * kernels::kBlockRows + static_cast<std::size_t>(std::countr_zero(lanes));
+      store_.copy_row(id, row);
+      top.offer(metric_(query, row), id);
+    }
   }
-  return out;
 }
 
-std::vector<Neighbor> ExactNnIndex::rank_int8(std::span<const float> query,
-                                              std::span<const std::size_t> ids,
-                                              std::size_t k) const {
-  if (ids.empty()) return {};
-  // Stage 1: order all candidates by the symmetric int8 reconstruction.
-  // The i32 dot is exact, so this ordering is identical across scalar and
-  // SIMD backends; only quantization error separates it from FP32.
-  const distance::MetricKind kind = *kind_;
+void ExactNnIndex::score_int8(std::span<const float> query,
+                              std::span<const LiveBlock> blocks, Selection& pool) const {
+  // The symmetric int8 reconstruction of each distance. The i32 dot is
+  // exact, so this ordering is identical across scalar and SIMD backends;
+  // only quantization error separates it from FP32.
   const kernels::KernelOps& ops = kernels::active_ops();
   const kernels::QueryCodes qc = kernels::quantize_query(query);
   const double q_sq = kernels::query_sq_norm(query);
-  const double qn = kind == distance::MetricKind::kCosine ? std::sqrt(q_sq) : 0.0;
-  struct Approx {
-    double dist;
-    std::size_t id;
-  };
-  std::vector<Approx> approx(ids.size());
-  const bool cosine = kind == distance::MetricKind::kCosine;
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    const std::size_t id = ids[i];
-    const double s = static_cast<double>(qc.scale) *
-                     static_cast<double>(store_.block_scale(id / kernels::kBlockRows));
-    const std::int32_t dot =
-        ops.dot_i8(qc.codes.data(), store_.row_codes(id), store_.padded_dim());
-    double dist;
-    if (cosine) {
-      const double rn = store_.norm(id);
-      dist = (qn <= 0.0 || rn <= 0.0) ? 1.0
-                                      : 1.0 - s * static_cast<double>(dot) / (qn * rn);
-    } else {
-      // ||r - q||^2 ~= ||r||^2 + ||q||^2 - 2 s_q s_b <r_i8, q_i8>; the
-      // missing sqrt for kEuclidean cannot change the nomination order.
-      dist = store_.sq_norm(id) + q_sq - 2.0 * s * static_cast<double>(dot);
+  const bool cosine = *kind_ == distance::MetricKind::kCosine;
+  const double qn = cosine ? std::sqrt(q_sq) : 0.0;
+  for (const LiveBlock& block : blocks) {
+    const double s =
+        static_cast<double>(qc.scale) * static_cast<double>(store_.block_scale(block.block));
+    for (unsigned lanes = block.lanes; lanes != 0; lanes &= lanes - 1) {
+      const std::size_t id =
+          block.block * kernels::kBlockRows + static_cast<std::size_t>(std::countr_zero(lanes));
+      const double dot = static_cast<double>(
+          ops.dot_i8(qc.codes.data(), store_.row_codes(id), store_.padded_dim()));
+      if (cosine) {
+        const double rn = store_.norm(id);
+        pool.offer((qn <= 0.0 || rn <= 0.0) ? 1.0 : 1.0 - s * dot / (qn * rn), id);
+      } else {
+        // ||r - q||^2 ~= ||r||^2 + ||q||^2 - 2 s_q s_b <r_i8, q_i8>; the
+        // missing sqrt for kEuclidean cannot change the nomination order.
+        pool.offer(store_.sq_norm(id) + q_sq - 2.0 * s * dot, id);
+      }
     }
-    approx[i] = Approx{dist, id};
   }
-  // Stage 2: the int8 ordering nominates k + slack rows; those are
-  // rescored with the exact FP32 kernels and the final top-k is returned
-  // with exact scores (monotone, comparable with the FP32 path).
-  const std::size_t k_eff = std::min(std::max<std::size_t>(k, 1), approx.size());
-  const std::size_t pool = std::min(approx.size(), k_eff + kernels::kInt8RescoreSlack);
-  std::partial_sort(approx.begin(), approx.begin() + static_cast<std::ptrdiff_t>(pool),
-                    approx.end(), [](const Approx& a, const Approx& b) {
-                      if (a.dist != b.dist) return a.dist < b.dist;
-                      return a.id < b.id;
-                    });
-  std::vector<std::size_t> pool_ids(pool);
-  for (std::size_t i = 0; i < pool; ++i) pool_ids[i] = approx[i].id;
-  std::sort(pool_ids.begin(), pool_ids.end());
-  return rank_candidates(score_ids_fp32(query, pool_ids), k_eff);
+}
+
+std::vector<Neighbor> ExactNnIndex::rank(std::span<const float> query,
+                                         std::span<const LiveBlock> blocks,
+                                         std::size_t candidates, std::size_t k) const {
+  // The one NnIndex k-convention: k = 0 -> 1-NN, k > candidates -> all.
+  if (candidates == 0) return {};
+  const std::size_t k_eff = std::clamp<std::size_t>(k, 1, candidates);
+  Selection top{k_eff};
+  if (!kernel_path()) {
+    score_functor(query, blocks, top);
+  } else {
+    check_query_dim(query);
+    if (int8_path()) {
+      // The int8 ordering nominates k + slack rows; those are rescored
+      // with the exact FP32 kernels, so the returned scores are exact FP32
+      // and only membership beyond the pool is approximate.
+      Selection pool{std::min(candidates, k_eff + kernels::kInt8RescoreSlack)};
+      score_int8(query, blocks, pool);
+      std::vector<std::size_t> pool_ids;
+      for (const Selection::Entry& entry : pool.ranked()) pool_ids.push_back(entry.id);
+      std::sort(pool_ids.begin(), pool_ids.end());
+      std::vector<LiveBlock> pool_blocks;
+      for (const std::size_t id : pool_ids) append_lane(pool_blocks, id);
+      score_fp32(query, pool_blocks, top);
+    } else {
+      score_fp32(query, blocks, top);
+    }
+  }
+  // Finalize the winners only: a rank value is the distance itself on the
+  // functor path and for cosine, the raw accumulator otherwise.
+  const bool on_accumulator = kernel_path() && kernels::ranks_on_accumulator(*kind_);
+  const std::span<const Selection::Entry> winners = top.ranked();
+  std::vector<Neighbor> out;
+  out.reserve(winners.size());
+  for (const Selection::Entry& entry : winners) {
+    out.push_back(Neighbor{
+        entry.id, labels_[entry.id],
+        on_accumulator ? kernels::finalize(*kind_, static_cast<float>(entry.value), 0.0, 0.0)
+                       : entry.value});
+  }
+  return out;
 }
 
 std::vector<Neighbor> ExactNnIndex::k_nearest(std::span<const float> query,
@@ -210,53 +303,49 @@ std::vector<Neighbor> ExactNnIndex::k_nearest(std::span<const float> query,
   // Clamp instead of throwing: k follows the NnIndex k-convention
   // (k = 0 -> 1-NN, k > size() -> everything) and an empty index returns
   // no neighbors. Tombstoned rows never compete.
-  if (valid_rows_ == 0) return {};
-  if (!kernel_path()) {
-    return rank_candidates(score_ids_functor(query, live_ids()), k);
+  std::vector<LiveBlock> blocks;
+  blocks.reserve(live_lanes_.size());
+  for (std::size_t b = 0; b < live_lanes_.size(); ++b) {
+    if (live_lanes_[b] != 0) blocks.push_back({b, live_lanes_[b]});
   }
-  check_query_dim(query);
-  if (int8_path()) return rank_int8(query, live_ids(), k);
-  return rank_candidates(score_ids_fp32(query, live_ids()), k);
+  return rank(query, blocks, valid_rows_, k);
 }
 
 std::vector<Neighbor> ExactNnIndex::k_nearest_among(std::span<const float> query,
                                                     std::span<const std::size_t> ids,
                                                     std::size_t k,
                                                     std::size_t* live_candidates) const {
-  // Dedup + liveness-filter the candidates into an ascending id list
-  // (ascending order groups candidates by storage block, which is exactly
-  // what the batch kernels want). Two strategies, same output:
-  //   * dense sets (within ~8x of the index size) mark a one-byte stamp
-  //     per row and collect in one linear pass - O(rows) with a tiny
-  //     constant, and much cheaper than sorting the candidates (the sort
-  //     was >half the whole rerank cost at 512 candidates);
-  //   * genuinely sparse sets sort + unique the ids themselves, keeping
-  //     the work proportional to the candidate set, never the index.
-  std::vector<std::size_t> live;
-  if (ids.size() >= store_.rows() / 8) {
-    std::vector<std::uint8_t> stamp(store_.rows(), 0);
+  // Gather the candidates into the blocks they touch, ascending, each
+  // with its live candidate lanes; duplicates, tombstones and unknown ids
+  // drop out here. Two strategies, same output:
+  //   * dense sets (at least one id per block of the index) OR a lane bit
+  //     into a per-block mask and read the masks back in one pass -
+  //     O(ids + blocks), much cheaper than sorting the candidates;
+  //   * genuinely sparse sets sort the ids themselves, keeping the work
+  //     proportional to the candidate set, never the index.
+  std::vector<LiveBlock> blocks;
+  if (ids.size() >= live_lanes_.size()) {
+    std::vector<std::uint8_t> wanted(live_lanes_.size(), 0);
     for (const std::size_t id : ids) {
-      if (id < store_.rows()) stamp[id] = 1;
+      if (id < store_.rows()) wanted[id / kernels::kBlockRows] |= lane_bit(id);
     }
-    live.reserve(std::min(ids.size(), store_.rows()));
-    for (std::size_t id = 0; id < store_.rows(); ++id) {
-      if (stamp[id] && valid_[id]) live.push_back(id);
+    for (std::size_t b = 0; b < wanted.size(); ++b) {
+      const auto lanes = static_cast<std::uint8_t>(wanted[b] & live_lanes_[b]);
+      if (lanes != 0) blocks.push_back({b, lanes});
     }
   } else {
-    std::vector<std::size_t> unique_ids(ids.begin(), ids.end());
-    std::sort(unique_ids.begin(), unique_ids.end());
-    unique_ids.erase(std::unique(unique_ids.begin(), unique_ids.end()), unique_ids.end());
-    live.reserve(unique_ids.size());
-    for (const std::size_t id : unique_ids) {
-      if (id < store_.rows() && valid_[id]) live.push_back(id);
+    std::vector<std::size_t> sorted(ids.begin(), ids.end());
+    std::sort(sorted.begin(), sorted.end());
+    for (const std::size_t id : sorted) {
+      if (id < store_.rows() && row_valid(id)) append_lane(blocks, id);
     }
   }
-  if (live_candidates != nullptr) *live_candidates = live.size();
-  if (live.empty()) return {};
-  if (!kernel_path()) return rank_candidates(score_ids_functor(query, live), k);
-  check_query_dim(query);
-  if (int8_path()) return rank_int8(query, live, k);
-  return rank_candidates(score_ids_fp32(query, live), k);
+  std::size_t candidates = 0;
+  for (const LiveBlock& block : blocks) {
+    candidates += static_cast<std::size_t>(std::popcount(block.lanes));
+  }
+  if (live_candidates != nullptr) *live_candidates = candidates;
+  return rank(query, blocks, candidates, k);
 }
 
 int ExactNnIndex::classify(std::span<const float> query, std::size_t k) const {

@@ -10,6 +10,12 @@
 // bit-exact scalar fallback - and can opt into the symmetric int8 rerank
 // path; an index built from a type-erased `distance::Metric` functor
 // keeps the scalar functor loop (the extension point for custom metrics).
+//
+// Every path streams its scores, in ascending id order, into one k-bounded
+// selection (a heap of the k best so far), which orders by `order_key`
+// with ties to the lower id, so NaN distances rank after +inf. Only the
+// winners are finalized and become `Neighbor`s, and an answer holds
+// capacity for its neighbors only.
 #pragma once
 
 #include "distance/kernels/row_store.hpp"
@@ -72,20 +78,23 @@ class ExactNnIndex {
   [[nodiscard]] Neighbor nearest(std::span<const float> query) const;
 
   /// The `k` nearest neighbors, sorted by increasing distance with a
-  /// deterministic insertion-order tie-break. `k` follows the one NnIndex
-  /// k-convention (search/index.hpp): clamped to [1, size()], so k = 0
-  /// degenerates to 1-NN exactly as every `query_one` does. An empty
-  /// index yields an empty vector (never throws).
+  /// deterministic insertion-order tie-break (NaN distances last). `k`
+  /// follows the one NnIndex k-convention (search/index.hpp): clamped to
+  /// [1, size()], so k = 0 degenerates to 1-NN exactly as every
+  /// `query_one` does. An empty index yields an empty vector (never
+  /// throws).
   [[nodiscard]] std::vector<Neighbor> k_nearest(std::span<const float> query,
                                                 std::size_t k) const;
 
   /// The `k` nearest among the candidate rows in `ids` only (the rerank
   /// primitive behind NnIndex::query_subset): same ordering, tie-break,
   /// and k-convention as `k_nearest`, but only the named rows have their
-  /// distances evaluated - candidate blocks are gathered block-wise
-  /// through the batch kernels, not per id. Duplicate, tombstoned, and
-  /// out-of-range ids are ignored (each unique live id is scored exactly
-  /// once); an empty surviving candidate set yields an empty vector.
+  /// distances evaluated - the ids are gathered into the storage blocks
+  /// they touch, each with a mask of its candidate lanes, and the batch
+  /// kernels score up to kMaxBlocksPerCall such blocks per call, however
+  /// far apart. Duplicate, tombstoned, and out-of-range ids are ignored
+  /// (each unique live id is scored exactly once); an empty surviving
+  /// candidate set yields an empty vector.
   /// When `live_candidates` is non-null it receives the number of unique
   /// live ids that competed (the query_subset telemetry, reported from
   /// the same single scan).
@@ -115,31 +124,47 @@ class ExactNnIndex {
   [[nodiscard]] const char* kernel_name() const noexcept;
 
  private:
+  /// One storage block a query touches and the mask of its competing lanes
+  /// (bit l = row block * kBlockRows + l).
+  struct LiveBlock {
+    std::size_t block;
+    std::uint8_t lanes;
+  };
+  class Selection;  ///< The k-bounded selection every path feeds (knn.cpp).
+
+  /// Appends ascending id `id` to `blocks`, merging it into the last block
+  /// when it shares that block (a duplicate id merges too).
+  static void append_lane(std::vector<LiveBlock>& blocks, std::size_t id);
+
   [[nodiscard]] bool kernel_path() const noexcept { return kind_.has_value(); }
   [[nodiscard]] bool int8_path() const noexcept {
     return mode_ == RerankMode::kInt8 && kind_ &&
            distance::kernels::int8_supported(*kind_);
   }
   void check_query_dim(std::span<const float> query) const;
-  /// Exact FP32 kernel distances for ascending, unique, live `ids`.
-  [[nodiscard]] std::vector<Neighbor> score_ids_fp32(
-      std::span<const float> query, std::span<const std::size_t> ids) const;
-  /// Functor-loop distances for ascending, unique, live `ids`.
-  [[nodiscard]] std::vector<Neighbor> score_ids_functor(
-      std::span<const float> query, std::span<const std::size_t> ids) const;
-  /// int8 ordering over `ids` + FP32 rescore of the top-(k + slack).
-  [[nodiscard]] std::vector<Neighbor> rank_int8(std::span<const float> query,
-                                                std::span<const std::size_t> ids,
-                                                std::size_t k) const;
-  /// Ascending list of every live row id.
-  [[nodiscard]] std::vector<std::size_t> live_ids() const;
+  /// The k-convention over `candidates` live lanes of `blocks` (ascending),
+  /// scored by the path this index takes and selected into an answer.
+  [[nodiscard]] std::vector<Neighbor> rank(std::span<const float> query,
+                                           std::span<const LiveBlock> blocks,
+                                           std::size_t candidates, std::size_t k) const;
+  /// Feeds the raw FP32 kernel accumulators (finalized distances for
+  /// cosine) of every lane of `blocks` into `top`.
+  void score_fp32(std::span<const float> query, std::span<const LiveBlock> blocks,
+                  Selection& top) const;
+  /// Feeds functor-loop distances of every lane of `blocks` into `top`.
+  void score_functor(std::span<const float> query, std::span<const LiveBlock> blocks,
+                     Selection& top) const;
+  /// Feeds the int8 distance reconstructions of every lane of `blocks`
+  /// into `pool`.
+  void score_int8(std::span<const float> query, std::span<const LiveBlock> blocks,
+                  Selection& pool) const;
 
   std::optional<distance::MetricKind> kind_;
   RerankMode mode_ = RerankMode::kFp32;
   distance::Metric metric_;  ///< Set only on the functor path.
   distance::kernels::RowStore store_;
   std::vector<int> labels_;
-  std::vector<std::uint8_t> valid_;
+  std::vector<std::uint8_t> live_lanes_;  ///< Per block: bit l set while its row l is live.
   std::size_t valid_rows_ = 0;
 };
 

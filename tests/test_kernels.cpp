@@ -22,6 +22,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -74,32 +75,62 @@ Blobs make_blobs(std::size_t rows, std::size_t dim, std::size_t queries,
   return blobs;
 }
 
+/// Raw bits, except that any NaN matches any NaN: every ranking treats
+/// NaNs alike, and libm's fma need not keep a NaN's payload.
+bool same_accumulator(float a, float b) {
+  if (std::isnan(a)) return std::isnan(b);
+  return std::bit_cast<std::uint32_t>(a) == std::bit_cast<std::uint32_t>(b);
+}
+
 TEST(Kernels, SimdAccumulatorsAreBitIdenticalToScalar) {
   const kernels::KernelOps& simd = kernels::active_ops();
   if (simd.block_accum == kernels::scalar_ops().block_accum) {
     GTEST_SKIP() << "no SIMD backend on this host";
   }
   Rng rng{101};
-  // Odd dims exercise every unaligned tail; odd row counts leave partial
-  // (zero-padded) tail blocks.
+  // Odd dims exercise every unaligned tail; an odd row count leaves a
+  // partial (zero-padded) tail block. One row carries a NaN and one an
+  // infinity, so the NaN handling of every metric is pinned too.
   for (const std::size_t dim : {std::size_t{1}, std::size_t{7}, std::size_t{48},
                                 std::size_t{65}}) {
     kernels::RowStore store;
-    const std::size_t rows = 2 * kernels::kBlockRows + 3;
-    for (std::size_t r = 0; r < rows; ++r) (void)store.add(random_row(rng, dim));
+    const std::size_t rows = 9 * kernels::kBlockRows + 3;
+    for (std::size_t r = 0; r < rows; ++r) {
+      std::vector<float> row = random_row(rng, dim);
+      if (r == 5) row[dim / 2] = std::numeric_limits<float>::quiet_NaN();
+      if (r == 20) row[0] = std::numeric_limits<float>::infinity();
+      (void)store.add(row);
+    }
+    const std::size_t blocks = store.num_blocks();
     const std::vector<float> query = random_row(rng, dim);
     for (const MetricKind kind : kAllKinds) {
-      for (std::size_t b = 0; b < store.num_blocks(); ++b) {
-        alignas(32) float scalar_acc[kernels::kBlockRows];
-        alignas(32) float simd_acc[kernels::kBlockRows];
-        kernels::scalar_ops().block_accum(kind, store.block(b), query.data(), dim,
-                                          scalar_acc);
-        simd.block_accum(kind, store.block(b), query.data(), dim, simd_acc);
-        for (std::size_t lane = 0; lane < kernels::kBlockRows; ++lane) {
-          EXPECT_EQ(std::bit_cast<std::uint32_t>(scalar_acc[lane]),
-                    std::bit_cast<std::uint32_t>(simd_acc[lane]))
-              << "kind " << static_cast<int>(kind) << " dim " << dim << " block " << b
-              << " lane " << lane;
+      // Each call takes `count` slabs `stride` blocks apart, wrapping, so
+      // calls mix adjacent, distant, repeated and tail slabs.
+      for (std::size_t count = 1; count <= kernels::kMaxBlocksPerCall; ++count) {
+        for (const std::size_t stride : {std::size_t{1}, std::size_t{3}, std::size_t{7}}) {
+          for (std::size_t first = 0; first < blocks; ++first) {
+            const float* slabs[kernels::kMaxBlocksPerCall];
+            std::size_t ids[kernels::kMaxBlocksPerCall];
+            for (std::size_t s = 0; s < count; ++s) {
+              ids[s] = (first + s * stride) % blocks;
+              slabs[s] = store.block(ids[s]);
+            }
+            alignas(32) float simd_acc[kernels::kMaxBlocksPerCall * kernels::kBlockRows];
+            simd.block_accum(kind, slabs, count, query.data(), dim, simd_acc);
+            for (std::size_t s = 0; s < count; ++s) {
+              alignas(32) float scalar_acc[kernels::kBlockRows];
+              kernels::scalar_ops().block_accum(kind, &slabs[s], 1, query.data(), dim,
+                                                scalar_acc);
+              for (std::size_t lane = 0; lane < kernels::kBlockRows; ++lane) {
+                EXPECT_TRUE(same_accumulator(scalar_acc[lane],
+                                             simd_acc[s * kernels::kBlockRows + lane]))
+                    << "kind " << static_cast<int>(kind) << " dim " << dim << " count "
+                    << count << " slab " << s << " (block " << ids[s] << ") lane " << lane
+                    << ": scalar " << scalar_acc[lane] << " simd "
+                    << simd_acc[s * kernels::kBlockRows + lane];
+              }
+            }
+          }
         }
       }
     }

@@ -1,12 +1,37 @@
+#include "distance/kernels/kernels.hpp"
+#include "distance/kernels/row_store.hpp"
+#include "force_scalar_guard.hpp"
 #include "search/engine.hpp"
 #include "search/knn.hpp"
+#include "util/linalg.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <vector>
 
 namespace mcam::search {
 namespace {
+
+namespace kernels = distance::kernels;
+using distance::MetricKind;
+using testing_util::ForceScalarGuard;
+
+struct NamedKind {
+  MetricKind kind;
+  const char* name;  ///< Its functor name (distance::metric_by_name).
+};
+
+constexpr NamedKind kAllKinds[] = {{MetricKind::kEuclidean, "euclidean"},
+                                   {MetricKind::kSquaredEuclidean, "sq-euclidean"},
+                                   {MetricKind::kCosine, "cosine"},
+                                   {MetricKind::kManhattan, "manhattan"},
+                                   {MetricKind::kLinf, "linf"}};
 
 /// Two well-separated Gaussian blobs in 8 dimensions.
 struct Blobs {
@@ -251,6 +276,286 @@ TEST(Engines, AccuracyValidatesSpans) {
   engine.add(blobs.train, blobs.train_labels);
   const std::vector<int> short_labels{0};
   EXPECT_THROW((void)engine.accuracy(blobs.test, short_labels), std::invalid_argument);
+}
+
+// --- The ranking contract, row by row ---------------------------------------
+
+/// One row scored on its own: a one-row RowStore slab through the scalar
+/// reference kernel, then finalize.
+double scalar_row_distance(MetricKind kind, std::span<const float> row,
+                           std::span<const float> query) {
+  kernels::RowStore one;
+  (void)one.add(row);
+  const float* slab = one.block(0);
+  float acc[kernels::kBlockRows];
+  kernels::scalar_ops().block_accum(kind, &slab, 1, query.data(), query.size(), acc);
+  return kernels::finalize(kind, acc[0], kernels::query_norm(kind, query), one.norm(0));
+}
+
+/// `scored` (ascending id) stable-sorted by order_key of its distances, so
+/// ties keep the lower id and NaN ranks last, cut at the k-convention.
+std::vector<Neighbor> oracle_prefix(std::vector<Neighbor> scored, std::size_t k) {
+  std::stable_sort(scored.begin(), scored.end(), [](const Neighbor& a, const Neighbor& b) {
+    return order_key(a.distance) < order_key(b.distance);
+  });
+  if (!scored.empty()) scored.resize(std::clamp<std::size_t>(k, 1, scored.size()));
+  return scored;
+}
+
+/// Raw bits, or NaN for NaN.
+bool same_distance(double a, double b) {
+  if (std::isnan(a)) return std::isnan(b);
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+void expect_same_answer(const std::vector<Neighbor>& got, const std::vector<Neighbor>& want,
+                        const std::string& where) {
+  ASSERT_EQ(got.size(), want.size()) << where;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].index, want[i].index) << where << " rank " << i;
+    EXPECT_EQ(got[i].label, want[i].label) << where << " rank " << i;
+    EXPECT_TRUE(same_distance(got[i].distance, want[i].distance))
+        << where << " rank " << i << ": " << got[i].distance << " vs " << want[i].distance;
+  }
+}
+
+/// Ascending (order_key, id) order, NaN last: the order every answer has.
+void expect_key_order(const std::vector<Neighbor>& got, const std::string& where) {
+  for (std::size_t i = 1; i < got.size(); ++i) {
+    const std::uint64_t prev = order_key(got[i - 1].distance);
+    const std::uint64_t cur = order_key(got[i].distance);
+    EXPECT_TRUE(prev < cur || (prev == cur && got[i - 1].index < got[i].index))
+        << where << " rank " << i;
+  }
+}
+
+/// Rows with exact distance ties: every third row takes values from
+/// {-0.5, 0, 0.5} and every eleventh repeats its predecessor.
+std::vector<std::vector<float>> tie_heavy_rows(std::size_t rows, std::size_t dim, Rng& rng) {
+  std::vector<std::vector<float>> out;
+  for (std::size_t r = 0; r < rows; ++r) {
+    std::vector<float> v(dim);
+    for (auto& x : v) {
+      x = r % 3 == 0 ? 0.5f * static_cast<float>(static_cast<int>(rng.index(3)) - 1)
+                     : static_cast<float>(rng.normal());
+    }
+    if (r % 11 == 10) v = out.back();
+    out.push_back(std::move(v));
+  }
+  return out;
+}
+
+/// The k values every ranking must serve for `rows` live-or-not rows.
+std::vector<std::size_t> k_axis(std::size_t rows) {
+  return {0, 1, 10, rows - 1, rows, rows + 5};
+}
+
+/// Candidate lists for k_nearest_among: a dense one (reversed, with
+/// duplicates, tombstones and unknown ids) and a sparse one.
+std::vector<std::vector<std::size_t>> candidate_lists(std::size_t rows) {
+  std::vector<std::size_t> dense;
+  for (std::size_t id = rows; id-- > 0;) {
+    if (id % 3 == 0) continue;
+    dense.push_back(id);
+    if (id % 2 == 0) dense.push_back(id);
+  }
+  dense.push_back(rows);
+  dense.push_back(std::numeric_limits<std::size_t>::max());
+  std::vector<std::size_t> sparse{rows - 1, rows / 2, rows + 7, rows / 2, 0, rows / 3};
+  return {dense, sparse};
+}
+
+/// Scores every row on its own with `score` and lists the live ones of
+/// `ids` (any order, duplicates and unknown ids allowed) ascending.
+template <typename Score>
+std::vector<Neighbor> score_live(const ExactNnIndex& index, std::span<const std::size_t> ids,
+                                 const Score& score) {
+  std::vector<std::size_t> live;
+  for (const std::size_t id : ids) {
+    if (id < index.total_rows() && index.row_valid(id)) live.push_back(id);
+  }
+  std::sort(live.begin(), live.end());
+  live.erase(std::unique(live.begin(), live.end()), live.end());
+  std::vector<Neighbor> scored;
+  for (const std::size_t id : live) {
+    scored.push_back(Neighbor{id, index.label_at(id), score(index.vector_at(id))});
+  }
+  return scored;
+}
+
+std::vector<std::size_t> all_ids(const ExactNnIndex& index) {
+  std::vector<std::size_t> ids(index.total_rows());
+  for (std::size_t id = 0; id < ids.size(); ++id) ids[id] = id;
+  return ids;
+}
+
+TEST(ExactNnIndex, EveryPathMatchesThePerRowOracle) {
+  ForceScalarGuard guard;
+  Rng rng{2027};
+  for (const std::size_t rows : {1, 7, 8, 9, 33, 1024}) {
+    for (const std::size_t dim : {5, 48}) {
+      const std::vector<std::vector<float>> data = tie_heavy_rows(rows, dim, rng);
+      std::vector<std::vector<float>> queries{tie_heavy_rows(1, dim, rng).front(),
+                                              tie_heavy_rows(2, dim, rng).back()};
+      for (const NamedKind& metric : kAllKinds) {
+        ExactNnIndex fp32{metric.kind};
+        ExactNnIndex int8{metric.kind, ExactNnIndex::RerankMode::kInt8};
+        ExactNnIndex functor{distance::metric_by_name(metric.name)};
+        for (ExactNnIndex* index : {&fp32, &int8, &functor}) {
+          for (std::size_t r = 0; r < rows; ++r) (void)index->add(data[r], static_cast<int>(r % 4));
+          for (std::size_t r = 3; r < rows; r += 7) ASSERT_TRUE(index->erase(r));
+        }
+        const distance::Metric metric_fn = distance::metric_by_name(metric.name);
+        std::vector<std::vector<std::size_t>> id_lists = candidate_lists(rows);
+        id_lists.insert(id_lists.begin(), all_ids(fp32));  // Index 0: the full scan.
+        for (const auto& query : queries) {
+          for (std::size_t list = 0; list < id_lists.size(); ++list) {
+            const std::vector<Neighbor> kernel_scores =
+                score_live(fp32, id_lists[list], [&](const std::vector<float>& row) {
+                  return scalar_row_distance(metric.kind, row, query);
+                });
+            const std::vector<Neighbor> functor_scores =
+                score_live(functor, id_lists[list], [&](const std::vector<float>& row) {
+                  return metric_fn(query, row);
+                });
+            const auto ask = [&](const ExactNnIndex& index, std::size_t k) {
+              return list == 0 ? index.k_nearest(query, k)
+                               : index.k_nearest_among(query, id_lists[list], k);
+            };
+            for (const std::size_t k : k_axis(rows)) {
+              const std::string where = std::string{metric.name} + " rows " +
+                                        std::to_string(rows) + " dim " + std::to_string(dim) +
+                                        " list " + std::to_string(list) + " k " +
+                                        std::to_string(k);
+              const std::vector<Neighbor> want = oracle_prefix(kernel_scores, k);
+              for (const bool scalar : {false, true}) {
+                kernels::set_force_scalar(scalar);
+                const std::string mode = scalar ? " scalar" : " dispatched";
+                expect_same_answer(ask(fp32, k), want, where + mode);
+                // int8 membership is approximate by design; its order and
+                // its FP32-exact scores are not.
+                const std::vector<Neighbor> approx = ask(int8, k);
+                EXPECT_EQ(approx.size(), want.size()) << where;
+                expect_key_order(approx, where + mode + " int8");
+                for (const Neighbor& n : approx) {
+                  const auto exact = std::find_if(
+                      kernel_scores.begin(), kernel_scores.end(),
+                      [&n](const Neighbor& e) { return e.index == n.index; });
+                  ASSERT_NE(exact, kernel_scores.end()) << where << " int8 id " << n.index;
+                  EXPECT_TRUE(same_distance(n.distance, exact->distance))
+                      << where << " int8 id " << n.index;
+                }
+              }
+              kernels::set_force_scalar(false);
+              expect_same_answer(ask(functor, k), oracle_prefix(functor_scores, k),
+                                 where + " functor");
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(ExactNnIndex, NanDistancesRankLastOnEveryPath) {
+  // One NaN feature in every fifth row (ids 1, 6, 11, ...): the kernels
+  // and functors carry it into those rows' distances (linf skips a NaN
+  // feature, as distance::linf does), and each ranking puts NaN after
+  // every finite distance instead of scrambling the order around it.
+  ForceScalarGuard guard;
+  constexpr std::size_t kRows = 1024;
+  constexpr std::size_t kDim = 48;
+  Rng rng{600};
+  std::vector<std::vector<float>> data(kRows, std::vector<float>(kDim));
+  for (std::size_t r = 0; r < kRows; ++r) {
+    for (auto& x : data[r]) x = static_cast<float>(rng.normal());
+    if (r % 5 == 1) data[r][3] = std::numeric_limits<float>::quiet_NaN();
+  }
+  const std::vector<float> zero(kDim, 0.0f);
+  const std::vector<float> nan_query(kDim, std::numeric_limits<float>::quiet_NaN());
+  for (const NamedKind& metric : kAllKinds) {
+    ExactNnIndex fp32{metric.kind};
+    ExactNnIndex int8{metric.kind, ExactNnIndex::RerankMode::kInt8};
+    ExactNnIndex functor{distance::metric_by_name(metric.name)};
+    for (ExactNnIndex* index : {&fp32, &int8, &functor}) {
+      for (std::size_t r = 0; r < kRows; ++r) (void)index->add(data[r], static_cast<int>(r));
+      ASSERT_TRUE(index->erase(2));
+    }
+    const distance::Metric metric_fn = distance::metric_by_name(metric.name);
+    const std::vector<std::size_t> ids = all_ids(fp32);
+    for (const std::size_t k : {std::size_t{12}, kRows}) {
+      const std::string where = std::string{metric.name} + " k " + std::to_string(k);
+      const std::vector<Neighbor> want = oracle_prefix(
+          score_live(fp32, ids, [&](const std::vector<float>& row) {
+            return scalar_row_distance(metric.kind, row, zero);
+          }),
+          k);
+      if (metric.kind == MetricKind::kEuclidean) {
+        // The probe: the 12 nearest are finite rows, none of them NaN rows.
+        for (std::size_t i = 0; i < std::min<std::size_t>(k, 12); ++i) {
+          EXPECT_NE(want[i].index % 5, 1u) << where;
+          EXPECT_FALSE(std::isnan(want[i].distance)) << where;
+        }
+      }
+      for (const bool scalar : {false, true}) {
+        kernels::set_force_scalar(scalar);
+        const std::string mode = scalar ? " scalar" : " dispatched";
+        expect_same_answer(fp32.k_nearest(zero, k), want, where + mode);
+        expect_same_answer(fp32.k_nearest_among(zero, ids, k), want, where + mode + " among");
+        for (const std::vector<Neighbor>& approx :
+             {int8.k_nearest(zero, k), int8.k_nearest_among(zero, ids, k)}) {
+          expect_key_order(approx, where + mode + " int8");
+          for (const Neighbor& n : approx) {
+            EXPECT_TRUE(same_distance(n.distance,
+                                      scalar_row_distance(metric.kind, data[n.index], zero)))
+                << where << mode << " int8 id " << n.index;
+          }
+        }
+        // A NaN query ties every row: live ids 0..k-1, in id order.
+        for (ExactNnIndex* index : {&fp32, &int8, &functor}) {
+          const std::vector<Neighbor> got = index->k_nearest(nan_query, 10);
+          ASSERT_EQ(got.size(), 10u) << where << mode;
+          for (std::size_t i = 0; i < got.size(); ++i) {
+            EXPECT_EQ(got[i].index, i < 2 ? i : i + 1) << where << mode << " NaN query";
+          }
+        }
+      }
+      kernels::set_force_scalar(false);
+      const std::vector<Neighbor> functor_want =
+          oracle_prefix(score_live(functor, ids,
+                                   [&](const std::vector<float>& row) {
+                                     return metric_fn(zero, row);
+                                   }),
+                        k);
+      expect_same_answer(functor.k_nearest(zero, k), functor_want, where + " functor");
+      expect_same_answer(functor.k_nearest_among(zero, ids, k), functor_want,
+                         where + " functor among");
+    }
+  }
+}
+
+TEST(ExactNnIndex, AnswerHoldsOnlyItsNeighbors) {
+  // An answer outlives its query (caches, the e2e bench's kept replies),
+  // so it must not carry capacity for every row it beat.
+  Rng rng{17};
+  constexpr std::size_t kRows = 1024;
+  ExactNnIndex fp32{MetricKind::kEuclidean};
+  ExactNnIndex int8{MetricKind::kEuclidean, ExactNnIndex::RerankMode::kInt8};
+  ExactNnIndex functor{distance::metric_by_name("euclidean")};
+  std::vector<float> row(16);
+  for (std::size_t r = 0; r < kRows; ++r) {
+    for (auto& x : row) x = static_cast<float>(rng.normal());
+    for (ExactNnIndex* index : {&fp32, &int8, &functor}) (void)index->add(row, 0);
+  }
+  std::vector<std::size_t> ids;
+  for (std::size_t c = 0; c < 640; ++c) ids.push_back(rng.index(kRows));
+  for (const ExactNnIndex* index : {&fp32, &int8, &functor}) {
+    for (const std::size_t k : {std::size_t{0}, std::size_t{1}, std::size_t{10}}) {
+      const std::size_t bound = std::max<std::size_t>(k, 1);
+      EXPECT_LE(index->k_nearest(row, k).capacity(), bound) << index->kernel_name();
+      EXPECT_LE(index->k_nearest_among(row, ids, k).capacity(), bound) << index->kernel_name();
+    }
+  }
 }
 
 }  // namespace
