@@ -1,6 +1,7 @@
 // google-benchmark microbenchmarks of the hot paths: array search,
-// nomination, exact scoring, LUT construction, quantization, LSH
-// encoding, batched top-k queries and full few-shot episodes.
+// nomination, the filtered-read band gate and metadata matching, exact
+// scoring, LUT construction, quantization, LSH encoding, batched top-k
+// queries and full few-shot episodes.
 #include "cam/array.hpp"
 #include "cam/kernels/kernels.hpp"
 #include "cam/lut.hpp"
@@ -12,9 +13,13 @@
 #include "search/batch.hpp"
 #include "search/engine.hpp"
 #include "search/knn.hpp"
+#include "store/metadata.hpp"
 #include "util/linalg.hpp"
 
 #include <benchmark/benchmark.h>
+
+#include <array>
+#include <string>
 
 namespace {
 
@@ -174,6 +179,65 @@ std::vector<std::vector<double>> mcam_bank_sweeps() {
 
 BENCHMARK_CAPTURE(BM_Nominate, tcam_4096_k641, tcam_sweeps(), 641);
 BENCHMARK_CAPTURE(BM_Nominate, mcam_bank_128_k10, mcam_bank_sweeps(), 10);
+
+// Filtered reads before any ranking. The tag-band gate at the refine
+// coarse stage's shape with a 32-cell band: 4096 rows of 32 signature
+// bits + 32 band bits, queried with one definite band column (a one-tag
+// predicate). Items are rows gated.
+void BM_BandGate(benchmark::State& state) {
+  cam::TcamArray tcam{cam::TcamArrayConfig{}};
+  Rng rng{15};
+  std::vector<std::uint8_t> word(64);
+  for (int r = 0; r < 4096; ++r) {
+    for (std::size_t c = 0; c < word.size(); ++c) {
+      word[c] = rng.bernoulli(c < 32 ? 0.5 : 0.1) ? 1 : 0;
+    }
+    tcam.add_row_bits(word);
+  }
+  std::vector<cam::Trit> query(64, cam::Trit::kDontCare);
+  query[32 + rng.index(32)] = cam::Trit::kOne;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(tcam.ternary_match_mask(query));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(tcam.num_rows()));
+}
+BENCHMARK(BM_BandGate);
+
+// The metadata side of a filtered read: a 4352-row store (the size a 20 s
+// filtered-churn run ends at) tagged like that workload - each row carries
+// "rare", "mid" and "common" with probability 0.02, 0.10 and 0.50, drawn
+// from its id - with every 9th row of the upper (churned) half erased.
+// Items are rows in the store.
+store::MetadataStore churn_metadata() {
+  constexpr std::size_t kRows = 4352;
+  const std::array<const char*, 3> names{"rare", "mid", "common"};
+  const std::array<double, 3> shares{0.02, 0.10, 0.50};
+  store::MetadataStore meta;
+  for (std::size_t id = 0; id < kRows; ++id) {
+    std::vector<std::string> tags;
+    for (std::size_t t = 0; t < names.size(); ++t) {
+      if (Rng{(static_cast<std::uint64_t>(id) << 2) | t}.uniform() < shares[t]) {
+        tags.emplace_back(names[t]);
+      }
+    }
+    (void)meta.append(tags);
+  }
+  for (std::size_t id = kRows / 2; id < kRows; id += 9) (void)meta.mark_erased(id);
+  return meta;
+}
+
+void BM_MatchingIds(benchmark::State& state, const char* tag) {
+  const store::MetadataStore meta = churn_metadata();
+  const store::Predicate predicate = store::Predicate::tag(tag);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(meta.matching_ids(predicate));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(meta.rows()));
+}
+BENCHMARK_CAPTURE(BM_MatchingIds, rare, "rare");
+BENCHMARK_CAPTURE(BM_MatchingIds, common, "common");
 
 // Exact scoring at the end-to-end shapes: the tenants-skewed full scan of
 // a 1024 x 48 collection, and the refine-tcam fine rerank of 640 unique

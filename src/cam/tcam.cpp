@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -12,6 +13,23 @@ namespace mcam::cam {
 
 using kernels::cell_at;
 using kernels::kTcamNominalEntries;
+
+namespace {
+
+/// Rejects a ternary query of the wrong width or with a symbol outside
+/// {kZero, kOne, kDontCare}, before any work.
+void check_ternary_query(std::span<const Trit> query, std::size_t width, const char* what) {
+  if (query.size() != width) {
+    throw std::invalid_argument{std::string{what} + ": query length mismatch"};
+  }
+  for (const Trit t : query) {
+    if (static_cast<std::uint8_t>(t) > static_cast<std::uint8_t>(Trit::kDontCare)) {
+      throw std::invalid_argument{std::string{what} + ": query trit out of range"};
+    }
+  }
+}
+
+}  // namespace
 
 TcamArray::TcamArray(const TcamArrayConfig& config)
     : config_(config), map_(1), rng_(config.seed) {
@@ -217,33 +235,46 @@ std::vector<double> TcamArray::search_conductances(
 }
 
 std::vector<double> TcamArray::search_conductances(std::span<const Trit> query) const {
-  if (query.size() != cells_.width) {
-    throw std::invalid_argument{"TcamArray::search: query length mismatch"};
-  }
+  check_ternary_query(query, cells_.width, "TcamArray::search");
   // A don't-care column drives both search lines low: the kernel skips it.
   return sweep({reinterpret_cast<const std::uint8_t*>(query.data()), query.size()}, true);
 }
 
 std::vector<std::uint8_t> TcamArray::ternary_match_mask(
     std::span<const Trit> query) const {
-  if (query.size() != cells_.width) {
-    throw std::invalid_argument{"TcamArray::ternary_match_mask: query length mismatch"};
-  }
-  std::vector<std::uint8_t> mask;
-  mask.reserve(num_rows());
-  for (std::size_t r = 0; r < num_rows(); ++r) {
-    const std::uint8_t* row = cells_.trit.data() + cell_at(r, 0, cells_.width);
-    std::uint8_t match = 1;
-    for (std::size_t i = 0; i < cells_.width; ++i) {
-      const auto stored = static_cast<Trit>(row[i * kernels::kBlockRows]);
-      if (query[i] == Trit::kDontCare || stored == Trit::kDontCare) continue;
-      if (stored != query[i]) {
-        match = 0;
-        break;
-      }
+  check_ternary_query(query, cells_.width, "TcamArray::ternary_match_mask");
+  // Only a definite query column can reject a row. Each one is a single
+  // 8-lane load per block: lane byte x = stored ^ query bit is 0 on a
+  // match, 1 on the opposite bit, and 2 or 3 on a stored don't-care, so a
+  // lane mismatches exactly when bit 0 of x is set and bit 1 is clear.
+  static_assert(kernels::kBlockRows == sizeof(std::uint64_t));
+  constexpr std::uint64_t kLanes = 0x0101010101010101ULL;
+  struct Column {
+    std::size_t offset;   ///< Byte offset of the column inside a block.
+    std::uint64_t bit;    ///< The query bit in every lane.
+  };
+  std::vector<Column> definite;
+  for (std::size_t c = 0; c < query.size(); ++c) {
+    if (query[c] != Trit::kDontCare) {
+      definite.push_back({c * kernels::kBlockRows, query[c] == Trit::kOne ? kLanes : 0});
     }
-    mask.push_back(match);
   }
+  const std::size_t blocks = kernels::num_blocks(num_rows());
+  const std::size_t block_cells = cells_.width * kernels::kBlockRows;
+  std::vector<std::uint8_t> mask(blocks * kernels::kBlockRows);
+  for (std::size_t b = 0; b < blocks; ++b) {
+    const std::uint8_t* block = cells_.trit.data() + b * block_cells;
+    std::uint64_t miss = 0;
+    for (const Column& column : definite) {
+      std::uint64_t x = 0;
+      std::memcpy(&x, block + column.offset, sizeof x);
+      x ^= column.bit;
+      miss |= x & ~(x >> 1) & kLanes;
+    }
+    const std::uint64_t match = miss ^ kLanes;
+    std::memcpy(mask.data() + b * kernels::kBlockRows, &match, sizeof match);
+  }
+  mask.resize(num_rows());
   return mask;
 }
 

@@ -94,7 +94,9 @@ class TcamArray {
   /// FeFET of any cell in that column can turn on and the column
   /// contributes exactly zero to every matchline. On a query without
   /// don't-cares this is numerically identical to the binary overload -
-  /// the masked columns simply drop out of the Hamming sum.
+  /// the masked columns simply drop out of the Hamming sum. Throws
+  /// std::invalid_argument on a length mismatch or a symbol outside
+  /// {kZero, kOne, kDontCare}.
   [[nodiscard]] std::vector<double> search_conductances(
       std::span<const Trit> query) const;
 
@@ -105,7 +107,10 @@ class TcamArray {
   /// required band bit discharges the matchline far past the match limit,
   /// so the row drops out of the nomination before any ranking happens.
   /// Tombstoned rows still report their stored pattern (combine with
-  /// valid_mask(), as rank_by_sensing does).
+  /// valid_mask(), as rank_by_sensing does). Only the query's definite
+  /// columns are read, one 8-row block column at a time, so a one-tag
+  /// band query costs one load per block. Throws std::invalid_argument
+  /// like the ternary search_conductances.
   [[nodiscard]] std::vector<std::uint8_t> ternary_match_mask(
       std::span<const Trit> query) const;
 

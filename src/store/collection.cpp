@@ -2,6 +2,7 @@
 
 #include "serve/io.hpp"
 
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -55,14 +56,15 @@ std::size_t Collection::add(std::span<const std::vector<float>> rows,
   if (!expires_at.empty() && expires_at.size() != rows.size()) {
     throw std::invalid_argument{"Collection::add: one expiry tick per row required"};
   }
-  // Metadata first: it is the cheap, infallible side, and truncate() undoes
-  // it exactly if the engine rejects the batch (bank capacity, bad shape).
+  // Metadata first, inside the rollback scope: truncate() undoes it,
+  // posting lists included, if a tag is rejected (empty) or the engine
+  // rejects the batch (bank capacity, bad shape).
   const std::size_t first = meta_.rows();
-  for (std::size_t r = 0; r < rows.size(); ++r) {
-    meta_.append(tags.empty() ? std::span<const std::string>{} : std::span(tags[r]),
-                 expires_at.empty() ? 0 : expires_at[r]);
-  }
   try {
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+      meta_.append(tags.empty() ? std::span<const std::string>{} : std::span(tags[r]),
+                   expires_at.empty() ? 0 : expires_at[r]);
+    }
     if (band_capable()) {
       const std::size_t width = two_stage_->tag_bits();
       std::vector<std::vector<std::uint8_t>> bands;
@@ -104,8 +106,12 @@ CollectionQueryResult Collection::query(std::span<const float> query, std::size_
     out.result = engine_->query_one(query, k);
     return out;
   }
+  // Names resolve to tag ids once; matching and the band's per-nominee
+  // verify then compare ids only.
   const std::size_t live = meta_.live();
-  const std::vector<std::size_t> matching = meta_.matching_ids(predicate);
+  const std::optional<std::vector<std::uint32_t>> tags = meta_.resolve(predicate);
+  const std::vector<std::size_t> matching =
+      tags ? meta_.matching_ids(*tags) : std::vector<std::size_t>{};
   if (matching.empty()) {
     throw std::invalid_argument{"Collection::query: no live row matches " +
                                 predicate.to_string()};
@@ -116,16 +122,12 @@ CollectionQueryResult Collection::query(std::span<const float> query, std::size_
                          (policy_ == FilterPolicy::kBand ||
                           out.selectivity <= options_.band_selectivity_limit);
   if (push_band) {
-    const auto band = meta_.band_query(predicate, two_stage_->tag_bits());
-    if (band) {  // Every predicate tag is interned (matching is non-empty).
-      const auto verify = [this, &predicate](std::size_t id) {
-        return meta_.matches(id, predicate);
-      };
-      if (auto result = two_stage_->query_filtered(query, k, *band, verify)) {
-        out.result = *std::move(result);
-        out.path = FilterPath::kBand;
-        return out;
-      }
+    const std::vector<std::uint8_t> band = meta_.band_query(*tags, two_stage_->tag_bits());
+    const auto verify = [this, &tags](std::size_t id) { return meta_.matches(id, *tags); };
+    if (auto result = two_stage_->query_filtered(query, k, band, verify)) {
+      out.result = *std::move(result);
+      out.path = FilterPath::kBand;
+      return out;
     }
   }
   out.result = engine_->query_subset(query, matching, k);

@@ -115,8 +115,9 @@ class Collection {
   /// Tagged batch add: `tags[i]` are row i's tags, `expires_at[i]` its
   /// logical TTL tick (0 = never; pass an empty span for no TTLs). On a
   /// band-capable engine the rows' presence bitmaps are programmed into
-  /// the coarse tag band atomically with the add. Metadata is rolled back
-  /// if the engine rejects the batch. Returns the first new id.
+  /// the coarse tag band atomically with the add. A rejected batch (an
+  /// empty tag, or an engine error) rolls the metadata back, so metadata
+  /// and engine ids stay in step. Returns the first new id.
   std::size_t add(std::span<const std::vector<float>> rows, std::span<const int> labels,
                   std::span<const std::vector<std::string>> tags,
                   std::span<const std::uint64_t> expires_at = {});

@@ -5,6 +5,17 @@
 
 namespace mcam::store {
 
+namespace {
+
+/// True when `record` carries every tag of `tags`.
+bool carries_all(const RowMetadata& record, std::span<const std::uint32_t> tags) {
+  return std::all_of(tags.begin(), tags.end(), [&record](std::uint32_t tag) {
+    return std::binary_search(record.tags.begin(), record.tags.end(), tag);
+  });
+}
+
+}  // namespace
+
 std::size_t band_slot(std::uint32_t tag_id, std::size_t tag_bits) {
   if (tag_bits == 0) throw std::invalid_argument{"band_slot: tag_bits must be > 0"};
   // splitmix64 finalizer: dense interner ids land on uncorrelated slots.
@@ -15,14 +26,26 @@ std::size_t band_slot(std::uint32_t tag_id, std::size_t tag_bits) {
   return static_cast<std::size_t>(z % tag_bits);
 }
 
-std::uint32_t MetadataStore::intern_tag(const std::string& name) {
-  if (name.empty()) throw std::invalid_argument{"MetadataStore: empty tag"};
-  const auto it = tag_ids_.find(name);
-  if (it != tag_ids_.end()) return it->second;
+std::uint32_t MetadataStore::add_tag(const std::string& name) {
   const auto id = static_cast<std::uint32_t>(tag_names_.size());
   tag_names_.push_back(name);
   tag_ids_.emplace(name, id);
+  postings_.emplace_back();
   return id;
+}
+
+std::size_t MetadataStore::push_row(RowMetadata record) {
+  const std::size_t id = rows_.size();
+  for (std::uint32_t tag : record.tags) postings_[tag].push_back(id);
+  if (!record.erased) ++live_;
+  rows_.push_back(std::move(record));
+  return id;
+}
+
+std::uint32_t MetadataStore::intern_tag(const std::string& name) {
+  if (name.empty()) throw std::invalid_argument{"MetadataStore: empty tag"};
+  const auto it = tag_ids_.find(name);
+  return it != tag_ids_.end() ? it->second : add_tag(name);
 }
 
 std::size_t MetadataStore::append(std::span<const std::string> tags,
@@ -34,9 +57,7 @@ std::size_t MetadataStore::append(std::span<const std::string> tags,
   record.tags.erase(std::unique(record.tags.begin(), record.tags.end()),
                     record.tags.end());
   record.expires_at = expires_at;
-  rows_.push_back(std::move(record));
-  ++live_;
-  return rows_.size() - 1;
+  return push_row(std::move(record));
 }
 
 void MetadataStore::truncate(std::size_t count) {
@@ -44,6 +65,8 @@ void MetadataStore::truncate(std::size_t count) {
     throw std::invalid_argument{"MetadataStore::truncate: count exceeds rows"};
   }
   while (rows_.size() > count) {
+    // The last row is the last entry of each of its tags' lists.
+    for (std::uint32_t tag : rows_.back().tags) postings_[tag].pop_back();
     if (!rows_.back().erased) --live_;
     rows_.pop_back();
   }
@@ -73,6 +96,18 @@ const std::string& MetadataStore::tag_name(std::uint32_t id) const {
   return tag_names_[id];
 }
 
+std::optional<std::vector<std::uint32_t>> MetadataStore::resolve(
+    const Predicate& predicate) const {
+  std::vector<std::uint32_t> tags;
+  tags.reserve(predicate.all_of.size());
+  for (const std::string& name : predicate.all_of) {
+    const std::optional<std::uint32_t> tag = find_tag(name);
+    if (!tag) return std::nullopt;
+    tags.push_back(*tag);
+  }
+  return tags;
+}
+
 bool MetadataStore::matches(std::size_t id, const Predicate& predicate) const {
   const RowMetadata& record = row(id);
   if (record.erased) return false;
@@ -84,10 +119,43 @@ bool MetadataStore::matches(std::size_t id, const Predicate& predicate) const {
   return true;
 }
 
+bool MetadataStore::matches(std::size_t id, std::span<const std::uint32_t> tags) const {
+  const RowMetadata& record = row(id);
+  return !record.erased && carries_all(record, tags);
+}
+
 std::vector<std::size_t> MetadataStore::matching_ids(const Predicate& predicate) const {
+  const std::optional<std::vector<std::uint32_t>> tags = resolve(predicate);
+  return tags ? matching_ids(*tags) : std::vector<std::size_t>{};
+}
+
+std::vector<std::size_t> MetadataStore::matching_ids(
+    std::span<const std::uint32_t> tags) const {
   std::vector<std::size_t> ids;
-  for (std::size_t id = 0; id < rows_.size(); ++id) {
-    if (matches(id, predicate)) ids.push_back(id);
+  if (tags.empty()) {
+    for (std::size_t id = 0; id < rows_.size(); ++id) {
+      if (!rows_[id].erased) ids.push_back(id);
+    }
+    return ids;
+  }
+  // Every match is on each of its tags' lists: walk the shortest one and
+  // check only the other tags per row.
+  std::uint32_t walk = tags.front();
+  for (std::uint32_t tag : tags) {
+    if (tag >= postings_.size()) return ids;  // Never interned: no row carries it.
+    if (postings_[tag].size() < postings_[walk].size()) walk = tag;
+  }
+  std::vector<std::uint32_t> others;
+  for (std::uint32_t tag : tags) {
+    if (tag != walk) others.push_back(tag);
+  }
+  const std::vector<std::size_t>& list = postings_[walk];
+  ids.reserve(list.size());
+  for (std::size_t id : list) {
+    // A one-tag predicate needs only the erased flag; testing `others`
+    // here rather than inside carries_all halves the walk's time.
+    const RowMetadata& record = rows_[id];
+    if (!record.erased && (others.empty() || carries_all(record, others))) ids.push_back(id);
   }
   return ids;
 }
@@ -113,12 +181,15 @@ std::vector<std::uint8_t> MetadataStore::band_bits(std::size_t id,
 
 std::optional<std::vector<std::uint8_t>> MetadataStore::band_query(
     const Predicate& predicate, std::size_t tag_bits) const {
+  const std::optional<std::vector<std::uint32_t>> tags = resolve(predicate);
+  if (!tags) return std::nullopt;
+  return band_query(*tags, tag_bits);
+}
+
+std::vector<std::uint8_t> MetadataStore::band_query(std::span<const std::uint32_t> tags,
+                                                    std::size_t tag_bits) const {
   std::vector<std::uint8_t> bits(tag_bits, 0);
-  for (const std::string& name : predicate.all_of) {
-    const std::optional<std::uint32_t> tag = find_tag(name);
-    if (!tag) return std::nullopt;
-    bits[band_slot(*tag, tag_bits)] = 1;
-  }
+  for (std::uint32_t tag : tags) bits[band_slot(tag, tag_bits)] = 1;
   return bits;
 }
 
@@ -140,6 +211,7 @@ void MetadataStore::load(serve::io::Reader& in) {
   tag_names_.clear();
   tag_ids_.clear();
   rows_.clear();
+  postings_.clear();
   live_ = 0;
   const std::size_t num_tags = in.checked_count(in.u64(), 8);
   tag_names_.reserve(num_tags);
@@ -148,8 +220,7 @@ void MetadataStore::load(serve::io::Reader& in) {
     serve::io::require_payload(!name.empty(), "empty interned tag");
     serve::io::require_payload(tag_ids_.find(name) == tag_ids_.end(),
                                "duplicate interned tag");
-    tag_ids_.emplace(name, static_cast<std::uint32_t>(tag_names_.size()));
-    tag_names_.push_back(name);
+    add_tag(name);
   }
   const std::size_t num_rows = in.checked_count(in.u64(), 8 + 8 + 1);
   rows_.reserve(num_rows);
@@ -168,8 +239,7 @@ void MetadataStore::load(serve::io::Reader& in) {
     }
     record.expires_at = in.u64();
     record.erased = in.u8() != 0;
-    if (!record.erased) ++live_;
-    rows_.push_back(std::move(record));
+    push_row(std::move(record));
   }
 }
 

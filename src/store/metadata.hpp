@@ -12,11 +12,20 @@
 // only ever over-approximates, so in-array filtering can never drop a
 // truly matching row.
 //
+// Each interned tag also keeps a posting list: the ascending ids of the
+// rows that carry it. The lists are derived state - append, truncate and
+// load maintain them, snapshots never store them - and they make predicate
+// matching cost the rows a predicate selects, not every row: a conjunction
+// walks the shortest list of its tags and checks the others per row. A
+// caller that evaluates one predicate many times resolves its names to
+// tag ids once (`resolve`) and passes the ids to the id-based overloads,
+// so no string lookup runs per row.
+//
 // TTLs are *logical* expiry ticks: the store never reads a wall clock
 // (determinism, testability); callers pass `now` to expired_ids and
 // decide the tick domain (seconds, versions, batch numbers). Expiry and
 // erasure are soft-deletes here - the engine's tombstone is authoritative
-// for search; the metadata mirror (`erased`) keeps predicate scans and
+// for search; the metadata mirror (`erased`) keeps predicate matching and
 // band bitmaps consistent without querying the engine.
 #pragma once
 
@@ -56,6 +65,8 @@ class MetadataStore {
 
   /// Appends one record (tags interned, deduplicated) and returns its row
   /// id - by construction the engine id of the row added alongside it.
+  /// Throws std::invalid_argument on an empty tag; the record is then not
+  /// appended, though tags named before it stay interned.
   std::size_t append(std::span<const std::string> tags, std::uint64_t expires_at = 0);
 
   /// Drops the trailing records down to `rows() == count` - the rollback
@@ -83,16 +94,26 @@ class MetadataStore {
   /// Name of tag `id`; throws std::out_of_range.
   [[nodiscard]] const std::string& tag_name(std::uint32_t id) const;
 
+  /// Interned ids of `predicate`'s tags in predicate order, or
+  /// std::nullopt when one was never interned (no row can match).
+  [[nodiscard]] std::optional<std::vector<std::uint32_t>> resolve(
+      const Predicate& predicate) const;
+
   /// True when row `id` is live and carries every tag of `predicate`
   /// (false - never a throw - for unknown predicate tags: nothing can
   /// match a tag no row ever carried). An empty predicate matches every
-  /// live row.
+  /// live row. Throws std::out_of_range for a never-appended id.
   [[nodiscard]] bool matches(std::size_t id, const Predicate& predicate) const;
+  /// `matches` over resolved tag ids; an id never interned matches no row.
+  [[nodiscard]] bool matches(std::size_t id, std::span<const std::uint32_t> tags) const;
 
   /// Ascending ids of every live row matching `predicate` - the exact
   /// candidate list of the post-filter path, and the ground truth the
   /// band path is verified against.
   [[nodiscard]] std::vector<std::size_t> matching_ids(const Predicate& predicate) const;
+  /// `matching_ids` over resolved tag ids: walks the shortest posting list.
+  [[nodiscard]] std::vector<std::size_t> matching_ids(
+      std::span<const std::uint32_t> tags) const;
 
   /// Ascending ids of live rows whose TTL is due (`0 < expires_at <= now`).
   [[nodiscard]] std::vector<std::size_t> expired_ids(std::uint64_t now) const;
@@ -107,17 +128,27 @@ class MetadataStore {
   /// match, so there is nothing to sweep for).
   [[nodiscard]] std::optional<std::vector<std::uint8_t>> band_query(
       const Predicate& predicate, std::size_t tag_bits) const;
+  /// `band_query` over resolved (interned) tag ids.
+  [[nodiscard]] std::vector<std::uint8_t> band_query(std::span<const std::uint32_t> tags,
+                                                     std::size_t tag_bits) const;
 
   /// Serialization (the store-block payload of a v4 snapshot): complete
   /// state - interner order, every record, tombstones - restores
-  /// bit-identically.
+  /// bit-identically; load rebuilds the posting lists.
   void save(serve::io::Writer& out) const;
   void load(serve::io::Reader& in);
 
  private:
+  /// Interns a name known to be new and non-empty; returns its id.
+  std::uint32_t add_tag(const std::string& name);
+  /// Appends `record` (interned, sorted tags) and its posting entries.
+  std::size_t push_row(RowMetadata record);
+
   std::vector<std::string> tag_names_;           ///< id -> name, intern order.
   std::map<std::string, std::uint32_t> tag_ids_; ///< name -> id.
   std::vector<RowMetadata> rows_;
+  /// Tag id -> ascending ids of the rows carrying it, erased rows included.
+  std::vector<std::vector<std::size_t>> postings_;
   std::size_t live_ = 0;
 };
 

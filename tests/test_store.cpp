@@ -167,6 +167,103 @@ TEST(MetadataStore, SaveLoadRoundTripIsExact) {
   EXPECT_EQ(restored.find_tag("y"), meta.find_tag("y"));
 }
 
+/// Ascending per-row evaluation of `matches`: the oracle of matching_ids.
+std::vector<std::size_t> reference_matching(const MetadataStore& meta,
+                                            const Predicate& predicate) {
+  std::vector<std::size_t> ids;
+  for (std::size_t id = 0; id < meta.rows(); ++id) {
+    if (meta.matches(id, predicate)) ids.push_back(id);
+  }
+  return ids;
+}
+
+TEST(MetadataStore, MatchingIdsMatchPerRowReference) {
+  // matching_ids walks posting lists; the oracle evaluates every row. Random
+  // histories of appends (repeated, empty and new tags), erases, truncates
+  // and a save/load round trip must never make them disagree, and a loaded
+  // store must answer exactly like the live one.
+  Rng rng{31};
+  const std::vector<std::string> names = {"a", "b", "c", "d", "e", "f", "g"};
+  const auto random_names = [&](std::size_t known, std::size_t max_count) {
+    std::vector<std::string> out;
+    const std::size_t count = rng.index(max_count + 1);
+    for (std::size_t i = 0; i < count; ++i) out.push_back(names[rng.index(known)]);
+    return out;
+  };
+  const auto random_predicate = [&](std::size_t known) {
+    Predicate predicate;
+    predicate.all_of = random_names(known, 3);
+    if (!predicate.empty() && rng.bernoulli(0.1)) predicate.all_of.back() = "never";
+    return predicate;
+  };
+  const auto expect_matching = [&](const MetadataStore& meta, const Predicate& predicate,
+                                   const std::string& context) {
+    const std::vector<std::size_t> want = reference_matching(meta, predicate);
+    EXPECT_EQ(meta.matching_ids(predicate), want) << context << " " << predicate.to_string();
+    const auto tags = meta.resolve(predicate);
+    if (tags) {
+      EXPECT_EQ(meta.matching_ids(*tags), want) << context << " " << predicate.to_string();
+      for (std::size_t id = 0; id < meta.rows(); ++id) {
+        EXPECT_EQ(meta.matches(id, *tags), meta.matches(id, predicate)) << context << " " << id;
+      }
+    } else {
+      EXPECT_TRUE(want.empty()) << context << " " << predicate.to_string();
+    }
+  };
+
+  for (int trial = 0; trial < 24; ++trial) {
+    const std::string context = "trial " + std::to_string(trial);
+    MetadataStore meta;
+    std::size_t known = 2;  // Appends draw from names[0, known); it grows.
+    for (int step = 0; step < 80; ++step) {
+      const double op = rng.uniform();
+      if (op < 0.5 || meta.rows() == 0) {
+        if (rng.bernoulli(0.1) && known < names.size()) ++known;
+        (void)meta.append(random_names(known, 3), rng.index(3));
+      } else if (op < 0.7) {
+        (void)meta.mark_erased(rng.index(meta.rows()));
+      } else if (op < 0.8) {
+        meta.truncate(meta.rows() - rng.index(std::min<std::size_t>(meta.rows(), 4) + 1));
+      } else {
+        expect_matching(meta, random_predicate(names.size()), context);
+      }
+    }
+
+    // Truncating the row that first interned a tag keeps the tag, with an
+    // empty list, and a later row lands on the list at the reused id.
+    const std::string fresh = "fresh" + std::to_string(trial);
+    const std::vector<std::string> fresh_tags = {fresh, "a"};
+    const std::size_t id = meta.append(fresh_tags);
+    meta.truncate(id);
+    EXPECT_TRUE(meta.find_tag(fresh).has_value()) << context;
+    EXPECT_TRUE(meta.matching_ids(Predicate::tag(fresh)).empty()) << context;
+    EXPECT_EQ(meta.append(fresh_tags), id) << context;
+    EXPECT_EQ(meta.matching_ids(Predicate::tag(fresh)), (std::vector<std::size_t>{id}))
+        << context;
+
+    serve::io::Writer out;
+    meta.save(out);
+    serve::io::Reader in(out.buffer());
+    MetadataStore loaded;
+    loaded.load(in);
+    in.expect_end();
+    for (int more = 0; more <= 20; ++more) {
+      for (int p = 0; p < 6; ++p) {
+        const Predicate predicate = random_predicate(names.size());
+        expect_matching(loaded, predicate, context + " loaded");
+        EXPECT_EQ(loaded.matching_ids(predicate), meta.matching_ids(predicate))
+            << context << " " << predicate.to_string();
+      }
+      const std::vector<std::string> tags = random_names(names.size(), 3);
+      EXPECT_EQ(loaded.append(tags), meta.append(tags)) << context;
+      if (more % 4 == 0) {
+        const std::size_t victim = rng.index(meta.rows());
+        EXPECT_EQ(loaded.mark_erased(victim), meta.mark_erased(victim)) << context;
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Collection: TCAM-pushed filtering vs brute-force post-filtering
 // ---------------------------------------------------------------------------
@@ -385,6 +482,54 @@ TEST(Collection, SnapshotRoundTripRestoresFilteredBehavior) {
   flat->add(data.rows, data.labels);
   const std::vector<std::uint8_t> engine_blob = serve::save(*flat, "euclidean", base);
   EXPECT_THROW((void)Collection::restore(engine_blob), serve::io::SnapshotError);
+}
+
+TEST(Collection, RejectedTaggedAddKeepsIdsInStep) {
+  // An empty tag rejects the whole batch. The rows staged before it must
+  // roll back with it, or metadata ids run ahead of engine ids: a later
+  // add would tag ids the engine never assigned, and the collection could
+  // no longer be restored from its own snapshot.
+  const Data data = make_data(12, 6, 1, 647);
+  const std::vector<std::vector<std::string>> first = {{"a"}, {"b"}, {"a", "b"}, {"b"}};
+  const std::vector<std::vector<std::string>> rejected = {{"a"}, {"b"}, {""}, {"b"}};
+  const std::vector<std::vector<std::string>> later = {{"c"}, {"c"}, {"c", "a"}, {"c"}};
+  const auto rows = [&](std::size_t at) { return std::span(data.rows).subspan(at, 4); };
+  const auto labels = [&](std::size_t at) { return std::span(data.labels).subspan(at, 4); };
+  const std::vector<std::size_t> later_ids = {4, 5, 6, 7};
+  search::EngineConfig base;
+  base.num_features = 6;
+  const std::string refine = "refine:coarse_bits=16,tag_bits=8,fine=euclidean";
+
+  for (const std::string& spec : {std::string{"euclidean"}, refine}) {
+    Collection collection{"c", spec, base};
+    EXPECT_EQ(collection.add(rows(0), labels(0), first), 0u) << spec;
+    EXPECT_THROW((void)collection.add(rows(4), labels(4), rejected), std::invalid_argument)
+        << spec;
+    EXPECT_EQ(collection.metadata().rows(), 4u) << spec;
+    EXPECT_EQ(collection.size(), 4u) << spec;
+    EXPECT_EQ(collection.add(rows(4), labels(4), later), 4u) << spec;
+    EXPECT_EQ(collection.metadata().matching_ids(Predicate::tag("c")), later_ids) << spec;
+    const auto restored = Collection::restore(collection.snapshot());
+    EXPECT_EQ(restored->size(), 8u) << spec;
+    const CollectionQueryResult result =
+        restored->query(data.queries[0], 4, Predicate::tag("c"));
+    for (const auto& neighbor : result.result.neighbors) {
+      EXPECT_GE(neighbor.index, 4u) << spec;
+      EXPECT_LT(neighbor.index, 8u) << spec;
+    }
+  }
+
+  CollectionManager manager;
+  manager.create_collection("m", refine, base);
+  EXPECT_EQ(manager.add("m", rows(0), labels(0), first), 0u);
+  EXPECT_THROW((void)manager.add("m", rows(4), labels(4), rejected), std::invalid_argument);
+  EXPECT_EQ(manager.add("m", rows(4), labels(4), later), 4u);
+  const std::string dir = unique_dir("rejected_add");
+  EXPECT_EQ(manager.save(dir), 1u);
+  CollectionManager reloaded;
+  EXPECT_EQ(reloaded.load(dir), 1u);
+  EXPECT_EQ(reloaded.size("m"), 8u);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Collection, LoadFileOnMissingPathThrowsNamingThePath) {

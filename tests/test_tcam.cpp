@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
 #include <vector>
 
 namespace mcam::cam {
@@ -136,6 +137,18 @@ TEST(TcamArray, Validation) {
   EXPECT_THROW((void)tcam.add_row_bits(bits({1, 0, 1})), std::invalid_argument);
   EXPECT_THROW((void)tcam.search_conductances(bits({1})), std::invalid_argument);
   EXPECT_THROW((void)tcam.hamming_distances(bits({1, 0, 1})), std::invalid_argument);
+
+  // Both ternary entry points reject a symbol outside {0, 1, X} up front,
+  // rather than reading it as 0 (the sweep) or as a bit no row stores (the
+  // gate).
+  TcamArray two{TcamArrayConfig{}};
+  two.add_row_bits(bits({0, 1}));
+  two.add_row_bits(bits({1, 1}));
+  const std::vector<Trit> bad{static_cast<Trit>(5), Trit::kDontCare};
+  EXPECT_THROW((void)two.search_conductances(std::span<const Trit>{bad}),
+               std::invalid_argument);
+  EXPECT_THROW((void)two.ternary_match_mask(std::span<const Trit>{bad}),
+               std::invalid_argument);
 }
 
 TEST(TcamArray, OutOfRangeTritRejectedBeforeProgramming) {
@@ -367,6 +380,89 @@ TEST(TcamArray, TernaryMatchMaskRespectsBothSidesOfDontCare) {
                std::invalid_argument);
   EXPECT_THROW((void)tcam.search_conductances(std::span<const Trit>{wrong_width}),
                std::invalid_argument);
+}
+
+/// Per-row, per-cell oracle of ternary_match_mask: a row matches unless a
+/// column where both the query and the stored trit are definite differs.
+std::vector<std::uint8_t> reference_match_mask(const TcamArray& tcam,
+                                               std::span<const Trit> query) {
+  std::vector<std::uint8_t> mask;
+  for (std::size_t r = 0; r < tcam.num_rows(); ++r) {
+    const std::vector<Trit> word = tcam.row_trits(r);
+    std::uint8_t match = 1;
+    for (std::size_t c = 0; c < word.size(); ++c) {
+      if (query[c] != Trit::kDontCare && word[c] != Trit::kDontCare && word[c] != query[c]) {
+        match = 0;
+      }
+    }
+    mask.push_back(match);
+  }
+  return mask;
+}
+
+/// A query with `definite` random definite columns (capped at the width)
+/// and don't-care everywhere else.
+std::vector<Trit> query_with_definite(Rng& rng, std::size_t width, std::size_t definite) {
+  std::vector<std::size_t> columns(width);
+  for (std::size_t c = 0; c < width; ++c) columns[c] = c;
+  rng.shuffle(columns);
+  std::vector<Trit> query(width, Trit::kDontCare);
+  for (std::size_t i = 0; i < std::min(definite, width); ++i) {
+    query[columns[i]] = rng.bernoulli(0.5) ? Trit::kOne : Trit::kZero;
+  }
+  return query;
+}
+
+TEST(TcamArray, TernaryMatchMaskMatchesPerCellReference) {
+  // The block-wise gate against the per-cell oracle: every row count
+  // around the 8-row block (tail lanes included), widths up to a full
+  // signature + band word, and queries from all-don't-care to all
+  // definite. Tombstones, private Vth entries, drift and a clear() refill
+  // must not change what the gate reads.
+  Rng rng{19};
+  for (const std::size_t rows : {1u, 7u, 8u, 9u, 33u, 1024u}) {
+    for (const std::size_t width : {1u, 7u, 32u, 64u}) {
+      for (const double sigma : {0.0, 0.05}) {
+        TcamArrayConfig config;
+        config.vth_sigma = sigma;
+        config.seed = 23;
+        TcamArray tcam{config};
+        std::vector<std::vector<Trit>> words;
+        const auto program = [&] {
+          words.clear();
+          for (std::size_t r = 0; r < rows; ++r) {
+            words.push_back(random_trits(rng, width, 0.3));
+            tcam.add_row(words.back());
+          }
+        };
+        const auto check = [&](const char* stage) {
+          const std::string context = std::string{stage} + " rows=" + std::to_string(rows) +
+                                      " width=" + std::to_string(width) +
+                                      " sigma=" + std::to_string(sigma);
+          for (std::size_t r = 0; r < rows; ++r) {
+            ASSERT_EQ(tcam.row_trits(r), words[r]) << context << " row " << r;
+          }
+          for (const std::size_t definite :
+               {std::size_t{0}, std::size_t{1}, std::size_t{3}, width}) {
+            for (int q = 0; q < 4; ++q) {
+              const std::vector<Trit> query = query_with_definite(rng, width, definite);
+              EXPECT_EQ(tcam.ternary_match_mask(query), reference_match_mask(tcam, query))
+                  << context << " definite=" << definite;
+            }
+          }
+        };
+        program();
+        check("programmed");
+        for (std::size_t r = 0; r < rows; r += 3) (void)tcam.invalidate_row(r);
+        check("tombstoned");
+        (void)tcam.apply_drift(0.05, 29);
+        check("drifted");
+        tcam.clear();
+        program();
+        check("re-added");
+      }
+    }
+  }
 }
 
 TEST(TcamArray, ProgrammingNoiseKeepsSmallDistanceOrdering) {
