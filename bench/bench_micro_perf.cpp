@@ -1,7 +1,8 @@
 // google-benchmark microbenchmarks of the hot paths: array search,
 // nomination, the filtered-read band gate and metadata matching, exact
-// scoring, LUT construction, quantization, LSH encoding, batched top-k
-// queries and full few-shot episodes.
+// scoring, signature-model fits and projection, LUT construction,
+// quantization, LSH encoding, batched top-k queries and full few-shot
+// episodes.
 #include "cam/array.hpp"
 #include "cam/kernels/kernels.hpp"
 #include "cam/lut.hpp"
@@ -13,6 +14,7 @@
 #include "search/batch.hpp"
 #include "search/engine.hpp"
 #include "search/knn.hpp"
+#include "sig/model.hpp"
 #include "store/metadata.hpp"
 #include "util/linalg.hpp"
 
@@ -298,6 +300,53 @@ BENCHMARK(BM_SubsetRerank);
 
 void BM_SubsetRerankScalar(benchmark::State& state) { run_exact(state, 4096, 640, true); }
 BENCHMARK(BM_SubsetRerankScalar);
+
+// The refine build's set-up: the signature model learns its planes from
+// the calibration rows before a row can be stored. 4096 rows of 32 bits,
+// as in the refine-tcam workload, at its 48 features and at 256. Items are
+// calibration rows.
+std::vector<std::vector<float>> calibration_rows(std::size_t rows, std::size_t dims) {
+  Rng rng{23};
+  std::vector<std::vector<float>> out(rows, std::vector<float>(dims));
+  for (auto& row : out) {
+    const double shift = rng.normal(0.0, 2.0);
+    for (auto& v : row) v = static_cast<float>(shift + rng.normal());
+  }
+  return out;
+}
+
+void BM_SignatureFit(benchmark::State& state, const char* model) {
+  const auto rows = calibration_rows(4096, static_cast<std::size_t>(state.range(0)));
+  sig::SignatureModelConfig config;
+  config.num_bits = 32;
+  for (auto _ : state) {
+    auto fitted = sig::SignatureModelFactory::instance().create(model, config);
+    fitted->fit(rows);
+    benchmark::DoNotOptimize(fitted->planes().data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(rows.size()));
+}
+BENCHMARK_CAPTURE(BM_SignatureFit, itq, "itq")
+    ->Arg(48)->Arg(256)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_SignatureFit, trained, "trained")
+    ->Arg(48)->Arg(256)->Unit(benchmark::kMillisecond);
+
+// One signature encode of a refine add or query: 32 bits over 48 features
+// of a fitted itq model. 16 calibration rows rotate as queries.
+void BM_SignatureProject(benchmark::State& state) {
+  const auto rows = calibration_rows(4096, 48);
+  sig::SignatureModelConfig config;
+  config.num_bits = 32;
+  auto model = sig::SignatureModelFactory::instance().create("itq", config);
+  model->fit(rows);
+  std::size_t q = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(model->project(rows[q]));
+    q = (q + 1) % 16;
+  }
+}
+BENCHMARK(BM_SignatureProject);
 
 void BM_LutBuildNominal(benchmark::State& state) {
   const fefet::LevelMap map{static_cast<unsigned>(state.range(0))};

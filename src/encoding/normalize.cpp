@@ -1,8 +1,10 @@
 #include "encoding/normalize.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 namespace mcam::encoding {
 
@@ -14,6 +16,12 @@ void require_rows(std::span<const std::vector<float>> rows) {
   if (width == 0) throw std::invalid_argument{"FeatureScaler: zero-width rows"};
   for (const auto& row : rows) {
     if (row.size() != width) throw std::invalid_argument{"FeatureScaler: ragged rows"};
+    for (std::size_t f = 0; f < width; ++f) {
+      if (!std::isfinite(row[f])) {
+        throw std::invalid_argument{"FeatureScaler: non-finite value at feature " +
+                                    std::to_string(f)};
+      }
+    }
   }
 }
 
@@ -67,6 +75,9 @@ FeatureScaler FeatureScaler::from_state(std::vector<float> offsets,
                                         std::vector<float> scales) {
   if (offsets.empty() || offsets.size() != scales.size()) {
     throw std::invalid_argument{"FeatureScaler::from_state: bad state size"};
+  }
+  if (!std::all_of(offsets.begin(), offsets.end(), [](float o) { return std::isfinite(o); })) {
+    throw std::invalid_argument{"FeatureScaler::from_state: non-finite offset"};
   }
   for (float s : scales) {
     if (s == 0.0f || !std::isfinite(s)) {

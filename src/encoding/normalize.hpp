@@ -16,6 +16,8 @@ namespace mcam::encoding {
 class FeatureScaler {
  public:
   /// Fits min-max scaling to [0, 1]: offset = min, scale = max - min.
+  /// Both fits throw std::invalid_argument on no rows, zero-width or
+  /// ragged rows, or a non-finite value (the message names the feature).
   [[nodiscard]] static FeatureScaler fit_min_max(
       std::span<const std::vector<float>> rows);
 
@@ -26,8 +28,8 @@ class FeatureScaler {
   /// Rebuilds a scaler from previously fitted state (`offsets()` /
   /// `scales()`), the snapshot-restore path: the rebuilt scaler transforms
   /// bit-identically to the one it was exported from. Throws
-  /// std::invalid_argument on mismatched sizes, empty state, or a zero
-  /// scale.
+  /// std::invalid_argument on mismatched sizes, empty state, a non-finite
+  /// offset, or a zero or non-finite scale.
   [[nodiscard]] static FeatureScaler from_state(std::vector<float> offsets,
                                                 std::vector<float> scales);
 

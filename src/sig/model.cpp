@@ -17,6 +17,55 @@ constexpr std::size_t kPowerIterations = 64;   ///< Per principal direction.
 constexpr std::size_t kItqIterations = 24;     ///< Binarize/rotate alternations.
 constexpr std::size_t kJacobiSweeps = 30;      ///< Symmetric eigensolver cap.
 
+/// out = x^T mat for a row-major [x.size() x width] `mat`. Each output adds
+/// its products x[c] * mat(c, b) in ascending c from +0.0f, so it equals the
+/// one-output dot product bit for bit. The loop runs across the outputs over
+/// one contiguous row of `mat` at a time, which the compiler vectorizes
+/// without reassociating any output's sum. Blocks of kBlock outputs keep
+/// their sums in registers for the whole pass over x; the last
+/// width % kBlock outputs add in place.
+void vec_mat(std::span<const float> x, const float* mat, std::size_t width, float* out) {
+  constexpr std::size_t kBlock = 16;
+  const std::size_t full = width - width % kBlock;
+  for (std::size_t b0 = 0; b0 < full; b0 += kBlock) {
+    float acc[kBlock] = {};
+    for (std::size_t c = 0; c < x.size(); ++c) {
+      const float xc = x[c];
+      const float* row = mat + c * width + b0;
+      for (std::size_t k = 0; k < kBlock; ++k) acc[k] += xc * row[k];
+    }
+    std::copy_n(acc, kBlock, out + b0);
+  }
+  if (full == width) return;
+  std::fill(out + full, out + width, 0.0f);
+  for (std::size_t c = 0; c < x.size(); ++c) {
+    const float xc = x[c];
+    const float* row = mat + c * width;
+    for (std::size_t b = full; b < width; ++b) out[b] += xc * row[b];
+  }
+}
+
+/// Row-major transpose of a row-major [rows x cols] matrix.
+std::vector<float> transpose(const float* src, std::size_t rows, std::size_t cols) {
+  std::vector<float> out(rows * cols);
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t c = 0; c < cols; ++c) out[c * rows + r] = src[r * cols + c];
+  }
+  return out;
+}
+
+/// [f x width] matrix whose column b is directions[b % directions.size()]:
+/// the basis `vec_mat` projects a row onto every (cycled) direction with.
+std::vector<float> direction_columns(const std::vector<std::vector<float>>& directions,
+                                     std::size_t f, std::size_t width) {
+  std::vector<float> out(f * width);
+  for (std::size_t b = 0; b < width; ++b) {
+    const std::vector<float>& dir = directions[b % directions.size()];
+    for (std::size_t c = 0; c < f; ++c) out[c * width + b] = dir[c];
+  }
+  return out;
+}
+
 std::vector<float> feature_mean(std::span<const std::vector<float>> rows) {
   std::vector<float> mean(rows.front().size(), 0.0f);
   for (const auto& row : rows) {
@@ -28,16 +77,19 @@ std::vector<float> feature_mean(std::span<const std::vector<float>> rows) {
 }
 
 /// Covariance of the calibration rows [f x f] on the ml::Tensor substrate.
+/// Exactly symmetric: the lower triangle mirrors the upper.
 ml::Tensor covariance(std::span<const std::vector<float>> rows,
                       std::span<const float> mean) {
   const std::size_t f = mean.size();
   ml::Tensor cov({f, f});
+  float* out = cov.data().data();
+  std::vector<float> centered(f);
   for (const auto& row : rows) {
+    for (std::size_t c = 0; c < f; ++c) centered[c] = row[c] - mean[c];
     for (std::size_t a = 0; a < f; ++a) {
-      const float da = row[a] - mean[a];
-      for (std::size_t b = a; b < f; ++b) {
-        cov.at(a, b) += da * (row[b] - mean[b]);
-      }
+      const float da = centered[a];
+      float* cov_row = out + a * f;
+      for (std::size_t b = a; b < f; ++b) cov_row[b] += da * centered[b];
     }
   }
   const float inv_n = 1.0f / static_cast<float>(rows.size());
@@ -60,10 +112,18 @@ float vector_norm(std::span<const float> v) {
 /// (re-orthogonalized against the directions already found, so numerical
 /// drift cannot resurrect a deflated component). Deterministic: the start
 /// vectors come from the seeded rng. Eigenvalues are clamped to >= 0.
+///
+/// Works on the transpose, cov_t(b, a) = cov(a, b), so cov * v runs across
+/// outputs (vec_mat). `cov` arrives exactly symmetric, so its storage is
+/// already the transpose. Deflation subtracts (lambda * v[a]) * v[b] at
+/// (a, b) but (lambda * v[b]) * v[a] at (b, a), which may round apart, so
+/// each element of cov_t takes its own (a, b) expression and no element is
+/// ever read from its mirror.
 void principal_directions(ml::Tensor cov, std::size_t count, Rng& rng,
                           std::vector<std::vector<float>>& directions,
                           std::vector<float>& eigenvalues) {
   const std::size_t f = cov.shape().front();
+  float* cov_t = cov.data().data();
   directions.clear();
   eigenvalues.clear();
   for (std::size_t j = 0; j < count; ++j) {
@@ -77,11 +137,7 @@ void principal_directions(ml::Tensor cov, std::size_t count, Rng& rng,
         for (std::size_t i = 0; i < f; ++i) proj += prev[i] * v[i];
         for (std::size_t i = 0; i < f; ++i) v[i] -= proj * prev[i];
       }
-      for (std::size_t a = 0; a < f; ++a) {
-        float sum = 0.0f;
-        for (std::size_t b = 0; b < f; ++b) sum += cov.at(a, b) * v[b];
-        w[a] = sum;
-      }
+      vec_mat(v, cov_t, f, w.data());
       const float norm = vector_norm(w);
       if (norm < 1e-20f) break;  // Null space: keep the current v.
       for (std::size_t i = 0; i < f; ++i) v[i] = w[i] / norm;
@@ -95,17 +151,13 @@ void principal_directions(ml::Tensor cov, std::size_t count, Rng& rng,
     } else {
       for (float& x : v) x /= norm;
     }
+    vec_mat(v, cov_t, f, w.data());
     float lambda = 0.0f;
-    for (std::size_t a = 0; a < f; ++a) {
-      float sum = 0.0f;
-      for (std::size_t b = 0; b < f; ++b) sum += cov.at(a, b) * v[b];
-      lambda += v[a] * sum;
-    }
+    for (std::size_t a = 0; a < f; ++a) lambda += v[a] * w[a];
     lambda = std::max(lambda, 0.0f);
-    for (std::size_t a = 0; a < f; ++a) {
-      for (std::size_t b = 0; b < f; ++b) {
-        cov.at(a, b) -= lambda * v[a] * v[b];
-      }
+    for (std::size_t b = 0; b < f; ++b) {
+      float* column = cov_t + b * f;  // cov(., b)
+      for (std::size_t a = 0; a < f; ++a) column[a] -= lambda * v[a] * v[b];
     }
     directions.push_back(std::move(v));
     eigenvalues.push_back(lambda);
@@ -159,17 +211,19 @@ void jacobi_eigen(ml::Tensor& sym, ml::Tensor& rotation) {
 
 /// Nearest orthogonal matrix to M (polar factor): R = M (M^T M)^{-1/2},
 /// the orthogonal-Procrustes solution the ITQ rotation update needs.
-/// Falls back to the identity when M is (numerically) zero.
+/// Falls back to the identity when M is (numerically) zero. Every product
+/// runs across outputs (vec_mat) over rows of M, of Q^T, or of the scaled
+/// factor.
 ml::Tensor polar_orthogonal(const ml::Tensor& m_mat) {
   const std::size_t m = m_mat.shape().front();
+  const float* mat = m_mat.data().data();
+  // M^T M, row a = column a of M times M. Entry (b, a) adds the same
+  // products as (a, b) in the same order, so the result is exactly
+  // symmetric.
+  const std::vector<float> mat_t = transpose(mat, m, m);
   ml::Tensor sym({m, m});
   for (std::size_t a = 0; a < m; ++a) {
-    for (std::size_t b = a; b < m; ++b) {
-      float sum = 0.0f;
-      for (std::size_t i = 0; i < m; ++i) sum += m_mat.at(i, a) * m_mat.at(i, b);
-      sym.at(a, b) = sum;
-      sym.at(b, a) = sum;
-    }
+    vec_mat({&mat_t[a * m], m}, mat, m, &sym.data()[a * m]);
   }
   ml::Tensor eigvecs;
   jacobi_eigen(sym, eigvecs);
@@ -186,22 +240,16 @@ ml::Tensor polar_orthogonal(const ml::Tensor& m_mat) {
   for (std::size_t i = 0; i < m; ++i) {
     inv_sqrt[i] = 1.0f / std::sqrt(std::max(sym.at(i, i), 1e-12f * max_eig));
   }
-  ml::Tensor scaled({m, m});  // Q * diag * Q^T.
+  const float* q = eigvecs.data().data();
+  const std::vector<float> q_t = transpose(q, m, m);
+  std::vector<float> scaled(m * m);  // Q * diag * Q^T.
+  std::vector<float> weights(m);
   for (std::size_t a = 0; a < m; ++a) {
-    for (std::size_t b = 0; b < m; ++b) {
-      float sum = 0.0f;
-      for (std::size_t k = 0; k < m; ++k) {
-        sum += eigvecs.at(a, k) * inv_sqrt[k] * eigvecs.at(b, k);
-      }
-      scaled.at(a, b) = sum;
-    }
+    for (std::size_t k = 0; k < m; ++k) weights[k] = q[a * m + k] * inv_sqrt[k];
+    vec_mat(weights, q_t.data(), m, &scaled[a * m]);
   }
   for (std::size_t a = 0; a < m; ++a) {
-    for (std::size_t b = 0; b < m; ++b) {
-      float sum = 0.0f;
-      for (std::size_t k = 0; k < m; ++k) sum += m_mat.at(a, k) * scaled.at(k, b);
-      result.at(a, b) = sum;
-    }
+    vec_mat({mat + a * m, m}, scaled.data(), m, &result.data()[a * m]);
   }
   return result;
 }
@@ -229,9 +277,26 @@ ml::Tensor random_rotation(std::size_t m, Rng& rng) {
   return rot;
 }
 
+/// Every fit reads its rows unchecked, so a calibration set must be
+/// non-empty, rectangular and finite; checked before any state changes.
 void require_calibration(std::span<const std::vector<float>> rows, const char* who) {
   if (rows.empty() || rows.front().empty()) {
     throw std::invalid_argument{std::string{who} + ": empty calibration set"};
+  }
+  const std::size_t width = rows.front().size();
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    if (rows[r].size() != width) {
+      throw std::invalid_argument{std::string{who} + ": ragged calibration set (row " +
+                                  std::to_string(r) + " has " +
+                                  std::to_string(rows[r].size()) + " features, row 0 has " +
+                                  std::to_string(width) + ")"};
+    }
+    for (std::size_t c = 0; c < width; ++c) {
+      if (!std::isfinite(rows[r][c])) {
+        throw std::invalid_argument{std::string{who} + ": non-finite value at feature " +
+                                    std::to_string(c) + " of row " + std::to_string(r)};
+      }
+    }
   }
 }
 
@@ -248,6 +313,7 @@ SignatureModel::SignatureModel(const SignatureModelConfig& config) : config_(con
 void SignatureModel::reset() noexcept {
   num_features_ = 0;
   planes_.clear();
+  planes_t_.clear();
   thresholds_.clear();
 }
 
@@ -257,6 +323,12 @@ void SignatureModel::install_state(std::size_t num_features, std::vector<float> 
       thresholds.size() != config_.num_bits) {
     throw std::invalid_argument{"SignatureModel::install_state: bad state shape"};
   }
+  const auto finite = [](float x) { return std::isfinite(x); };
+  if (!std::all_of(planes.begin(), planes.end(), finite) ||
+      !std::all_of(thresholds.begin(), thresholds.end(), finite)) {
+    throw std::invalid_argument{"SignatureModel::install_state: non-finite state"};
+  }
+  planes_t_ = transpose(planes.data(), config_.num_bits, num_features);
   num_features_ = num_features;
   planes_ = std::move(planes);
   thresholds_ = std::move(thresholds);
@@ -297,15 +369,12 @@ std::vector<float> SignatureModel::project(std::span<const float> features) cons
   if (features.size() != num_features_) {
     throw std::invalid_argument{"SignatureModel::project: width mismatch"};
   }
-  // The one projection loop: same accumulation order as
-  // RandomHyperplaneLsh::encode (the v2-snapshot compatibility contract).
+  // The one projection loop: each bit adds plane_b[f] * x[f] in ascending
+  // f, the accumulation of RandomHyperplaneLsh::encode (the v2-snapshot
+  // compatibility contract), across the bits over the transposed planes.
   std::vector<float> margins(config_.num_bits);
-  for (std::size_t b = 0; b < config_.num_bits; ++b) {
-    const float* plane = &planes_[b * num_features_];
-    float projection = 0.0f;
-    for (std::size_t f = 0; f < num_features_; ++f) projection += plane[f] * features[f];
-    margins[b] = projection - thresholds_[b];
-  }
+  vec_mat(features, planes_t_.data(), config_.num_bits, margins.data());
+  for (std::size_t b = 0; b < config_.num_bits; ++b) margins[b] -= thresholds_[b];
   return margins;
 }
 
@@ -376,25 +445,24 @@ void TrainedSignatureModel::fit(std::span<const std::vector<float>> rows) {
   // Each direction's bits threshold at evenly spaced quantiles of the
   // calibration projections, so every bit splits the data into balanced
   // cells instead of slicing at an arbitrary offset.
+  const std::vector<float> basis = direction_columns(directions, f, num_dirs);
+  std::vector<std::vector<float>> projections(num_dirs, std::vector<float>(rows.size()));
+  std::vector<float> projected(num_dirs);
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    vec_mat(rows[r], basis.data(), num_dirs, projected.data());
+    for (std::size_t j = 0; j < num_dirs; ++j) projections[j][r] = projected[j];
+  }
   std::vector<float> planes;
   planes.reserve(bits * f);
   std::vector<float> thresholds;
   thresholds.reserve(bits);
   for (std::size_t j = 0; j < num_dirs; ++j) {
     if (counts[j] == 0) continue;
-    std::vector<float> projections;
-    projections.reserve(rows.size());
-    for (const auto& row : rows) {
-      float p = 0.0f;
-      for (std::size_t i = 0; i < f; ++i) p += directions[j][i] * row[i];
-      projections.push_back(p);
-    }
-    std::sort(projections.begin(), projections.end());
+    std::sort(projections[j].begin(), projections[j].end());
     for (std::size_t t = 1; t <= counts[j]; ++t) {
-      const std::size_t idx =
-          std::min(t * projections.size() / (counts[j] + 1), projections.size() - 1);
+      const std::size_t idx = std::min(t * rows.size() / (counts[j] + 1), rows.size() - 1);
       planes.insert(planes.end(), directions[j].begin(), directions[j].end());
-      thresholds.push_back(projections[idx]);
+      thresholds.push_back(projections[j][idx]);
     }
   }
   install_state(f, std::move(planes), std::move(thresholds));
@@ -422,33 +490,31 @@ void ItqSignatureModel::fit(std::span<const std::vector<float>> rows) {
   std::vector<float> eigenvalues;
   principal_directions(covariance(rows, mean), num_dirs, rng, directions, eigenvalues);
 
-  ml::Tensor v_mat({n, bits});  // Centered rows in the (cycled) PCA basis.
+  // Centered rows in the (cycled) PCA basis, row-major [n x bits].
+  const std::vector<float> basis = direction_columns(directions, f, bits);
+  std::vector<float> v_mat(n * bits);
+  std::vector<float> centered(f);
   for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t b = 0; b < bits; ++b) {
-      const std::vector<float>& dir = directions[b % num_dirs];
-      float p = 0.0f;
-      for (std::size_t c = 0; c < f; ++c) p += dir[c] * (rows[i][c] - mean[c]);
-      v_mat.at(i, b) = p;
-    }
+    for (std::size_t c = 0; c < f; ++c) centered[c] = rows[i][c] - mean[c];
+    vec_mat(centered, basis.data(), bits, &v_mat[i * bits]);
   }
 
   // ITQ alternation: binarize (B = sign(V R)), then re-solve the
   // orthogonal rotation minimizing ||B - V R||_F (Procrustes: the polar
-  // factor of V^T B). Deterministic for a fixed seed.
+  // factor of V^T B). Deterministic for a fixed seed. Row j of V^T B adds
+  // v(i, j) * b(i, .) over the rows i in order, as one vec_mat over B.
+  const std::vector<float> v_t = transpose(v_mat.data(), n, bits);
+  std::vector<float> signs(n * bits);  // B, row-major [n x bits].
   ml::Tensor rotation = random_rotation(bits, rng);
-  std::vector<float> rotated(bits);
   for (std::size_t iter = 0; iter < kItqIterations; ++iter) {
-    ml::Tensor m_mat({bits, bits});  // V^T sign(V R), accumulated row-wise.
     for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t b = 0; b < bits; ++b) {
-        float sum = 0.0f;
-        for (std::size_t j = 0; j < bits; ++j) sum += v_mat.at(i, j) * rotation.at(j, b);
-        rotated[b] = sum >= 0.0f ? 1.0f : -1.0f;
-      }
-      for (std::size_t j = 0; j < bits; ++j) {
-        const float vij = v_mat.at(i, j);
-        for (std::size_t b = 0; b < bits; ++b) m_mat.at(j, b) += vij * rotated[b];
-      }
+      float* sign_row = &signs[i * bits];
+      vec_mat({&v_mat[i * bits], bits}, rotation.data().data(), bits, sign_row);
+      for (std::size_t b = 0; b < bits; ++b) sign_row[b] = sign_row[b] >= 0.0f ? 1.0f : -1.0f;
+    }
+    ml::Tensor m_mat({bits, bits});  // V^T B.
+    for (std::size_t j = 0; j < bits; ++j) {
+      vec_mat({&v_t[j * n], n}, signs.data(), bits, &m_mat.data()[j * bits]);
     }
     rotation = polar_orthogonal(m_mat);
   }

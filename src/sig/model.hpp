@@ -71,7 +71,9 @@ class SignatureModel {
 
   /// Fits planes and thresholds on the calibration rows. Fit-once: a
   /// second call on a fitted model is a no-op (call reset() to refit).
-  /// Throws std::invalid_argument on an empty calibration set.
+  /// Throws std::invalid_argument, leaving the model unfitted, on an empty
+  /// calibration set, rows of unequal width, or a non-finite value (the
+  /// message names the feature).
   virtual void fit(std::span<const std::vector<float>> rows) = 0;
 
   /// True once fit (or install_state) has produced planes.
@@ -111,8 +113,8 @@ class SignatureModel {
   /// Installs previously fitted state (the snapshot-restore path): the
   /// rebuilt model encodes bit-identically to the one the state came
   /// from, independent of any RNG. Throws std::invalid_argument unless
-  /// planes.size() == num_bits * num_features and thresholds.size() ==
-  /// num_bits.
+  /// planes.size() == num_bits * num_features, thresholds.size() ==
+  /// num_bits, and every value is finite.
   void install_state(std::size_t num_features, std::vector<float> planes,
                      std::vector<float> thresholds);
 
@@ -126,6 +128,9 @@ class SignatureModel {
   SignatureModelConfig config_;
   std::size_t num_features_ = 0;
   std::vector<float> planes_;      ///< Row-major [num_bits x num_features].
+  /// planes_ transposed, [num_features x num_bits], so project() runs across
+  /// bits. Derived by install_state, never serialized.
+  std::vector<float> planes_t_;
   std::vector<float> thresholds_;  ///< [num_bits].
 };
 

@@ -64,6 +64,31 @@ TEST(FeatureScaler, Validation) {
   EXPECT_THROW((void)FeatureScaler::fit_min_max(ragged), std::invalid_argument);
   const FeatureScaler scaler = FeatureScaler::fit_min_max(toy_rows());
   EXPECT_THROW((void)scaler.transform(std::vector<float>{1.0f}), std::invalid_argument);
+  // Restored state must be finite, offsets as well as scales.
+  EXPECT_THROW((void)FeatureScaler::from_state({std::numeric_limits<float>::quiet_NaN()},
+                                               {1.0f}),
+               std::invalid_argument);
+}
+
+TEST(FeatureScaler, NonFiniteFitValueIsRejectedNamingTheFeature) {
+  // One NaN or infinity used to make every scaled value of its feature
+  // NaN (z-score) or collapse the feature's range (min-max).
+  for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
+                          std::numeric_limits<float>::infinity(),
+                          -std::numeric_limits<float>::infinity()}) {
+    auto rows = toy_rows();
+    rows[2][1] = bad;
+    for (const auto fit : {&FeatureScaler::fit_min_max, &FeatureScaler::fit_z_score}) {
+      try {
+        (void)fit(rows);
+        FAIL() << "fit accepted " << bad;
+      } catch (const std::invalid_argument& error) {
+        EXPECT_NE(std::string{error.what()}.find("non-finite value at feature 1"),
+                  std::string::npos)
+            << error.what();
+      }
+    }
+  }
 }
 
 TEST(UniformQuantizer, LevelsInRange) {

@@ -24,6 +24,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <set>
 #include <string>
@@ -473,6 +474,44 @@ TEST(TwoStageMutation, FailedAddLeavesBothStagesUntouched) {
   EXPECT_TRUE(index->erase(31));
   for (const auto& q : data.queries) {
     EXPECT_EQ(index->query_one(q, 3).neighbors.size(), 3u);
+  }
+}
+
+TEST(TwoStageMutation, NonFiniteCalibrationIsRejectedAndRolledBack) {
+  // One NaN or infinity among the calibration rows used to calibrate a
+  // coarse stage whose every signature had no bit set, so every row tied in
+  // the coarse sweep and coarse_margin read 0. Calibrate and the first add
+  // must refuse such rows, naming the feature, and leave the coarse stage
+  // uncalibrated.
+  const Data data = make_data(64, 12, 4, 331);
+  EngineConfig config;
+  config.num_features = 12;
+  for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
+                          std::numeric_limits<float>::infinity()}) {
+    std::vector<std::vector<float>> rows = data.rows;
+    rows[20][7] = bad;
+    auto index = make_index("refine:coarse_bits=8,sig=itq,fine=euclidean", config);
+    const auto& two_stage = dynamic_cast<const TwoStageNnIndex&>(*index);
+    try {
+      index->calibrate(rows);
+      FAIL() << "calibrate accepted " << bad;
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string{error.what()}.find("non-finite value at feature 7"),
+                std::string::npos)
+          << error.what();
+    }
+    EXPECT_FALSE(two_stage.signature_model().fitted());
+    EXPECT_THROW((void)two_stage.coarse_tcam(), std::logic_error);
+    EXPECT_THROW(index->add(rows, data.labels), std::invalid_argument);
+    EXPECT_EQ(index->size(), 0u);
+    // Finite rows still calibrate, and their signatures tell rows apart.
+    index->add(data.rows, data.labels);
+    EXPECT_TRUE(two_stage.signature_model().fitted());
+    std::set<std::vector<cam::Trit>> signatures;
+    for (std::size_t id = 0; id < index->size(); ++id) {
+      signatures.insert(two_stage.coarse_tcam().row_trits(id));
+    }
+    EXPECT_GT(signatures.size(), 8u);
   }
 }
 

@@ -4,20 +4,28 @@
 // bit-identical to encoding::RandomHyperplaneLsh (the v2-snapshot compat
 // contract); trained thresholds balance every bit on the calibration
 // data; itq training is deterministic, rotation-orthogonal, and a better
-// quantizer than raw sign bits; install_state round-trips every model
-// bit-exactly; and the multi-probe generator enumerates flip sets in
-// increasing margin order with the base signature first.
+// quantizer than raw sign bits; the fits and project() match per-output
+// scalar reference loops bit for bit; ragged or non-finite calibration
+// rows and non-finite installed state are rejected; install_state
+// round-trips every model bit-exactly; and the multi-probe generator
+// enumerates flip sets in increasing margin order with the base signature
+// first.
 #include "sig/model.hpp"
 #include "sig/multiprobe.hpp"
 
 #include "encoding/lsh.hpp"
 #include "fnv1a.hpp"
+#include "ml/tensor.hpp"
 #include "util/rng.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <numeric>
 #include <set>
 #include <string>
 #include <utility>
@@ -36,6 +44,341 @@ std::vector<std::vector<float>> make_rows(std::size_t n, std::size_t dim,
   }
   return rows;
 }
+
+/// IEEE bit patterns, so a comparison tells -0.0 from +0.0 and matches NaNs.
+std::vector<std::uint32_t> float_bits(const std::vector<float>& values) {
+  std::vector<std::uint32_t> bits(values.size());
+  std::memcpy(bits.data(), values.data(), values.size() * sizeof(float));
+  return bits;
+}
+
+// The fits as they were written before they ran across outputs: every
+// output of a matrix product is one scalar sum down a column or along a
+// row, read through Tensor::at. The library must match them bit for bit.
+namespace scalar_reference {
+
+constexpr std::size_t kPowerIterations = 64;
+constexpr std::size_t kItqIterations = 24;
+constexpr std::size_t kJacobiSweeps = 30;
+
+struct Fit {
+  std::vector<float> planes;
+  std::vector<float> thresholds;
+};
+
+std::vector<float> feature_mean(std::span<const std::vector<float>> rows) {
+  std::vector<float> mean(rows.front().size(), 0.0f);
+  for (const auto& row : rows) {
+    for (std::size_t i = 0; i < mean.size(); ++i) mean[i] += row[i];
+  }
+  const float inv_n = 1.0f / static_cast<float>(rows.size());
+  for (float& m : mean) m *= inv_n;
+  return mean;
+}
+
+ml::Tensor covariance(std::span<const std::vector<float>> rows,
+                      std::span<const float> mean) {
+  const std::size_t f = mean.size();
+  ml::Tensor cov({f, f});
+  for (const auto& row : rows) {
+    for (std::size_t a = 0; a < f; ++a) {
+      const float da = row[a] - mean[a];
+      for (std::size_t b = a; b < f; ++b) {
+        cov.at(a, b) += da * (row[b] - mean[b]);
+      }
+    }
+  }
+  const float inv_n = 1.0f / static_cast<float>(rows.size());
+  for (std::size_t a = 0; a < f; ++a) {
+    for (std::size_t b = a; b < f; ++b) {
+      cov.at(a, b) *= inv_n;
+      cov.at(b, a) = cov.at(a, b);
+    }
+  }
+  return cov;
+}
+
+float vector_norm(std::span<const float> v) {
+  float sum = 0.0f;
+  for (float x : v) sum += x * x;
+  return std::sqrt(sum);
+}
+
+void principal_directions(ml::Tensor cov, std::size_t count, Rng& rng,
+                          std::vector<std::vector<float>>& directions,
+                          std::vector<float>& eigenvalues) {
+  const std::size_t f = cov.shape().front();
+  directions.clear();
+  eigenvalues.clear();
+  for (std::size_t j = 0; j < count; ++j) {
+    std::vector<float> v(f);
+    for (float& x : v) x = static_cast<float>(rng.normal());
+    std::vector<float> w(f);
+    for (std::size_t iter = 0; iter < kPowerIterations; ++iter) {
+      for (const auto& prev : directions) {
+        float proj = 0.0f;
+        for (std::size_t i = 0; i < f; ++i) proj += prev[i] * v[i];
+        for (std::size_t i = 0; i < f; ++i) v[i] -= proj * prev[i];
+      }
+      for (std::size_t a = 0; a < f; ++a) {
+        float sum = 0.0f;
+        for (std::size_t b = 0; b < f; ++b) sum += cov.at(a, b) * v[b];
+        w[a] = sum;
+      }
+      const float norm = vector_norm(w);
+      if (norm < 1e-20f) break;
+      for (std::size_t i = 0; i < f; ++i) v[i] = w[i] / norm;
+    }
+    const float norm = vector_norm(v);
+    if (norm < 1e-20f) {
+      std::fill(v.begin(), v.end(), 0.0f);
+      v[j % f] = 1.0f;
+    } else {
+      for (float& x : v) x /= norm;
+    }
+    float lambda = 0.0f;
+    for (std::size_t a = 0; a < f; ++a) {
+      float sum = 0.0f;
+      for (std::size_t b = 0; b < f; ++b) sum += cov.at(a, b) * v[b];
+      lambda += v[a] * sum;
+    }
+    lambda = std::max(lambda, 0.0f);
+    for (std::size_t a = 0; a < f; ++a) {
+      for (std::size_t b = 0; b < f; ++b) {
+        cov.at(a, b) -= lambda * v[a] * v[b];
+      }
+    }
+    directions.push_back(std::move(v));
+    eigenvalues.push_back(lambda);
+  }
+}
+
+void jacobi_eigen(ml::Tensor& sym, ml::Tensor& rotation) {
+  const std::size_t m = sym.shape().front();
+  rotation = ml::Tensor({m, m});
+  for (std::size_t i = 0; i < m; ++i) rotation.at(i, i) = 1.0f;
+  for (std::size_t sweep = 0; sweep < kJacobiSweeps; ++sweep) {
+    float off = 0.0f;
+    for (std::size_t p = 0; p < m; ++p) {
+      for (std::size_t q = p + 1; q < m; ++q) off += std::abs(sym.at(p, q));
+    }
+    if (off < 1e-10f) return;
+    for (std::size_t p = 0; p < m; ++p) {
+      for (std::size_t q = p + 1; q < m; ++q) {
+        const float apq = sym.at(p, q);
+        if (std::abs(apq) < 1e-12f) continue;
+        const float app = sym.at(p, p);
+        const float aqq = sym.at(q, q);
+        const float theta = 0.5f * std::atan2(2.0f * apq, app - aqq);
+        const float c = std::cos(theta);
+        const float s = std::sin(theta);
+        for (std::size_t i = 0; i < m; ++i) {
+          const float aip = sym.at(i, p);
+          const float aiq = sym.at(i, q);
+          sym.at(i, p) = c * aip + s * aiq;
+          sym.at(i, q) = -s * aip + c * aiq;
+        }
+        for (std::size_t i = 0; i < m; ++i) {
+          const float api = sym.at(p, i);
+          const float aqi = sym.at(q, i);
+          sym.at(p, i) = c * api + s * aqi;
+          sym.at(q, i) = -s * api + c * aqi;
+        }
+        for (std::size_t i = 0; i < m; ++i) {
+          const float rip = rotation.at(i, p);
+          const float riq = rotation.at(i, q);
+          rotation.at(i, p) = c * rip + s * riq;
+          rotation.at(i, q) = -s * rip + c * riq;
+        }
+      }
+    }
+  }
+}
+
+ml::Tensor polar_orthogonal(const ml::Tensor& m_mat) {
+  const std::size_t m = m_mat.shape().front();
+  ml::Tensor sym({m, m});
+  for (std::size_t a = 0; a < m; ++a) {
+    for (std::size_t b = a; b < m; ++b) {
+      float sum = 0.0f;
+      for (std::size_t i = 0; i < m; ++i) sum += m_mat.at(i, a) * m_mat.at(i, b);
+      sym.at(a, b) = sum;
+      sym.at(b, a) = sum;
+    }
+  }
+  ml::Tensor eigvecs;
+  jacobi_eigen(sym, eigvecs);
+  float max_eig = 0.0f;
+  for (std::size_t i = 0; i < m; ++i) max_eig = std::max(max_eig, sym.at(i, i));
+  ml::Tensor result({m, m});
+  if (max_eig <= 0.0f) {
+    for (std::size_t i = 0; i < m; ++i) result.at(i, i) = 1.0f;
+    return result;
+  }
+  std::vector<float> inv_sqrt(m);
+  for (std::size_t i = 0; i < m; ++i) {
+    inv_sqrt[i] = 1.0f / std::sqrt(std::max(sym.at(i, i), 1e-12f * max_eig));
+  }
+  ml::Tensor scaled({m, m});
+  for (std::size_t a = 0; a < m; ++a) {
+    for (std::size_t b = 0; b < m; ++b) {
+      float sum = 0.0f;
+      for (std::size_t k = 0; k < m; ++k) {
+        sum += eigvecs.at(a, k) * inv_sqrt[k] * eigvecs.at(b, k);
+      }
+      scaled.at(a, b) = sum;
+    }
+  }
+  for (std::size_t a = 0; a < m; ++a) {
+    for (std::size_t b = 0; b < m; ++b) {
+      float sum = 0.0f;
+      for (std::size_t k = 0; k < m; ++k) sum += m_mat.at(a, k) * scaled.at(k, b);
+      result.at(a, b) = sum;
+    }
+  }
+  return result;
+}
+
+ml::Tensor random_rotation(std::size_t m, Rng& rng) {
+  ml::Tensor rot({m, m});
+  for (std::size_t col = 0; col < m; ++col) {
+    std::vector<float> v(m);
+    for (float& x : v) x = static_cast<float>(rng.normal());
+    for (std::size_t prev = 0; prev < col; ++prev) {
+      float proj = 0.0f;
+      for (std::size_t i = 0; i < m; ++i) proj += rot.at(i, prev) * v[i];
+      for (std::size_t i = 0; i < m; ++i) v[i] -= proj * rot.at(i, prev);
+    }
+    const float norm = vector_norm(v);
+    if (norm < 1e-12f) {
+      std::fill(v.begin(), v.end(), 0.0f);
+      v[col] = 1.0f;
+    } else {
+      for (float& x : v) x /= norm;
+    }
+    for (std::size_t i = 0; i < m; ++i) rot.at(i, col) = v[i];
+  }
+  return rot;
+}
+
+Fit trained(std::span<const std::vector<float>> rows, std::size_t bits,
+            std::uint64_t seed) {
+  const std::size_t f = rows.front().size();
+  const std::vector<float> mean = feature_mean(rows);
+  Rng rng{seed};
+  const std::size_t num_dirs = std::min(bits, f);
+  std::vector<std::vector<float>> directions;
+  std::vector<float> eigenvalues;
+  principal_directions(covariance(rows, mean), num_dirs, rng, directions, eigenvalues);
+  std::vector<float> shares(num_dirs);
+  float total_share = 0.0f;
+  for (std::size_t j = 0; j < num_dirs; ++j) {
+    shares[j] = std::sqrt(std::max(eigenvalues[j], 0.0f));
+    total_share += shares[j];
+  }
+  std::vector<std::size_t> counts(num_dirs, 0);
+  if (total_share <= 0.0f) {
+    for (std::size_t b = 0; b < bits; ++b) ++counts[b % num_dirs];
+  } else {
+    std::vector<float> fractions(num_dirs);
+    std::size_t assigned = 0;
+    for (std::size_t j = 0; j < num_dirs; ++j) {
+      const float exact = static_cast<float>(bits) * shares[j] / total_share;
+      counts[j] = static_cast<std::size_t>(exact);
+      fractions[j] = exact - static_cast<float>(counts[j]);
+      assigned += counts[j];
+    }
+    std::vector<std::size_t> order(num_dirs);
+    std::iota(order.begin(), order.end(), 0);
+    std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+      return fractions[a] > fractions[b];
+    });
+    for (std::size_t r = 0; assigned < bits; ++r) ++counts[order[r % num_dirs]], ++assigned;
+  }
+  Fit fit;
+  for (std::size_t j = 0; j < num_dirs; ++j) {
+    if (counts[j] == 0) continue;
+    std::vector<float> projections;
+    for (const auto& row : rows) {
+      float p = 0.0f;
+      for (std::size_t i = 0; i < f; ++i) p += directions[j][i] * row[i];
+      projections.push_back(p);
+    }
+    std::sort(projections.begin(), projections.end());
+    for (std::size_t t = 1; t <= counts[j]; ++t) {
+      const std::size_t idx =
+          std::min(t * projections.size() / (counts[j] + 1), projections.size() - 1);
+      fit.planes.insert(fit.planes.end(), directions[j].begin(), directions[j].end());
+      fit.thresholds.push_back(projections[idx]);
+    }
+  }
+  return fit;
+}
+
+Fit itq(std::span<const std::vector<float>> rows, std::size_t bits, std::uint64_t seed) {
+  const std::size_t n = rows.size();
+  const std::size_t f = rows.front().size();
+  const std::vector<float> mean = feature_mean(rows);
+  Rng rng{seed};
+  const std::size_t num_dirs = std::min(bits, f);
+  std::vector<std::vector<float>> directions;
+  std::vector<float> eigenvalues;
+  principal_directions(covariance(rows, mean), num_dirs, rng, directions, eigenvalues);
+  ml::Tensor v_mat({n, bits});
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t b = 0; b < bits; ++b) {
+      const std::vector<float>& dir = directions[b % num_dirs];
+      float p = 0.0f;
+      for (std::size_t c = 0; c < f; ++c) p += dir[c] * (rows[i][c] - mean[c]);
+      v_mat.at(i, b) = p;
+    }
+  }
+  ml::Tensor rotation = random_rotation(bits, rng);
+  std::vector<float> rotated(bits);
+  for (std::size_t iter = 0; iter < kItqIterations; ++iter) {
+    ml::Tensor m_mat({bits, bits});
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t b = 0; b < bits; ++b) {
+        float sum = 0.0f;
+        for (std::size_t j = 0; j < bits; ++j) sum += v_mat.at(i, j) * rotation.at(j, b);
+        rotated[b] = sum >= 0.0f ? 1.0f : -1.0f;
+      }
+      for (std::size_t j = 0; j < bits; ++j) {
+        const float vij = v_mat.at(i, j);
+        for (std::size_t b = 0; b < bits; ++b) m_mat.at(j, b) += vij * rotated[b];
+      }
+    }
+    rotation = polar_orthogonal(m_mat);
+  }
+  Fit fit{std::vector<float>(bits * f, 0.0f), std::vector<float>(bits, 0.0f)};
+  for (std::size_t b = 0; b < bits; ++b) {
+    float* plane = &fit.planes[b * f];
+    for (std::size_t j = 0; j < bits; ++j) {
+      const float weight = rotation.at(j, b);
+      const std::vector<float>& dir = directions[j % num_dirs];
+      for (std::size_t c = 0; c < f; ++c) plane[c] += weight * dir[c];
+    }
+    float t = 0.0f;
+    for (std::size_t c = 0; c < f; ++c) t += plane[c] * mean[c];
+    fit.thresholds[b] = t;
+  }
+  return fit;
+}
+
+/// The per-bit projection loop: one dot product per bit, over its plane.
+std::vector<float> project(const SignatureModel& model, std::span<const float> features) {
+  const std::size_t f = model.num_features();
+  std::vector<float> margins(model.num_bits());
+  for (std::size_t b = 0; b < model.num_bits(); ++b) {
+    const float* plane = &model.planes()[b * f];
+    float projection = 0.0f;
+    for (std::size_t i = 0; i < f; ++i) projection += plane[i] * features[i];
+    margins[b] = projection - model.thresholds()[b];
+  }
+  return margins;
+}
+
+}  // namespace scalar_reference
 
 TEST(SignatureRegistry, ResolvesBuiltinsAndRejectsUnknownNames) {
   auto& factory = SignatureModelFactory::instance();
@@ -186,6 +529,125 @@ TEST(SignatureModel, GoldenFitBits) {
   }
 }
 
+TEST(SignatureModel, FitMatchesScalarReference) {
+  // The fits run across outputs; each output must still add the same
+  // products in the same order as the scalar loops. One and two rows give
+  // a zero and a rank-one covariance; bits above the feature count cycle
+  // the PCA basis; 97 features leave a partial block of outputs.
+  //
+  // Cost bounds the grid: a 64-bit itq fit, and its reference, spends
+  // 0.1-0.3 s in the 64 x 64 Jacobi sweeps of its 24 rotation updates,
+  // and the sanitizer builds run this test 12x (ASan) to 55x (TSan)
+  // slower. So the two seeds alternate across the grid, and 64-bit itq
+  // runs at 33 rows with and without a cycled basis.
+  std::size_t cell = 0;
+  for (const std::size_t features : {1, 5, 12, 48, 97}) {
+    for (const std::size_t num_rows : {1, 2, 33, 300}) {
+      const auto rows = make_rows(num_rows, features, 1000 * features + num_rows);
+      for (const std::size_t bits : {1, 8, 24, 32, 64}) {
+        SignatureModelConfig config;
+        config.num_bits = bits;
+        config.seed = cell++ % 2 == 0 ? 7 : 600;
+        for (const std::string key : {"trained", "itq"}) {
+          if (key == "itq" && bits == 64 &&
+              (num_rows != 33 || (features != 12 && features != 97))) {
+            continue;
+          }
+          auto model = SignatureModelFactory::instance().create(key, config);
+          model->fit(rows);
+          const scalar_reference::Fit want =
+              key == "itq" ? scalar_reference::itq(rows, bits, config.seed)
+                           : scalar_reference::trained(rows, bits, config.seed);
+          const std::string where = key + " features " + std::to_string(features) +
+                                    " rows " + std::to_string(num_rows) + " bits " +
+                                    std::to_string(bits) + " seed " +
+                                    std::to_string(config.seed);
+          EXPECT_EQ(float_bits(model->planes()), float_bits(want.planes)) << where;
+          EXPECT_EQ(float_bits(model->thresholds()), float_bits(want.thresholds)) << where;
+        }
+      }
+    }
+  }
+}
+
+TEST(SignatureModel, ProjectMatchesPerBitReference) {
+  // project() runs across bits over transposed planes, which fit and
+  // install_state derive; every margin must equal the per-bit dot product,
+  // a NaN feature included.
+  for (const std::size_t features : {1, 5, 48, 97}) {
+    for (const std::size_t bits : {1, 8, 32, 64}) {
+      const auto rows = make_rows(40, features, 77 + features);
+      SignatureModelConfig config;
+      config.num_bits = bits;
+      for (const char* key : {"random", "trained"}) {
+        auto fitted = SignatureModelFactory::instance().create(key, config);
+        fitted->fit(rows);
+        auto installed = SignatureModelFactory::instance().create(key, config);
+        installed->install_state(features, fitted->planes(), fitted->thresholds());
+        std::vector<std::vector<float>> queries = make_rows(8, features, 5);
+        queries.push_back(queries.front());
+        queries.back()[features / 2] = std::numeric_limits<float>::quiet_NaN();
+        for (const auto& q : queries) {
+          const std::string where = std::string{key} + " features " +
+                                    std::to_string(features) + " bits " +
+                                    std::to_string(bits);
+          const std::vector<std::uint32_t> want =
+              float_bits(scalar_reference::project(*fitted, q));
+          EXPECT_EQ(float_bits(fitted->project(q)), want) << where;
+          EXPECT_EQ(float_bits(installed->project(q)), want) << where;
+        }
+      }
+    }
+  }
+}
+
+TEST(SignatureModel, FitRejectsRaggedRows) {
+  // The fits read every row at the first row's width without checks, so a
+  // row of another width must be refused before any state changes.
+  SignatureModelConfig config;
+  config.num_bits = 8;
+  for (const std::size_t width : {3, 13}) {
+    auto rows = make_rows(64, 12, 31);
+    rows[40].resize(width, 0.5f);
+    for (const char* key : {"random", "trained", "itq"}) {
+      auto model = SignatureModelFactory::instance().create(key, config);
+      try {
+        model->fit(rows);
+        FAIL() << key << " accepted a row of width " << width;
+      } catch (const std::invalid_argument& error) {
+        EXPECT_NE(std::string{error.what()}.find("row 40"), std::string::npos)
+            << error.what();
+      }
+      EXPECT_FALSE(model->fitted()) << key;
+    }
+  }
+}
+
+TEST(SignatureModel, FitRejectsNonFiniteValuesNamingTheFeature) {
+  // One NaN or infinity used to fit planes that put every row on the same
+  // side of every threshold, silently blinding the coarse stage.
+  SignatureModelConfig config;
+  config.num_bits = 8;
+  for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
+                          std::numeric_limits<float>::infinity(),
+                          -std::numeric_limits<float>::infinity()}) {
+    auto rows = make_rows(64, 12, 37);
+    rows[17][5] = bad;
+    for (const char* key : {"random", "trained", "itq"}) {
+      auto model = SignatureModelFactory::instance().create(key, config);
+      try {
+        model->fit(rows);
+        FAIL() << key << " accepted " << bad;
+      } catch (const std::invalid_argument& error) {
+        EXPECT_NE(std::string{error.what()}.find("non-finite value at feature 5"),
+                  std::string::npos)
+            << error.what();
+      }
+      EXPECT_FALSE(model->fitted()) << key;
+    }
+  }
+}
+
 TEST(SignatureModel, InstallStateRoundTripsBitExactly) {
   SignatureModelConfig config;
   config.num_bits = 9;
@@ -209,6 +671,16 @@ TEST(SignatureModel, InstallStateRoundTripsBitExactly) {
   EXPECT_THROW(model->install_state(4, std::vector<float>(9 * 3, 0.0f),
                                     std::vector<float>(9, 0.0f)),
                std::invalid_argument);
+  // Non-finite state: a NaN plane or an infinite threshold.
+  std::vector<float> nan_plane(9 * 4, 0.5f);
+  nan_plane[13] = std::numeric_limits<float>::quiet_NaN();
+  EXPECT_THROW(model->install_state(4, nan_plane, std::vector<float>(9, 0.0f)),
+               std::invalid_argument);
+  std::vector<float> inf_threshold(9, 0.0f);
+  inf_threshold[2] = std::numeric_limits<float>::infinity();
+  EXPECT_THROW(model->install_state(4, std::vector<float>(9 * 4, 0.5f), inf_threshold),
+               std::invalid_argument);
+  EXPECT_FALSE(model->fitted());
 }
 
 TEST(MultiProbe, BaseFirstThenIncreasingMarginCost) {

@@ -2,9 +2,9 @@
 // and sharded, both sensing modes, with programming noise enabled),
 // load(save(idx)) answers queries bit-identically to the original after a
 // randomized add/erase history, later adds behave identically (the replay
-// reconstructs the RNG position), and the header layer rejects corrupted,
+// reconstructs the RNG position), the header layer rejects corrupted,
 // truncated, mis-versioned and mis-typed blobs before any engine code
-// runs.
+// runs, and a well-sealed blob with non-finite signature state is refused.
 #include "serve/snapshot.hpp"
 
 #include "cam/lut.hpp"
@@ -12,14 +12,18 @@
 #include "mann/memory.hpp"
 #include "search/engine.hpp"
 #include "search/factory.hpp"
+#include "search/refine.hpp"
 #include "serve/io.hpp"
 #include "snapshot_v2_fixtures.hpp"
 #include "util/rng.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdio>
+#include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -291,6 +295,36 @@ TEST(SnapshotFormat, RejectsCorruptionTruncationAndBadVersion) {
     const std::vector<std::uint8_t> bad{blob.begin(), blob.begin() + 10};
     EXPECT_THROW((void)inspect(bad), io::SnapshotError);
   }
+}
+
+TEST(SnapshotFormat, NonFiniteSignatureStateIsRejected) {
+  // A refine blob whose coarse planes hold a NaN, sealed with a valid
+  // checksum, used to restore a coarse stage that sets no signature bit.
+  const Data data = make_data(30, 6, 0, 97);
+  EngineConfig config;
+  config.num_features = 6;
+  const std::string spec = "refine:coarse_bits=16,sig=itq,fine=euclidean";
+  auto index = search::make_index(spec, config);
+  index->add(data.rows, data.labels);
+  const std::vector<std::uint8_t> blob = save(*index, spec, config);
+  const std::vector<float>& planes =
+      dynamic_cast<const search::TwoStageNnIndex&>(*index).signature_model().planes();
+  // Floats are written little-endian, as x86 and ARM hold them.
+  const auto* plane_bytes = reinterpret_cast<const std::uint8_t*>(planes.data());
+  const auto at = std::search(blob.begin(), blob.end(), plane_bytes,
+                              plane_bytes + planes.size() * sizeof(float));
+  ASSERT_NE(at, blob.end());
+  std::vector<std::uint8_t> bad = blob;
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  std::memcpy(&bad[static_cast<std::size_t>(at - blob.begin()) + 3 * sizeof(float)], &nan,
+              sizeof nan);
+  // Re-seal: the header is magic (8 bytes), version, checksum (u32 each)
+  // and payload length (u64), so the payload starts at byte 24.
+  const std::uint32_t crc = io::crc32(std::span{bad}.subspan(24));
+  for (std::size_t i = 0; i < 4; ++i) bad[12 + i] = static_cast<std::uint8_t>(crc >> (8 * i));
+  EXPECT_NO_THROW((void)inspect(bad));  // The header and checksum hold.
+  EXPECT_THROW((void)load(bad), io::SnapshotError);
+  EXPECT_EQ(load(blob)->size(), index->size());
 }
 
 TEST(SnapshotFormat, EnginePayloadTagMismatchIsDetected) {
