@@ -1,8 +1,8 @@
 // google-benchmark microbenchmarks of the hot paths: array search,
 // nomination, the filtered-read band gate and metadata matching, exact
-// scoring, signature-model fits and projection, LUT construction,
-// quantization, LSH encoding, batched top-k queries and full few-shot
-// episodes.
+// scoring, signature-model fits and projection, the quantizer fit and the
+// sharded MCAM build, LUT construction, quantization, LSH encoding,
+// batched top-k queries and full few-shot episodes.
 #include "cam/array.hpp"
 #include "cam/kernels/kernels.hpp"
 #include "cam/lut.hpp"
@@ -13,6 +13,7 @@
 #include "experiments/harness.hpp"
 #include "search/batch.hpp"
 #include "search/engine.hpp"
+#include "search/factory.hpp"
 #include "search/knn.hpp"
 #include "sig/model.hpp"
 #include "store/metadata.hpp"
@@ -347,6 +348,39 @@ void BM_SignatureProject(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SignatureProject);
+
+// The MCAM build's set-up: every bank of a sharded-mcam3 index fits its
+// quantizer on the calibration rows, the mcam-variation workload's 2048
+// rows of 48 features. The argument is the clip percentile: at 0 both
+// bounds come from one pass over the rows, at 6 both are selected.
+void BM_QuantizerFit(benchmark::State& state) {
+  const auto rows = calibration_rows(2048, 48);
+  const auto clip = static_cast<double>(state.range(0));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(encoding::UniformQuantizer::fit(rows, 3, clip));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(rows.size()));
+}
+BENCHMARK(BM_QuantizerFit)->Arg(0)->Arg(6)->Unit(benchmark::kMicrosecond);
+
+// The whole mcam-variation build: calibrate, then add 2048 rows into
+// sixteen 128-row banks of 3-bit cells under Vth variation.
+void BM_ShardedMcamBuild(benchmark::State& state) {
+  const auto rows = calibration_rows(2048, 48);
+  const std::vector<int> labels(rows.size(), 0);
+  search::EngineConfig config;
+  config.num_features = 48;
+  for (auto _ : state) {
+    auto index = search::make_index("sharded-mcam3:bank_rows=128,vth_sigma=0.05", config);
+    index->calibrate(rows);
+    index->add(rows, labels);
+    benchmark::DoNotOptimize(index->size());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(rows.size()));
+}
+BENCHMARK(BM_ShardedMcamBuild)->Unit(benchmark::kMillisecond);
 
 void BM_LutBuildNominal(benchmark::State& state) {
   const fefet::LevelMap map{static_cast<unsigned>(state.range(0))};

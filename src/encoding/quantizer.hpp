@@ -21,15 +21,19 @@ class UniformQuantizer {
   /// Fits the per-feature range [lo, hi] on `rows`.
   /// `clip_percentile` in [0, 50): clip the range to the
   /// [p, 100-p] percentiles to shed outliers; 0 = exact min/max.
-  /// Throws std::invalid_argument naming the feature index when any value
-  /// is NaN or infinite.
+  /// A bound at either end of a sorted column (both, at clip 0) costs one
+  /// pass over the rows for all features; only a bound between the ends
+  /// gathers each column and runs a selection (std::nth_element) on it.
+  /// Throws std::invalid_argument on ragged rows, then naming the lowest
+  /// feature index that holds a NaN or infinite value.
   [[nodiscard]] static UniformQuantizer fit(std::span<const std::vector<float>> rows,
                                             unsigned bits, double clip_percentile = 0.0);
 
   /// Rebuilds a quantizer from previously fitted state (`lows()` /
   /// `highs()`), the snapshot-restore path: quantizes bit-identically to
   /// the quantizer it was exported from. Throws std::invalid_argument on
-  /// bits outside [1, 16], mismatched sizes, or any hi <= lo.
+  /// bits outside [1, 16], mismatched sizes, a non-finite bound, or any
+  /// hi <= lo.
   [[nodiscard]] static UniformQuantizer from_state(unsigned bits, std::vector<float> lo,
                                                    std::vector<float> hi);
 

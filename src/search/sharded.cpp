@@ -23,17 +23,27 @@ ShardedNnIndex::ShardedNnIndex(BankFactory bank_factory, ShardedConfig config)
 void ShardedNnIndex::calibrate(std::span<const std::vector<float>> rows) {
   if (!calibration_rows_.empty()) return;  // Fitted once; later calls are no-ops.
   if (rows.empty()) throw std::invalid_argument{"ShardedNnIndex::calibrate: no rows"};
+  // Fit the first bank before keeping the rows, so that rows the backend
+  // refuses throw here and leave the index uncalibrated, like the
+  // monolithic engine. That engine becomes bank 0: no bank fits twice.
+  first_bank_ = fitted_engine(rows);
   calibration_rows_.assign(rows.begin(), rows.end());
   word_length_ = rows.front().size();
 }
 
-ShardedNnIndex::Bank& ShardedNnIndex::new_bank() {
-  Bank bank;
-  bank.engine = bank_factory_();
-  if (!bank.engine) throw std::invalid_argument{"ShardedNnIndex: factory returned null"};
+std::unique_ptr<NnIndex> ShardedNnIndex::fitted_engine(
+    std::span<const std::vector<float>> rows) const {
+  std::unique_ptr<NnIndex> engine = bank_factory_();
+  if (!engine) throw std::invalid_argument{"ShardedNnIndex: factory returned null"};
   // Every bank fits its encoders on the same rows the monolithic engine
   // would have used, so scores are comparable across banks.
-  bank.engine->calibrate(calibration_rows_);
+  engine->calibrate(rows);
+  return engine;
+}
+
+ShardedNnIndex::Bank& ShardedNnIndex::new_bank() {
+  Bank bank;
+  bank.engine = first_bank_ ? std::move(first_bank_) : fitted_engine(calibration_rows_);
   ++stats_.banks_allocated;
   banks_.push_back(std::move(bank));
   return banks_.back();
@@ -76,6 +86,7 @@ void ShardedNnIndex::add(std::span<const std::vector<float>> rows,
 
 void ShardedNnIndex::clear() {
   banks_.clear();
+  first_bank_.reset();
   calibration_rows_.clear();
   next_id_ = 0;
   live_rows_ = 0;
@@ -132,9 +143,7 @@ void ShardedNnIndex::compact(std::size_t b) {
     return;
   }
   Bank fresh;
-  fresh.engine = bank_factory_();
-  if (!fresh.engine) throw std::invalid_argument{"ShardedNnIndex: factory returned null"};
-  fresh.engine->calibrate(calibration_rows_);
+  fresh.engine = fitted_engine(calibration_rows_);
   ++stats_.banks_allocated;
   for (std::size_t i = 0; i < bank.rows.size(); ++i) {
     if (!bank.live[i]) continue;
@@ -295,19 +304,22 @@ void ShardedNnIndex::save_state(serve::io::Writer& out) const {
 void ShardedNnIndex::load_state(serve::io::Reader& in) {
   serve::io::expect_tag(in, "sharded-v1");
   clear();
-  word_length_ = in.u64();
+  const std::uint64_t word_length = in.u64();
   const std::uint64_t next_id = in.u64();
   // Raw counts are validated against the remaining payload (each element
   // is at least a u64 length prefix) before any reserve.
   const std::size_t num_calibration = in.checked_count(in.u64(), 8);
-  calibration_rows_.reserve(num_calibration);
+  std::vector<std::vector<float>> calibration_rows;
+  calibration_rows.reserve(num_calibration);
   for (std::size_t i = 0; i < num_calibration; ++i) {
-    calibration_rows_.push_back(in.vec_f32());
+    calibration_rows.push_back(in.vec_f32());
   }
   const std::size_t num_banks = in.checked_count(in.u64(), 8);
-  if (num_banks > 0 && calibration_rows_.empty()) {
+  if (num_banks > 0 && calibration_rows.empty()) {
     throw serve::io::SnapshotError{"sharded snapshot has banks but no calibration rows"};
   }
+  if (!calibration_rows.empty()) calibrate(calibration_rows);
+  word_length_ = word_length;
   for (std::size_t b = 0; b < num_banks; ++b) {
     Bank& bank = new_bank();
     const std::size_t num_rows = in.checked_count(in.u64(), 8);

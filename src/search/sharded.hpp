@@ -92,6 +92,8 @@ class ShardedNnIndex final : public NnIndex {
   explicit ShardedNnIndex(BankFactory bank_factory, ShardedConfig config = ShardedConfig{});
 
   void add(std::span<const std::vector<float>> rows, std::span<const int> labels) override;
+  /// Fits bank 0 on `rows` before keeping them: rows the backend refuses
+  /// throw here and leave the index uncalibrated.
   void calibrate(std::span<const std::vector<float>> rows) override;
   void clear() override;
   bool erase(std::size_t id) override;
@@ -145,7 +147,11 @@ class ShardedNnIndex final : public NnIndex {
     std::size_t live_count = 0;
   };
 
-  /// Allocates, calibrates and appends a fresh bank.
+  /// A fresh engine from the factory, calibrated on `rows`.
+  [[nodiscard]] std::unique_ptr<NnIndex> fitted_engine(
+      std::span<const std::vector<float>> rows) const;
+  /// Appends a calibrated bank: `first_bank_` when `calibrate` left one,
+  /// else a freshly fitted engine.
   Bank& new_bank();
   /// Reprograms bank `b` with only its live rows (or drops it when empty).
   void compact(std::size_t b);
@@ -164,6 +170,8 @@ class ShardedNnIndex final : public NnIndex {
   ShardedConfig config_;
   std::vector<Bank> banks_;
   std::vector<std::vector<float>> calibration_rows_;  ///< What every bank calibrates on.
+  /// The engine `calibrate` fitted to accept the rows; bank 0 once added.
+  std::unique_ptr<NnIndex> first_bank_;
   std::size_t next_id_ = 0;
   std::size_t live_rows_ = 0;
   std::size_t word_length_ = 0;

@@ -1,6 +1,7 @@
 #include "serve/snapshot.hpp"
 
 #include <array>
+#include <cmath>
 #include <utility>
 
 namespace mcam::serve {
@@ -32,19 +33,30 @@ void write_config(io::Writer& out, const search::EngineConfig& config) {
   out.str(config.rerank);
 }
 
+/// Reads one f64 config field under the spec parser's rule: every double
+/// key is a physical magnitude, finite and >= 0.
+double read_magnitude(io::Reader& in, const char* field) {
+  const double value = in.f64();
+  if (!std::isfinite(value) || value < 0.0) {
+    throw io::SnapshotError{std::string{"snapshot config has a bad "} + field +
+                            " (must be finite and >= 0)"};
+  }
+  return value;
+}
+
 search::EngineConfig read_config(io::Reader& in, std::uint32_t version) {
   search::EngineConfig config;
   config.num_features = in.u64();
   config.mcam_bits = in.u32();
   config.lsh_bits = in.u64();
-  config.vth_sigma = in.f64();
+  config.vth_sigma = read_magnitude(in, "vth_sigma");
   const std::uint8_t sensing = in.u8();
   if (sensing > static_cast<std::uint8_t>(cam::SensingMode::kMatchlineTiming)) {
     throw io::SnapshotError{"snapshot has unknown sensing mode " + std::to_string(sensing)};
   }
   config.sensing = static_cast<cam::SensingMode>(sensing);
-  config.sense_clock_period = in.f64();
-  config.clip_percentile = in.f64();
+  config.sense_clock_period = read_magnitude(in, "sense_clock_period");
+  config.clip_percentile = read_magnitude(in, "clip_percentile");
   config.seed = in.u64();
   config.bank_rows = in.u64();
   config.shard_workers = in.u64();

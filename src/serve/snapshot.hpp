@@ -105,7 +105,9 @@ struct SnapshotInfo {
 
 /// Parses and integrity-checks the header without building an engine
 /// (tooling / logging path). Throws io::SnapshotError on bad magic,
-/// unknown version, length mismatch, or checksum failure.
+/// unknown version, length mismatch, checksum failure, or a config f64
+/// field (vth_sigma, sense_clock_period, clip_percentile) that is NaN,
+/// infinite or negative, which the spec parser would also refuse.
 [[nodiscard]] SnapshotInfo inspect(std::span<const std::uint8_t> blob);
 
 /// Validates the blob, rebuilds the engine from the embedded factory

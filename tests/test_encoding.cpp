@@ -162,8 +162,23 @@ TEST(UniformQuantizer, Validation) {
   EXPECT_THROW((void)UniformQuantizer::fit({}, 3), std::invalid_argument);
   EXPECT_THROW((void)UniformQuantizer::fit(toy_rows(), 0), std::invalid_argument);
   EXPECT_THROW((void)UniformQuantizer::fit(toy_rows(), 3, 60.0), std::invalid_argument);
+  // A NaN clip fails both range comparisons; it must not reach the
+  // float-to-integer cast of the bound positions.
+  for (const double clip : {std::numeric_limits<double>::quiet_NaN(),
+                            std::numeric_limits<double>::infinity(),
+                            -std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW((void)UniformQuantizer::fit(toy_rows(), 3, clip), std::invalid_argument)
+        << clip;
+  }
   const UniformQuantizer q = UniformQuantizer::fit(toy_rows(), 3);
   EXPECT_THROW((void)q.quantize(std::vector<float>{1.0f}), std::invalid_argument);
+  // Restored bounds must be finite: an infinite one passes hi > lo but
+  // quantizes every value of its feature to level 0.
+  const float inf = std::numeric_limits<float>::infinity();
+  EXPECT_THROW((void)UniformQuantizer::from_state(3, {0.0f}, {inf}), std::invalid_argument);
+  EXPECT_THROW((void)UniformQuantizer::from_state(3, {-inf}, {1.0f}), std::invalid_argument);
+  EXPECT_THROW((void)UniformQuantizer::from_state(3, {1.0f}, {1.0f}), std::invalid_argument);
+  EXPECT_NO_THROW((void)UniformQuantizer::from_state(3, {0.0f}, {1.0f}));
 }
 
 TEST(UniformQuantizer, NonFiniteValuesThrowNamingTheFeature) {

@@ -13,6 +13,9 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <stdexcept>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -149,31 +152,78 @@ float sorted_pick(std::vector<float> column, double percentile) {
 }
 
 TEST(QuantizerFit, SelectedBoundsEqualSortedPicks) {
-  // fit() selects its two order-statistic pairs instead of sorting each
-  // column; the bounds must be bit-identical to the sorted picks, ties and
-  // the one- and two-row edge cases included.
+  // fit() reads a bound at either end of a column from one pass over the
+  // rows and selects one between the ends instead of sorting; either way
+  // the bounds must be bit-identical to the sorted picks, ties and the
+  // one- and two-row edge cases included. clip 49 at 2048 rows leaves
+  // tails of about 1000 values above the low pick and below the high one;
+  // at 17 rows, clip 1 and 2.5 read the low bound from the pass and
+  // select the high one.
+  constexpr std::size_t kFeatures = 48;
   Rng rng{404};
   for (const std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{17},
                               std::size_t{256}, std::size_t{2048}}) {
-    for (const double clip : {0.0, 1.0, 2.5}) {
-      std::vector<std::vector<float>> rows(n, std::vector<float>(4));
+    for (const double clip : {0.0, 1.0, 2.5, 6.0, 49.0}) {
+      SCOPED_TRACE(::testing::Message() << "n=" << n << " clip=" << clip);
+      std::vector<std::vector<float>> rows(n, std::vector<float>(kFeatures));
       for (auto& row : rows) {
-        row[0] = static_cast<float>(rng.normal(0.0, 3.0));                    // Distinct.
-        row[1] = static_cast<float>(rng.index(4)) - 1.5f;                     // Heavy ties.
-        row[2] = rng.bernoulli(0.9) ? 2.25f : static_cast<float>(rng.uniform(1.0, 9.0));
-        row[3] = 7.0f;                                                         // Constant.
+        for (std::size_t f = 0; f < kFeatures; ++f) {
+          const float zero = rng.bernoulli(0.5) ? 0.0f : -0.0f;
+          const auto magnitude = static_cast<float>(rng.uniform(0.5, 4.0));
+          switch (f % 8) {
+            case 0: row[f] = static_cast<float>(rng.normal(0.0, 3.0)); break;  // Distinct.
+            case 1: row[f] = static_cast<float>(rng.index(4)) - 1.5f; break;   // Heavy ties.
+            case 2:
+              row[f] = rng.bernoulli(0.9) ? 2.25f : static_cast<float>(rng.uniform(1.0, 9.0));
+              break;
+            case 3: row[f] = 7.0f; break;                                        // Constant.
+            case 4: row[f] = -1.0f - magnitude; break;                      // Negative only.
+            // +-0 ties at the low end, at the high end, and everywhere.
+            case 5: row[f] = rng.bernoulli(0.6) ? zero : magnitude; break;
+            case 6: row[f] = rng.bernoulli(0.6) ? zero : -magnitude; break;
+            default: row[f] = zero;
+          }
+        }
       }
       const auto q = encoding::UniformQuantizer::fit(rows, 3, clip);
-      for (std::size_t f = 0; f < 4; ++f) {
+      for (std::size_t f = 0; f < kFeatures; ++f) {
         std::vector<float> column;
         for (const auto& row : rows) column.push_back(row[f]);
         const float lo = sorted_pick(column, clip);
         float hi = sorted_pick(column, 100.0 - clip);
         if (!(hi > lo)) hi = lo + 1.0f;
-        SCOPED_TRACE(::testing::Message() << "n=" << n << " clip=" << clip << " feature=" << f);
-        EXPECT_EQ(std::bit_cast<std::uint32_t>(q.lows()[f]), std::bit_cast<std::uint32_t>(lo));
-        EXPECT_EQ(std::bit_cast<std::uint32_t>(q.highs()[f]), std::bit_cast<std::uint32_t>(hi));
+        SCOPED_TRACE(::testing::Message() << "feature=" << f);
+        // std::sort orders -0 and +0 arbitrarily, so a zero bound's sign
+        // is not part of the contract; compare it by value.
+        const auto expect_same = [](float got, float want) {
+          if (want == 0.0f) {
+            EXPECT_EQ(got, 0.0f);
+          } else {
+            EXPECT_EQ(std::bit_cast<std::uint32_t>(got), std::bit_cast<std::uint32_t>(want));
+          }
+        };
+        expect_same(q.lows()[f], lo);
+        expect_same(q.highs()[f], hi);
       }
+      // Every path checks in one order: ragged rows first, then the
+      // lowest-numbered feature that holds a non-finite value, whatever
+      // its row.
+      if (n < 2) continue;
+      const auto expect_error = [&](const std::vector<std::vector<float>>& bad,
+                                    const std::string& what) {
+        try {
+          (void)encoding::UniformQuantizer::fit(bad, 3, clip);
+          ADD_FAILURE() << "fit accepted rows with " << what;
+        } catch (const std::invalid_argument& e) {
+          EXPECT_NE(std::string{e.what()}.find(what), std::string::npos) << e.what();
+        }
+      };
+      auto bad = rows;
+      bad[0][3] = std::numeric_limits<float>::infinity();
+      bad[n - 1][1] = std::numeric_limits<float>::quiet_NaN();
+      expect_error(bad, "non-finite value at feature 1");
+      bad[n / 2].pop_back();
+      expect_error(bad, "ragged rows");
     }
   }
 }

@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <set>
 #include <string>
 #include <vector>
@@ -609,6 +610,44 @@ TEST(ShardedLifecycle, QueryBeforeAddAndClearResetsCalibration) {
   index->add(shifted.rows, shifted.labels);
   EXPECT_EQ(index->size(), 8u);
   EXPECT_EQ(index->query_one(shifted.queries[0], 1).neighbors.size(), 1u);
+}
+
+TEST(ShardedLifecycle, RejectedCalibrationLeavesTheIndexUncalibrated) {
+  // A calibration set the backend refuses must throw from the call that
+  // supplied it and leave the index uncalibrated, exactly as the
+  // monolithic twin does, so the next good batch calibrates both.
+  const Data data = make_data(40, 6, 4, 151);
+  std::vector<std::vector<float>> with_nan = data.rows;
+  with_nan[5][2] = std::numeric_limits<float>::quiet_NaN();
+  std::vector<std::vector<float>> ragged = data.rows;
+  ragged[7].pop_back();
+  for (const std::string key : {"mcam3", "tcam-lsh"}) {
+    SCOPED_TRACE(key);
+    EngineConfig config;
+    config.num_features = 6;
+    auto monolithic = make_index(key, config);
+    EngineConfig sharded_config = config;
+    sharded_config.bank_rows = 8;
+    auto sharded = make_index("sharded-" + key, sharded_config);
+    for (NnIndex* index : {monolithic.get(), sharded.get()}) {
+      EXPECT_THROW(index->add(with_nan, data.labels), std::invalid_argument);
+      EXPECT_THROW(index->calibrate(ragged), std::invalid_argument);
+      EXPECT_THROW(index->calibrate(with_nan), std::invalid_argument);
+      EXPECT_EQ(index->size(), 0u);
+      index->add(data.rows, data.labels);
+      EXPECT_EQ(index->size(), data.rows.size());
+    }
+    // The engine that accepted the calibration counts once it is a bank.
+    const auto& banks = dynamic_cast<const ShardedNnIndex&>(*sharded);
+    EXPECT_EQ(banks.num_banks(), 5u);
+    EXPECT_EQ(banks.stats().banks_allocated, 5u);
+    auto calibrated = make_index("sharded-" + key, sharded_config);
+    calibrated->calibrate(data.rows);
+    EXPECT_EQ(dynamic_cast<const ShardedNnIndex&>(*calibrated).stats().banks_allocated, 0u);
+    for (const auto& q : data.queries) {
+      expect_identical(sharded->query_one(q, 5), monolithic->query_one(q, 5), key);
+    }
+  }
 }
 
 }  // namespace

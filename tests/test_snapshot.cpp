@@ -8,6 +8,7 @@
 #include "serve/snapshot.hpp"
 
 #include "cam/lut.hpp"
+#include "encoding/quantizer.hpp"
 #include "experiments/lut_engine.hpp"
 #include "mann/memory.hpp"
 #include "search/engine.hpp"
@@ -25,6 +26,7 @@
 #include <cstring>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace mcam::serve {
@@ -60,6 +62,14 @@ Data make_data(std::size_t n, std::size_t dim, std::size_t num_queries,
     data.queries.push_back(sample(static_cast<int>(q % 4)));
   }
   return data;
+}
+
+/// Re-seals a patched blob: the header is magic (8 bytes), version,
+/// checksum (u32 each) and payload length (u64), so the payload starts at
+/// byte 24.
+void reseal(std::vector<std::uint8_t>& blob) {
+  const std::uint32_t crc = io::crc32(std::span{blob}.subspan(24));
+  for (std::size_t i = 0; i < 4; ++i) blob[12 + i] = static_cast<std::uint8_t>(crc >> (8 * i));
 }
 
 void expect_identical(const QueryResult& restored, const QueryResult& original,
@@ -174,16 +184,18 @@ TEST(SnapshotRoundTrip, CalibratedEmptyIndexKeepsItsEncoders) {
   const Data data = make_data(40, 5, 3, 71);
   EngineConfig config;
   config.num_features = 5;
-  auto original = search::make_index("mcam3", config);
-  original->calibrate(data.rows);
-  const std::vector<std::uint8_t> blob = save(*original, "mcam3", config);
-  auto restored = load(blob);
-  EXPECT_EQ(restored->size(), 0u);
-  original->add(data.rows, data.labels);
-  restored->add(data.rows, data.labels);
-  for (const auto& q : data.queries) {
-    expect_identical(restored->query_one(q, 3), original->query_one(q, 3),
-                     "calibrated-empty");
+  for (const std::string name : {"mcam3", "sharded-mcam3:bank_rows=16"}) {
+    auto original = search::make_index(name, config);
+    original->calibrate(data.rows);
+    const std::vector<std::uint8_t> blob = save(*original, name, config);
+    auto restored = load(blob);
+    EXPECT_EQ(restored->size(), 0u);
+    original->add(data.rows, data.labels);
+    restored->add(data.rows, data.labels);
+    for (const auto& q : data.queries) {
+      expect_identical(restored->query_one(q, 3), original->query_one(q, 3),
+                       name + " calibrated-empty");
+    }
   }
 }
 
@@ -318,13 +330,89 @@ TEST(SnapshotFormat, NonFiniteSignatureStateIsRejected) {
   const float nan = std::numeric_limits<float>::quiet_NaN();
   std::memcpy(&bad[static_cast<std::size_t>(at - blob.begin()) + 3 * sizeof(float)], &nan,
               sizeof nan);
-  // Re-seal: the header is magic (8 bytes), version, checksum (u32 each)
-  // and payload length (u64), so the payload starts at byte 24.
-  const std::uint32_t crc = io::crc32(std::span{bad}.subspan(24));
-  for (std::size_t i = 0; i < 4; ++i) bad[12 + i] = static_cast<std::uint8_t>(crc >> (8 * i));
+  reseal(bad);
   EXPECT_NO_THROW((void)inspect(bad));  // The header and checksum hold.
   EXPECT_THROW((void)load(bad), io::SnapshotError);
   EXPECT_EQ(load(blob)->size(), index->size());
+}
+
+TEST(SnapshotFormat, BadConfigMagnitudeIsRejected) {
+  // The spec parser refuses a NaN, infinite or negative double; the
+  // config block of a blob must meet the same rule. A NaN clip used to
+  // reach an undefined float-to-integer cast in every bank's refit.
+  const Data data = make_data(40, 5, 0, 101);
+  EngineConfig config;
+  config.num_features = 5;
+  config.bank_rows = 16;
+  const std::string spec = "sharded-mcam3";
+  auto index = search::make_index(spec, config);
+  index->add(data.rows, data.labels);
+  const std::vector<std::uint8_t> blob = save(*index, spec, config);
+  // The config follows the engine name (u64 length + bytes): num_features
+  // (u64), mcam_bits (u32), lsh_bits (u64), vth_sigma (f64), sensing (u8),
+  // sense_clock_period (f64), clip_percentile (f64).
+  const std::size_t vth_sigma = 24 + 8 + spec.size() + 8 + 4 + 8;
+  const std::size_t sense_clock_period = vth_sigma + 8 + 1;
+  const std::size_t clip_percentile = sense_clock_period + 8;
+  for (const auto& [offset, value] :
+       {std::pair{clip_percentile, std::numeric_limits<double>::quiet_NaN()},
+        std::pair{clip_percentile, -1.0},
+        std::pair{vth_sigma, std::numeric_limits<double>::infinity()},
+        std::pair{sense_clock_period, -std::numeric_limits<double>::quiet_NaN()}}) {
+    SCOPED_TRACE(::testing::Message() << "offset " << offset << " value " << value);
+    std::vector<std::uint8_t> bad = blob;
+    std::memcpy(&bad[offset], &value, sizeof value);
+    reseal(bad);
+    EXPECT_THROW((void)inspect(bad), io::SnapshotError);
+    EXPECT_THROW((void)load(bad), io::SnapshotError);
+  }
+  EXPECT_EQ(load(blob)->size(), index->size());
+}
+
+TEST(SnapshotFormat, NonFiniteQuantizerBoundIsRejected) {
+  // An infinite bound passes hi > lo, yet quantizes every value of its
+  // feature to level 0. It must fail to load as a hi <= lo bound does.
+  const Data data = make_data(30, 4, 0, 103);
+  const float inf = std::numeric_limits<float>::infinity();
+  EngineConfig config;
+  config.num_features = 4;
+  auto index = search::make_index("mcam3", config);
+  index->add(data.rows, data.labels);
+  const std::vector<std::uint8_t> blob = save(*index, "mcam3", config);
+  const auto& quantizer = dynamic_cast<const search::McamNnEngine&>(*index).quantizer();
+  const std::vector<float>& highs = quantizer.highs();
+  const auto* high_bytes = reinterpret_cast<const std::uint8_t*>(highs.data());
+  const auto at = std::search(blob.begin(), blob.end(), high_bytes,
+                              high_bytes + highs.size() * sizeof(float));
+  ASSERT_NE(at, blob.end());
+  const auto high_offset = static_cast<std::size_t>(at - blob.begin()) + 2 * sizeof(float);
+  for (const float bound : {inf, quantizer.lows()[2]}) {
+    SCOPED_TRACE(::testing::Message() << "high bound " << bound);
+    std::vector<std::uint8_t> bad = blob;
+    std::memcpy(&bad[high_offset], &bound, sizeof bound);
+    reseal(bad);
+    EXPECT_NO_THROW((void)inspect(bad));
+    EXPECT_THROW((void)load(bad), std::invalid_argument);
+  }
+  EXPECT_EQ(load(blob)->size(), index->size());
+
+  // The LUT engine restores its quantizer the same way.
+  const cam::ConductanceLut lut = cam::ConductanceLut::nominal(fefet::LevelMap{2});
+  experiments::McamLutEngine original{lut, 2};
+  original.add(data.rows, data.labels);
+  io::Writer out;
+  original.save_state(out);
+  const std::vector<std::uint8_t>& payload = out.buffer();
+  const auto lut_highs = encoding::UniformQuantizer::fit(data.rows, 2).highs();
+  const auto* lut_bytes = reinterpret_cast<const std::uint8_t*>(lut_highs.data());
+  const auto lut_at = std::search(payload.begin(), payload.end(), lut_bytes,
+                                  lut_bytes + lut_highs.size() * sizeof(float));
+  ASSERT_NE(lut_at, payload.end());
+  std::vector<std::uint8_t> bad = payload;
+  std::memcpy(&bad[static_cast<std::size_t>(lut_at - payload.begin())], &inf, sizeof inf);
+  experiments::McamLutEngine restored{lut, 2};
+  io::Reader in{bad};
+  EXPECT_THROW(restored.load_state(in), std::invalid_argument);
 }
 
 TEST(SnapshotFormat, EnginePayloadTagMismatchIsDetected) {
