@@ -8,7 +8,10 @@
 // candidates actually reranked, and the wall-clock QPS. A multi-probe
 // table shows recall recovered by sweeping neighboring signatures at a
 // fixed candidate budget, and a final table reports the modeled energy
-// frontier with the 3-bit MCAM as the fine stage.
+// frontier with the 3-bit MCAM as the fine stage. A dims table then times
+// refine against the exhaustive scan at 4096 rows and 48, 256 and 768
+// features, and names the first point where refine at recall@10 >= 0.95
+// is the faster of the two (it only reports; nothing is asserted on it).
 //
 // The workload is clustered embeddings whose cluster centers live in a
 // low-dimensional subspace of the feature space - the shape production
@@ -37,12 +40,80 @@
 #include "util/rng.hpp"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <iostream>
 #include <limits>
 #include <set>
 #include <string>
 #include <vector>
+
+namespace {
+
+/// Clustered embeddings with low intrinsic dimension: cluster centers are
+/// drawn in an `intrinsic`-dimensional latent space and embedded into
+/// `features` dimensions, plus isotropic noise. NN search over pure noise
+/// has no structure for *any* prefilter to exploit; production retrieval
+/// serves embeddings that concentrate near a low-dimensional manifold.
+/// Row r belongs to cluster r % clusters; so does query q.
+struct ClusteredSet {
+  std::vector<std::vector<float>> rows;
+  std::vector<int> labels;
+  std::vector<std::vector<float>> queries;
+};
+
+ClusteredSet clustered_set(mcam::Rng& rng, std::size_t rows, std::size_t features,
+                           std::size_t queries, std::size_t intrinsic, std::size_t clusters,
+                           double noise_sigma) {
+  std::vector<std::vector<float>> basis(intrinsic, std::vector<float>(features));
+  for (auto& b : basis) {
+    for (auto& v : b) v = static_cast<float>(rng.normal(0.0, 1.0));
+  }
+  std::vector<std::vector<float>> centers(clusters, std::vector<float>(features, 0.0f));
+  for (auto& c : centers) {
+    for (const auto& b : basis) {
+      const auto weight = static_cast<float>(rng.normal(0.0, 1.0));
+      for (std::size_t i = 0; i < features; ++i) c[i] += weight * b[i];
+    }
+  }
+  const auto sample = [&](std::size_t cluster) {
+    std::vector<float> v(features);
+    for (std::size_t i = 0; i < features; ++i) {
+      v[i] = centers[cluster][i] + static_cast<float>(rng.normal(0.0, noise_sigma));
+    }
+    return v;
+  };
+  ClusteredSet set;
+  for (std::size_t r = 0; r < rows; ++r) {
+    set.rows.push_back(sample(r % clusters));
+    set.labels.push_back(static_cast<int>(r % clusters));
+  }
+  for (std::size_t q = 0; q < queries; ++q) set.queries.push_back(sample(q % clusters));
+  return set;
+}
+
+/// Median over three passes of the host time per query, in microseconds,
+/// with each query's result handed to `record` on the first pass.
+template <class Record>
+double median_us_per_query(const mcam::search::NnIndex& index,
+                           const std::vector<std::vector<float>>& queries, std::size_t k,
+                           Record&& record) {
+  using Clock = std::chrono::steady_clock;
+  std::array<double, 3> passes{};
+  for (std::size_t pass = 0; pass < passes.size(); ++pass) {
+    const auto start = Clock::now();
+    for (std::size_t q = 0; q < queries.size(); ++q) {
+      const mcam::search::QueryResult result = index.query_one(queries[q], k);
+      if (pass == 0) record(q, result);
+    }
+    passes[pass] = std::chrono::duration<double, std::micro>(Clock::now() - start).count() /
+                   static_cast<double>(queries.size());
+  }
+  std::sort(passes.begin(), passes.end());
+  return passes[1];
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   using namespace mcam;
@@ -57,38 +128,12 @@ int main(int argc, char** argv) {
   constexpr std::size_t kCoarseBits = 32;
   constexpr double kNoiseSigma = 1.0;
 
-  // Clustered workload with low intrinsic dimension: cluster centers are
-  // drawn in a kIntrinsicDim-dimensional latent space and embedded into
-  // kFeatures dimensions, plus isotropic noise. NN search over pure noise
-  // has no structure for *any* prefilter to exploit; production retrieval
-  // serves embeddings that concentrate near a low-dimensional manifold.
   Rng rng{20210831};
-  std::vector<std::vector<float>> basis(kIntrinsicDim, std::vector<float>(kFeatures));
-  for (auto& b : basis) {
-    for (auto& v : b) v = static_cast<float>(rng.normal(0.0, 1.0));
-  }
-  std::vector<std::vector<float>> centers(kClusters, std::vector<float>(kFeatures, 0.0f));
-  for (auto& c : centers) {
-    for (const auto& b : basis) {
-      const auto weight = static_cast<float>(rng.normal(0.0, 1.0));
-      for (std::size_t i = 0; i < kFeatures; ++i) c[i] += weight * b[i];
-    }
-  }
-  const auto sample = [&](std::size_t cluster) {
-    std::vector<float> v(kFeatures);
-    for (std::size_t i = 0; i < kFeatures; ++i) {
-      v[i] = centers[cluster][i] + static_cast<float>(rng.normal(0.0, kNoiseSigma));
-    }
-    return v;
-  };
-  std::vector<std::vector<float>> rows;
-  std::vector<int> labels;
-  for (std::size_t r = 0; r < kRows; ++r) {
-    rows.push_back(sample(r % kClusters));
-    labels.push_back(static_cast<int>(r % kClusters));
-  }
-  std::vector<std::vector<float>> queries;
-  for (std::size_t q = 0; q < kQueries; ++q) queries.push_back(sample(q % kClusters));
+  const ClusteredSet data =
+      clustered_set(rng, kRows, kFeatures, kQueries, kIntrinsicDim, kClusters, kNoiseSigma);
+  const std::vector<std::vector<float>>& rows = data.rows;
+  const std::vector<int>& labels = data.labels;
+  const std::vector<std::vector<float>>& queries = data.queries;
 
   search::EngineConfig config;
   config.num_features = kFeatures;
@@ -294,9 +339,66 @@ int main(int argc, char** argv) {
     bench::emit(energy, "recall_qps_energy");
   }
 
+  // Dims axis: the coarse stage pays per row for a 32-cell sweep and the
+  // nomination, whatever the dimension, while the exact scan pays per row
+  // for every feature. So refine can only win where a row's distance costs
+  // far more than its sweep. Host time per query, median of three passes.
+  std::string dims_crossover = "none";
+  {
+    constexpr std::size_t kDimsRows = 4096;
+    constexpr std::size_t kDimsQueries = 64;
+    TextTable dims_table{"Refine vs exhaustive by dimension (" + std::to_string(kDimsRows) +
+                         " rows, " + std::to_string(kDimsQueries) + " queries, sig=itq, " +
+                         std::to_string(kCoarseBits) + "-bit signatures, fine = euclidean)"};
+    dims_table.set_header({"dims", "engine", "recall@10", "host_us_per_query", "vs_exhaustive"});
+    Rng dims_rng{20210901};
+    for (const std::size_t dims : {std::size_t{48}, std::size_t{256}, std::size_t{768}}) {
+      const ClusteredSet set = clustered_set(dims_rng, kDimsRows, dims, kDimsQueries,
+                                             kIntrinsicDim, kClusters, kNoiseSigma);
+      search::EngineConfig dims_config;
+      dims_config.num_features = dims;
+      const auto scan = search::make_index("euclidean", dims_config);
+      scan->add(set.rows, set.labels);
+      std::vector<std::set<std::size_t>> dims_truth(kDimsQueries);
+      const double scan_us = median_us_per_query(
+          *scan, set.queries, kTopK, [&](std::size_t q, const search::QueryResult& result) {
+            for (const auto& n : result.neighbors) dims_truth[q].insert(n.index);
+          });
+      dims_table.add_row({std::to_string(dims), "exhaustive", "1.000",
+                          format_double(scan_us, 1), "1.00x"});
+      for (const std::size_t factor : {std::size_t{32}, std::size_t{64}}) {
+        const auto refine = search::make_index(
+            "refine:coarse_bits=" + std::to_string(kCoarseBits) +
+                ",candidate_factor=" + std::to_string(factor) + ",sig=itq,fine=euclidean",
+            dims_config);
+        refine->add(set.rows, set.labels);
+        double recall_sum = 0.0;
+        const double refine_us = median_us_per_query(
+            *refine, set.queries, kTopK, [&](std::size_t q, const search::QueryResult& result) {
+              std::size_t hits = 0;
+              for (const auto& n : result.neighbors) hits += dims_truth[q].count(n.index);
+              recall_sum += static_cast<double>(hits) / static_cast<double>(kTopK);
+            });
+        const double recall = recall_sum / static_cast<double>(kDimsQueries);
+        if (dims_crossover == "none" && recall >= 0.95 && refine_us < scan_us) {
+          dims_crossover = std::to_string(kDimsRows) + " x " + std::to_string(dims) +
+                           " (candidate_factor=" + std::to_string(factor) + ")";
+        }
+        dims_table.add_row({std::to_string(dims), "refine f=" + std::to_string(factor),
+                            format_double(recall, 3), format_double(refine_us, 1),
+                            format_double(refine_us / scan_us, 2) + "x"});
+      }
+    }
+    bench::emit(dims_table, "recall_qps_dims");
+    std::cout << "first (rows x dims) point where refine at recall@10 >= 0.95 is faster than "
+                 "exhaustive: "
+              << dims_crossover << "\n";
+  }
+
   bench::BenchReport report{"recall_qps", argc, argv};
   report.note("rows", std::to_string(kRows));
   report.note("coarse_bits", std::to_string(kCoarseBits));
+  report.note("dims_crossover", dims_crossover);
   report.metric("exhaustive_qps", exhaustive_qps, "1/s");
   for (std::size_t m = 0; m < models.size(); ++m) {
     report.metric("recall95_budget_" + models[m], budget[m], "fine candidates");

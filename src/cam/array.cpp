@@ -45,19 +45,20 @@ std::vector<std::size_t> rank_by_sensing(std::span<const double> row_conductance
     const circuit::WinnerTakeAllSense sense{ml, sense_clock_period};
     times = sense.sense(row_conductances).times;
   }
+  // One pass builds the keys and checks the mask. Rows beyond a short mask
+  // count as valid, mirroring the empty-mask (all-valid) convention.
   std::vector<std::uint64_t> keys(row_conductances.size());
+  const std::size_t masked = std::min(row_valid.size(), keys.size());
+  std::uint8_t all_live = 1;
   for (std::size_t r = 0; r < keys.size(); ++r) {
     keys[r] = order_key(timing ? -times[r] : row_conductances[r]);
+    if (r < masked) all_live &= static_cast<std::uint8_t>(row_valid[r] != 0);
   }
+  if (all_live != 0) return argsort_top_k(keys, k);
   // Tombstoned rows are gated off the WTA amplifier, so only live rows
   // compete: their keys are compacted in row order (which keeps the
   // low-index tie-break), ranked, and mapped back to rows. A heavily
   // masked sweep (a rare tag band) thus ranks only its few live keys.
-  // Rows beyond a short mask count as valid, mirroring the empty-mask
-  // (all-valid) convention.
-  const auto masked_end =
-      row_valid.begin() + static_cast<std::ptrdiff_t>(std::min(row_valid.size(), keys.size()));
-  if (std::find(row_valid.begin(), masked_end, 0) == masked_end) return argsort_top_k(keys, k);
   std::vector<std::size_t> rows(keys.size());
   std::size_t live = 0;
   for (std::size_t r = 0; r < keys.size(); ++r) {

@@ -4,6 +4,7 @@
 #include "obs/trace.hpp"
 #include "search/batch.hpp"
 #include "serve/io.hpp"
+#include "util/linalg.hpp"
 
 #include <algorithm>
 #include <exception>
@@ -232,22 +233,25 @@ QueryResult ShardedNnIndex::query_one(std::span<const float> query, std::size_t 
   }
 
   // Hierarchical merge: repeatedly pop the bank head with the smallest
-  // score, ties to the lower bank index. Within a bank the list is already
-  // the backend's native (latch) order; across banks, global ids increase
-  // with bank index, so the tie-break realizes the WTA low-index
-  // convention and the merged ranking is bit-identical to the monolithic
-  // engine under kIdealSum.
+  // score, ties to the lower bank index. Scores compare as order_key
+  // images, the order every bank ranks by: -0.0 == +0.0, NaN after +inf.
+  // Within a bank the list is already the backend's native (latch) order;
+  // across banks, global ids increase with bank index, so the tie-break
+  // realizes the WTA low-index convention and the merged ranking is
+  // bit-identical to the monolithic engine under kIdealSum.
   obs::TraceSpan merge_span(trace, "bank-merge");
   QueryResult result;
   result.neighbors.reserve(kk);
   std::vector<std::size_t> cursor(per_bank.size(), 0);
   for (std::size_t picked = 0; picked < kk; ++picked) {
     std::size_t best = per_bank.size();
+    std::uint64_t best_key = 0;
     for (std::size_t i = 0; i < per_bank.size(); ++i) {
       if (cursor[i] >= per_bank[i].neighbors.size()) continue;
-      if (best == per_bank.size() || per_bank[i].neighbors[cursor[i]].distance <
-                                         per_bank[best].neighbors[cursor[best]].distance) {
+      const std::uint64_t key = order_key(per_bank[i].neighbors[cursor[i]].distance);
+      if (best == per_bank.size() || key < best_key) {
         best = i;
+        best_key = key;
       }
     }
     if (best == per_bank.size()) break;  // Fewer than kk live rows reachable.

@@ -5,6 +5,8 @@
 #include <bit>
 #include <cassert>
 #include <cmath>
+#include <memory>
+#include <optional>
 #include <utility>
 
 namespace mcam {
@@ -49,67 +51,129 @@ std::size_t argmin(std::span<const double> xs) noexcept {
 
 namespace {
 
-// Path choice, measured on a 2.1 GHz x86-64 vCPU over TCAM sweep keys
-// (4096 x 32 cells, Hamming-tied) and MCAM-with-variation keys, rotating
-// 64 key sets per shape so the comparators see fresh branches. Below 256
-// keys the comparator paths win (n = 128, k = 11: 1.9-2.1 vs 3.0-4.2 us).
-// At 256 and above the radix path wins 2-5x for mid-sized k (n = 4096,
-// k = 641: 42-44 vs 114-139 us). Heap selection still wins for the
-// smallest k: it crosses the radix path at k = 16-24 up to n = 4096 and
-// at k = 48-64 for n = 16384.
-constexpr std::size_t kRadixMinKeys = 256;
-constexpr std::size_t kRadixMinK = 24;
-constexpr std::size_t kRadixKeysPerK = 256;
+// A ranking is one gather and one sort. A cut at or above the k-th
+// smallest key bounds what a branch-free pass gathers, and a stable sort
+// of the gathered (key, id) pairs by key yields the ranking. Every cut
+// and both sorts are exact, so each choice returns the same (key, index)
+// prefix.
+
+/// Keys read to place a sampled cut.
+constexpr std::size_t kSampleSize = 256;
+/// Most distinct keys the counting sort takes; more go to the radix sort.
+constexpr std::size_t kMaxDistinct = 128;
 
 constexpr int kDigitBits = 8;
 constexpr std::size_t kRadix = std::size_t{1} << kDigitBits;
 constexpr std::uint64_t kDigitMask = kRadix - 1;
 
-std::vector<std::size_t> comparator_top_k(std::span<const std::uint64_t> keys, std::size_t k) {
-  std::vector<std::size_t> order(keys.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  const auto less = [keys](std::size_t a, std::size_t b) {
-    if (keys[a] != keys[b]) return keys[a] < keys[b];
-    return a < b;
-  };
-  const auto middle = order.begin() + static_cast<std::ptrdiff_t>(k);
-  // Heap selection rejects most elements with one predictable compare, so
-  // it wins while k is tiny next to n; past that, quickselect plus a sort
-  // of the k survivors is cheaper. The comparator is a strict total order,
-  // so both give the same prefix.
-  constexpr std::size_t kHeapSelectRatio = 16;
-  if (k < order.size() / kHeapSelectRatio) {
-    std::partial_sort(order.begin(), middle, order.end(), less);
-  } else {
-    std::nth_element(order.begin(), middle, order.end(), less);
-    std::sort(order.begin(), middle, less);
+/// Ids of the keys at or below `cut`, in id order. Every id is written and
+/// the cursor advances only on a keep, so the pass has no branch to
+/// mispredict; `ids` holds keys.size() slots.
+std::size_t gather_at_or_below(std::span<const std::uint64_t> keys, std::uint64_t cut,
+                               std::size_t* ids) noexcept {
+  std::size_t m = 0;
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    ids[m] = i;
+    m += keys[i] <= cut;
   }
-  order.resize(k);
-  return order;
+  return m;
 }
 
-using Histogram = std::array<std::size_t, kRadix>;
+/// The largest of the minima of k contiguous groups. Each group holds a
+/// key at or below it, so at least k keys are: this cut never rises.
+std::uint64_t group_minima_cut(std::span<const std::uint64_t> keys, std::size_t k) noexcept {
+  const std::size_t n = keys.size();
+  std::uint64_t cut = 0;
+  for (std::size_t g = 0; g < k; ++g) {
+    std::uint64_t least = ~std::uint64_t{0};
+    for (std::size_t i = g * n / k; i < (g + 1) * n / k; ++i) least = std::min(least, keys[i]);
+    cut = std::max(cut, least);
+  }
+  return cut;
+}
+
+/// Gathers at least k ids below a cut read from a sample: the last key of
+/// each of up to kSampleSize equal strata. The cut sits one and a half
+/// standard deviations above the sample rank the k-th smallest key is
+/// expected at (exactly that rank when the sample is every key). While
+/// fewer than k keys fall at or below it, the cut rises by its margin plus
+/// one rank, twice that the next time, and so on; past the sample's
+/// largest key the last cut takes every key.
+std::size_t gather_sampled(std::span<const std::uint64_t> keys, std::size_t k,
+                           std::size_t* ids) {
+  const std::size_t n = keys.size();
+  const std::size_t s = std::min(n, kSampleSize);
+  std::array<std::uint64_t, kSampleSize> sample{};
+  for (std::size_t j = 0; j < s; ++j) sample[j] = keys[(j + 1) * n / s - 1];
+  std::size_t rank = k - 1;
+  std::size_t rise = 1;
+  if (s < n) {
+    const double expected =
+        static_cast<double>(k) * static_cast<double>(s) / static_cast<double>(n);
+    rise = static_cast<std::size_t>(1.5 * std::sqrt(expected)) + 1;
+    rank = static_cast<std::size_t>(expected) + rise - 1;
+  }
+  for (std::size_t sorted_below = 0; rank < s; rank += rise, rise *= 2) {
+    std::nth_element(sample.begin() + static_cast<std::ptrdiff_t>(sorted_below),
+                     sample.begin() + static_cast<std::ptrdiff_t>(rank),
+                     sample.begin() + static_cast<std::ptrdiff_t>(s));
+    const std::size_t m = gather_at_or_below(keys, sample[rank], ids);
+    if (m >= k) return m;
+    sorted_below = rank + 1;
+  }
+  return gather_at_or_below(keys, ~std::uint64_t{0}, ids);
+}
+
+/// Stable counting sort of the gathered ids by key, when they hold at most
+/// kMaxDistinct distinct keys: an open-addressing table counts each key
+/// and tags each id with its key's index, the distinct keys are sorted,
+/// and one scatter in id order places every id. Returns the first k, or
+/// nothing when the keys are too many to count.
+std::optional<std::vector<std::size_t>> counting_sort(std::span<const std::uint64_t> keys,
+                                                      std::span<const std::size_t> ids,
+                                                      std::size_t k) {
+  constexpr int kSlotBits = 8;
+  constexpr std::size_t kSlots = std::size_t{1} << kSlotBits;
+  static_assert(kSlots >= 2 * kMaxDistinct && kMaxDistinct <= 255);
+  constexpr std::uint8_t kEmpty = 0xFF;
+  std::array<std::uint64_t, kSlots> slot_key{};
+  std::array<std::uint8_t, kSlots> slot_of;
+  slot_of.fill(kEmpty);
+  std::array<std::pair<std::uint64_t, std::uint8_t>, kMaxDistinct> distinct{};
+  std::array<std::size_t, kMaxDistinct> next{};
+  std::vector<std::uint8_t> tag(ids.size());
+  std::size_t d = 0;
+  for (std::size_t j = 0; j < ids.size(); ++j) {
+    const std::uint64_t key = keys[ids[j]];
+    // Fibonacci hashing spreads keys that differ only in their low bits.
+    std::size_t h = static_cast<std::size_t>((key * 0x9E37'79B9'7F4A'7C15) >> (64 - kSlotBits));
+    while (slot_of[h] != kEmpty && slot_key[h] != key) h = (h + 1) & (kSlots - 1);
+    if (slot_of[h] == kEmpty) {
+      if (d == kMaxDistinct) return std::nullopt;
+      slot_of[h] = static_cast<std::uint8_t>(d);
+      slot_key[h] = key;
+      distinct[d] = {key, static_cast<std::uint8_t>(d)};
+      ++d;
+    }
+    tag[j] = slot_of[h];
+    ++next[tag[j]];
+  }
+  std::sort(distinct.begin(), distinct.begin() + static_cast<std::ptrdiff_t>(d));
+  std::size_t offset = 0;
+  for (std::size_t r = 0; r < d; ++r) {
+    offset += std::exchange(next[distinct[r].second], offset);
+  }
+  std::vector<std::size_t> out(ids.size());
+  for (std::size_t j = 0; j < ids.size(); ++j) out[next[tag[j]]++] = ids[j];
+  out.resize(k);
+  return out;
+}
 
 std::size_t digit_of(std::uint64_t key, int shift) noexcept {
   return static_cast<std::size_t>((key >> shift) & kDigitMask);
 }
 
-/// How many keys carry each digit at `shift`. Tied keys repeat one digit,
-/// so four interleaved tables keep the increments from queueing on one
-/// counter.
-Histogram histogram(std::span<const std::uint64_t> keys, int shift) noexcept {
-  std::array<Histogram, 4> part{};
-  std::size_t i = 0;
-  for (; i + 4 <= keys.size(); i += 4) {
-    ++part[0][digit_of(keys[i], shift)];
-    ++part[1][digit_of(keys[i + 1], shift)];
-    ++part[2][digit_of(keys[i + 2], shift)];
-    ++part[3][digit_of(keys[i + 3], shift)];
-  }
-  for (; i < keys.size(); ++i) ++part[0][digit_of(keys[i], shift)];
-  for (std::size_t d = 0; d < kRadix; ++d) part[0][d] += part[1][d] + part[2][d] + part[3][d];
-  return part[0];
-}
+using Histogram = std::array<std::size_t, kRadix>;
 
 /// The bits on which `keys` differ.
 std::uint64_t differing_bits(std::span<const std::uint64_t> keys) noexcept {
@@ -120,20 +184,6 @@ std::uint64_t differing_bits(std::span<const std::uint64_t> keys) noexcept {
     all &= key;
   }
   return any ^ all;
-}
-
-/// Shift of the 8-bit digit whose top bit is the highest set bit of `diff`
-/// (0 when no bit is set).
-int top_digit_shift(std::uint64_t diff) noexcept {
-  return std::max(63 - std::countl_zero(diff) - (kDigitBits - 1), 0);
-}
-
-/// The bucket holding the rank-th smallest key; lowers `rank` by the
-/// count of the buckets before it.
-std::size_t bucket_of_rank(const Histogram& count, std::size_t& rank) noexcept {
-  std::size_t digit = 0;
-  for (; rank >= count[digit]; ++digit) rank -= count[digit];
-  return digit;
 }
 
 /// Stable LSD radix sort of (keys, ids) by key, over the digits between
@@ -169,62 +219,17 @@ void radix_sort(std::vector<std::uint64_t>& keys, std::vector<std::size_t>& ids)
   }
 }
 
-/// Radix-select the k-th smallest key, gathering on the way the ids below
-/// it; sort those stably by key and append the ties at the cut. Each
-/// select pass buckets the candidates on the top 8 bits where they still
-/// differ: lower buckets are below the cut, the rank's bucket stays a
-/// candidate, so digits the candidates share cost no pass. The gathers
-/// are branch-free (every id is written, the cursor advances only on a
-/// keep, so each buffer has a spare slot) and keep id order, so equal
-/// keys meet the stable sort in id order.
-std::vector<std::size_t> radix_top_k(std::span<const std::uint64_t> keys, std::size_t k) {
-  std::vector<std::size_t> below(k + 1);
-  std::size_t nb = 0;
-  std::size_t rank = k - 1;
-  // First pass, over every key. (All-equal keys take it too: one bucket,
-  // every key a candidate.)
-  const int first_shift = top_digit_shift(differing_bits(keys));
-  const Histogram first_count = histogram(keys, first_shift);
-  const std::size_t first_digit = bucket_of_rank(first_count, rank);
-  std::vector<std::uint64_t> cand_keys(first_count[first_digit] + 1);
-  std::vector<std::size_t> cand_ids(first_count[first_digit] + 1);
-  std::size_t nc = 0;
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    const std::size_t d = digit_of(keys[i], first_shift);
-    below[nb] = i;
-    nb += d < first_digit;
-    cand_keys[nc] = keys[i];
-    cand_ids[nc] = i;
-    nc += d == first_digit;
-  }
-  cand_keys.resize(nc);
-  cand_ids.resize(nc);
-  // Later passes, over the shrinking candidates, compacted in place (the
-  // write cursor never passes the read cursor).
-  for (std::uint64_t diff = differing_bits(cand_keys); diff != 0;
-       diff = differing_bits(cand_keys)) {
-    const int shift = top_digit_shift(diff);
-    const Histogram count = histogram(cand_keys, shift);
-    const std::size_t digit = bucket_of_rank(count, rank);
-    nc = 0;
-    for (std::size_t j = 0; j < cand_keys.size(); ++j) {
-      const std::size_t d = digit_of(cand_keys[j], shift);
-      below[nb] = cand_ids[j];
-      nb += d < digit;
-      cand_keys[nc] = cand_keys[j];
-      cand_ids[nc] = cand_ids[j];
-      nc += d == digit;
-    }
-    cand_keys.resize(nc);
-    cand_ids.resize(nc);
-  }
-  below.resize(nb);
-  std::vector<std::uint64_t> below_keys(nb);
-  for (std::size_t j = 0; j < nb; ++j) below_keys[j] = keys[below[j]];
-  radix_sort(below_keys, below);
-  below.insert(below.end(), cand_ids.begin(),
-               cand_ids.begin() + static_cast<std::ptrdiff_t>(k - nb));
-  return below;
+/// The gathered ids ranked by (key, id), first k. They arrive in id order,
+/// so a stable sort by key breaks ties to the lower id.
+std::vector<std::size_t> sort_gathered(std::span<const std::uint64_t> keys,
+                                       std::span<const std::size_t> ids, std::size_t k) {
+  if (auto counted = counting_sort(keys, ids, k)) return *std::move(counted);
+  std::vector<std::uint64_t> gathered_keys(ids.size());
+  for (std::size_t j = 0; j < ids.size(); ++j) gathered_keys[j] = keys[ids[j]];
+  std::vector<std::size_t> ranked(ids.begin(), ids.end());
+  radix_sort(gathered_keys, ranked);
+  ranked.resize(k);
+  return ranked;
 }
 
 }  // namespace
@@ -232,9 +237,15 @@ std::vector<std::size_t> radix_top_k(std::span<const std::uint64_t> keys, std::s
 std::vector<std::size_t> argsort_top_k(std::span<const std::uint64_t> keys, std::size_t k) {
   k = std::min(k, keys.size());
   if (k == 0) return {};
-  const bool radix = keys.size() >= kRadixMinKeys &&
-                     k >= std::max(kRadixMinK, keys.size() / kRadixKeysPerK);
-  return radix ? radix_top_k(keys, k) : comparator_top_k(keys, k);
+  const auto ids = std::make_unique_for_overwrite<std::size_t[]>(keys.size());
+  // Group minima keep about k ln k keys; a sampled cut keeps k plus a
+  // margin that grows with sqrt(k n), and pays for its sample. On MCAM and
+  // TCAM sweep keys the minima cost half as much at n = 128, k <= 16; at
+  // n = 4096 the two tie for k = 16-64 and the sample wins from k = 100.
+  const std::size_t m = k <= keys.size() / k
+                            ? gather_at_or_below(keys, group_minima_cut(keys, k), ids.get())
+                            : gather_sampled(keys, k, ids.get());
+  return sort_gathered(keys, {ids.get(), m}, k);
 }
 
 std::vector<std::size_t> argsort_top_k(std::span<const double> xs, std::size_t k) {

@@ -46,9 +46,13 @@ void axpy(float alpha, std::span<const float> x, std::span<float> y) noexcept;
 }
 
 /// Indices of the k smallest keys, ascending with low-index tie-break (the
-/// argmin convention); k is clamped to keys.size(). Large inputs take an
-/// exact radix path, small ones a comparator path; both return the same
-/// (key, index) prefix.
+/// argmin convention); k is clamped to keys.size(). One branch-free pass
+/// gathers the keys at or below a cut on the k-th smallest key (the
+/// largest of k group minima while k is below about sqrt(n), else a
+/// sampled order statistic that rises until k keys are gathered), and a
+/// stable sort of what it gathered - a counting sort when the keys take at
+/// most 128 values, else a radix sort - ranks them. Every choice returns
+/// the same (key, index) prefix.
 [[nodiscard]] std::vector<std::size_t> argsort_top_k(std::span<const std::uint64_t> keys,
                                                      std::size_t k);
 

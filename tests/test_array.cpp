@@ -504,8 +504,9 @@ TEST(McamArray, GoldenConductanceBits) {
 }
 
 TEST(RankBySensing, MaskedRankingIsUnmaskedRankingWithoutTombstones) {
-  // 4096 rows, past the radix crossover. Some live rows read +inf or NaN,
-  // which rank last among live rows but still ahead of every tombstone.
+  // 4096 rows: k = 1 and 10 take the group-minima cut, larger k a sampled
+  // one. Some live rows read +inf or NaN, which rank last among live rows
+  // but still ahead of every tombstone.
   constexpr std::size_t n = 4096;
   const double inf = std::numeric_limits<double>::infinity();
   const double nan = std::numeric_limits<double>::quiet_NaN();

@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <set>
 #include <string>
@@ -357,6 +358,44 @@ TEST(ShardedMerge, EqualScoresAcrossBanksResolveToLowerGlobalId) {
     EXPECT_EQ(result.neighbors[0].index, 0u) << key;
     EXPECT_EQ(result.neighbors[1].index, 2u) << key;
     EXPECT_EQ(result.neighbors[2].index, 4u) << key;
+  }
+}
+
+TEST(ShardedMerge, NanDistanceRanksLastAsInTheMonolithicEngine) {
+  // A row with a NaN feature reads a NaN distance, which ranks after +inf
+  // in every software ranking. The bank merge must agree wherever the NaN
+  // rows sit: at a bank head, behind a finite row, or in several banks.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  for (const std::vector<std::size_t>& nan_rows :
+       {std::vector<std::size_t>{0}, std::vector<std::size_t>{3},
+        std::vector<std::size_t>{5}, std::vector<std::size_t>{1, 4},
+        std::vector<std::size_t>{0, 2, 5}}) {
+    std::vector<std::vector<float>> rows;
+    std::vector<int> labels;
+    for (std::size_t r = 0; r < 6; ++r) {
+      rows.push_back({static_cast<float>(r), static_cast<float>(r)});
+      labels.push_back(static_cast<int>(r));
+    }
+    for (const std::size_t r : nan_rows) rows[r][0] = nan;
+    EngineConfig config;
+    config.num_features = 2;
+    auto monolithic = make_index("euclidean", config);
+    auto sharded = make_index("sharded-euclidean:bank_rows=2,shard_workers=1", config);
+    monolithic->add(rows, labels);
+    sharded->add(rows, labels);
+    const std::vector<float> query{0.0f, 0.0f};
+    const QueryResult want = monolithic->query_one(query, 6);
+    const QueryResult got = sharded->query_one(query, 6);
+    ASSERT_EQ(got.neighbors.size(), want.neighbors.size());
+    for (std::size_t i = 0; i < want.neighbors.size(); ++i) {
+      EXPECT_EQ(got.neighbors[i].index, want.neighbors[i].index)
+          << "NaN row " << nan_rows.front() << ", rank " << i;
+      EXPECT_EQ(std::isnan(got.neighbors[i].distance), std::isnan(want.neighbors[i].distance));
+    }
+    EXPECT_EQ(got.label, want.label);
+    for (std::size_t i = want.neighbors.size() - nan_rows.size(); i < want.neighbors.size(); ++i) {
+      EXPECT_TRUE(std::isnan(want.neighbors[i].distance)) << "rank " << i;
+    }
   }
 }
 

@@ -93,42 +93,57 @@ double conductance_shaped(Rng& rng) {
 }
 
 TEST(Linalg, ArgsortTopKIsFullSortPrefix) {
-  // Every k on either side of the comparator / radix crossover must
-  // return exactly the first k entries of a full sort by (value, index).
+  // Every k on either side of each choice the selection makes - group
+  // minima or a sampled cut (k^2 vs n), an exact or a sampled cut (n vs
+  // the 256-key sample), a sampled cut that rises or takes every key, and
+  // a counting or a radix sort (the gathered keys' distinct count vs 128)
+  // - must return exactly the first k entries of a full sort by (value,
+  // index).
   constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kMax = std::numeric_limits<double>::max();
   const double nan = std::numeric_limits<double>::quiet_NaN();
-  const std::vector<std::pair<const char*, std::function<double(Rng&)>>> key_sets{
+  using Draw = std::function<double(Rng&, std::size_t)>;
+  const std::vector<std::pair<const char*, Draw>> key_sets{
       {"hamming-tied+inf",
-       [](Rng& rng) {
+       [](Rng& rng, std::size_t) {
          return rng.bernoulli(0.1) ? kInf : 1e-6 * static_cast<double>(rng.index(8));
        }},
-      {"conductance", conductance_shaped},
+      {"conductance", [](Rng& rng, std::size_t) { return conductance_shaped(rng); }},
       {"negated-times",
-       [](Rng& rng) { return -1e-9 * static_cast<double>(1 + rng.index(64)) * 1.01; }},
+       [](Rng& rng, std::size_t) { return -1e-9 * static_cast<double>(1 + rng.index(64)) * 1.01; }},
       {"signed-zero-inf-nan",
-       [nan](Rng& rng) {
+       [nan](Rng& rng, std::size_t) {
          const std::vector<double> specials{0.0, -0.0, kInf, -kInf, nan, -nan, 1.0, -1.0};
          return rng.bernoulli(0.5) ? specials[rng.index(specials.size())] : rng.normal(0.0, 1.0);
        }},
-      {"all-equal", [](Rng&) { return 2.5e-7; }},
+      {"all-equal", [](Rng&, std::size_t) { return 2.5e-7; }},
+      {"ascending", [](Rng&, std::size_t i) { return 1e-3 * static_cast<double>(i); }},
+      {"descending", [](Rng&, std::size_t i) { return -1e-3 * static_cast<double>(i); }},
+      // Missed by a sample that reads the last key of each stratum, so a
+      // sampled cut for a large k starts too low and must rise.
+      {"every-8th-largest",
+       [](Rng& rng, std::size_t i) { return i % 8 == 0 ? kMax : rng.normal(0.0, 1.0); }},
+      {"one-value-90pct",
+       [](Rng& rng, std::size_t) { return rng.bernoulli(0.9) ? 0.5 : rng.normal(0.0, 1.0); }},
+      {"distinct-normal", [](Rng& rng, std::size_t) { return rng.normal(0.0, 1.0); }},
+      {"128-values", [](Rng& rng, std::size_t) { return static_cast<double>(rng.index(128)); }},
+      {"129-values", [](Rng& rng, std::size_t) { return static_cast<double>(rng.index(129)); }},
+      {"1000-values", [](Rng& rng, std::size_t) { return static_cast<double>(rng.index(1000)); }},
   };
   Rng rng{21};
   for (const auto& [name, draw] : key_sets) {
-    for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{128},
-                                std::size_t{255}, std::size_t{256}, std::size_t{4096},
-                                std::size_t{16384}}) {
+    for (const std::size_t n :
+         {std::size_t{0}, std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{127},
+          std::size_t{128}, std::size_t{255}, std::size_t{256}, std::size_t{257},
+          std::size_t{1000}, std::size_t{4096}, std::size_t{16384}}) {
       std::vector<double> xs(n);
-      for (double& x : xs) x = draw(rng);
+      for (std::size_t i = 0; i < n; ++i) xs[i] = draw(rng, i);
       const std::vector<std::size_t> sorted = full_sort_reference(xs);
-      std::vector<std::size_t> ks{0, 1, 23, 24, 641, n + 5};
-      if (n >= 16) {
-        ks.push_back(n / 16 - 1);
-        ks.push_back(n / 16);
-      }
-      if (n > 0) {
-        ks.push_back(n - 1);
-        ks.push_back(n);
-      }
+      const auto root = static_cast<std::size_t>(std::sqrt(static_cast<double>(n)));
+      std::vector<std::size_t> ks{0, 1, 2, 10, 23, 24, 641, n + 5, root, root + 1};
+      for (const std::size_t share : {16, 2}) ks.insert(ks.end(), {n / share - 1, n / share});
+      for (const std::size_t percent : {75, 85, 90, 92, 95, 98}) ks.push_back(n * percent / 100);
+      if (n > 0) ks.insert(ks.end(), {n - 1, n});
       for (const std::size_t k : ks) {
         const std::size_t kk = std::min(k, n);
         const std::vector<std::size_t> expected(
@@ -141,7 +156,7 @@ TEST(Linalg, ArgsortTopKIsFullSortPrefix) {
 
 TEST(Linalg, ConductanceKeysDifferOverMostBits) {
   // Guards the "conductance" key set above: its order_key images differ
-  // over about 55 bit positions, so the radix path runs every digit.
+  // over about 55 bit positions, so the radix sort runs every digit.
   Rng rng{21};
   std::uint64_t any = 0;
   std::uint64_t all = ~std::uint64_t{0};
