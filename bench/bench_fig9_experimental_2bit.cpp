@@ -11,10 +11,10 @@
 
 #include "data/episode.hpp"
 #include "experiments/harness.hpp"
-#include "experiments/lut_engine.hpp"
 #include "experiments/stack.hpp"
 #include "mann/fewshot.hpp"
 #include "ml/embedding.hpp"
+#include "search/engine.hpp"
 
 #include <cstdio>
 #include <iostream>
@@ -65,8 +65,11 @@ int main() {
                                      }};
 
   const auto run_with_lut = [&](const cam::ConductanceLut& lut, const data::TaskSpec& task) {
-    const mann::IndexFactory factory = [&lut, &quantizer]() {
-      auto engine = std::make_unique<experiments::McamLutEngine>(lut, 2);
+    cam::McamArrayConfig config;
+    config.level_map = fefet::LevelMap{2};
+    config.lut = std::make_shared<const cam::ConductanceLut>(lut);
+    const mann::IndexFactory factory = [&config, &quantizer]() {
+      auto engine = std::make_unique<search::McamNnEngine>(config);
       engine->set_fixed_quantizer(quantizer);
       return engine;
     };

@@ -73,11 +73,20 @@ std::vector<std::size_t> rank_by_sensing(std::span<const double> row_conductance
 }
 
 McamArray::McamArray(const McamArrayConfig& config)
-    : config_(config), lut_(ConductanceLut::nominal(config.level_map, config.channel)),
+    : config_(config),
+      lut_(config.lut ? *config.lut : ConductanceLut::nominal(config.level_map, config.channel)),
       rng_(config.seed) {
   const auto& map = config_.level_map;
   const auto& channel = config_.channel;
   const std::size_t n = map.num_states();
+  if (config_.lut && lut_.num_states() != n) {
+    throw std::invalid_argument{"McamArray: table has " + std::to_string(lut_.num_states()) +
+                                " states, level map has " + std::to_string(n)};
+  }
+  if (config_.lut && (config_.vth_sigma > 0.0 || config_.drift_sigma > 0.0)) {
+    throw std::invalid_argument{
+        "McamArray: a measured table has no device model for vth_sigma or drift_sigma"};
+  }
   drive_.states = n;
   drive_.g_nominal.reserve(n * n);
   drive_.e_left.reserve(n * n);
@@ -254,6 +263,9 @@ RowHealth McamArray::row_health(std::size_t i) const {
 }
 
 std::size_t McamArray::apply_drift(double sigma, std::uint64_t seed) {
+  if (config_.lut) {
+    throw std::logic_error{"McamArray::apply_drift: a measured table has no device model"};
+  }
   if (sigma <= 0.0) return 0;
   Rng rng{seed};
   std::fill(cells_.nominal.begin(), cells_.nominal.end(), std::uint8_t{1});

@@ -21,6 +21,7 @@
 #include "util/rng.hpp"
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -56,6 +57,12 @@ struct McamArrayConfig {
                              ///< the sense margin collapses (PAPER.md Sec. III),
                              ///< so production banks are built bounded and the
                              ///< shard layer tiles them.
+  std::shared_ptr<const ConductanceLut> lut;  ///< Measured cell table
+                                              ///< G[input][stored] (Fig. 9),
+                                              ///< shared by copies of the config;
+                                              ///< null = the nominal table of
+                                              ///< level_map and channel. See
+                                              ///< McamArray's constructor.
 };
 
 /// Readback-vs-intended comparison of one CAM row - the per-row unit of
@@ -129,6 +136,9 @@ struct SearchOutcome {
 /// cam/kernels/, whose kernels sweep one row per SIMD lane.
 class McamArray {
  public:
+  /// Throws std::invalid_argument when `config.lut` is set and its state
+  /// count differs from the level map's, or vth_sigma or drift_sigma > 0
+  /// (apply_drift refuses such an array too).
   explicit McamArray(const McamArrayConfig& config);
 
   /// Writes one row; `levels` must have one state per cell and every state
@@ -219,7 +229,8 @@ class McamArray {
   /// draws from a dedicated Rng seeded with `seed`, and recompiles the
   /// cells. The array's own programming Rng is untouched, so later add_row
   /// noise/fault sampling replays exactly as if no drift was injected.
-  /// Returns the number of cells perturbed; sigma <= 0 is a no-op.
+  /// Returns the number of cells perturbed; sigma <= 0 is a no-op. Throws
+  /// std::logic_error on an array built with `config.lut`.
   std::size_t apply_drift(double sigma, std::uint64_t seed);
 
   /// Exact-match search: indices of rows whose every cell matches `query`
@@ -233,7 +244,8 @@ class McamArray {
   [[nodiscard]] std::size_t word_length() const noexcept { return cells_.width; }
   /// Configuration the array was built with.
   [[nodiscard]] const McamArrayConfig& config() const noexcept { return config_; }
-  /// Nominal conductance table used for cell evaluation.
+  /// The table a nominal cell reads: `config.lut` when it is set, else
+  /// the nominal table of the level map and channel.
   [[nodiscard]] const ConductanceLut& lut() const noexcept { return lut_; }
 
  private:

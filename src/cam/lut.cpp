@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace mcam::cam {
 
@@ -36,8 +37,17 @@ ConductanceLut ConductanceLut::programmed(const fefet::LevelMap& map,
 
 ConductanceLut ConductanceLut::from_values(std::size_t num_states,
                                            std::vector<double> values) {
+  if (num_states == 0) throw std::invalid_argument{"ConductanceLut::from_values: no states"};
   if (values.size() != num_states * num_states) {
     throw std::invalid_argument{"ConductanceLut::from_values: size mismatch"};
+  }
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    if (!std::isfinite(values[i]) || values[i] < 0.0) {
+      throw std::invalid_argument{"ConductanceLut::from_values: entry (input " +
+                                  std::to_string(i / num_states) + ", stored " +
+                                  std::to_string(i % num_states) +
+                                  ") is not a finite non-negative conductance"};
+    }
   }
   ConductanceLut lut{num_states};
   lut.g_ = std::move(values);

@@ -34,6 +34,9 @@ class ConductanceLut {
 
   /// Builds a table directly from `values` (row-major [input][stored]);
   /// used to wrap externally measured conductances (Fig. 9 instrument).
+  /// Throws std::invalid_argument for zero states, a size other than
+  /// num_states^2, or an entry that is NaN, infinite or negative (the
+  /// message names its (input, stored) pair).
   [[nodiscard]] static ConductanceLut from_values(std::size_t num_states,
                                                   std::vector<double> values);
 

@@ -1,7 +1,6 @@
 #include "experiments/harness.hpp"
 
 #include "encoding/normalize.hpp"
-#include "experiments/lut_engine.hpp"
 #include "search/batch.hpp"
 #include "search/sharded.hpp"
 

@@ -111,8 +111,9 @@ struct MeasuredProfile {
                                                    double measurement_noise_sigma,
                                                    std::uint64_t seed);
 
-/// Fig. 9(c): the measured LUT itself (per-(I,S) noisy conductances) for
-/// plugging into McamLutEngine.
+/// Fig. 9(c): the measured LUT itself (per-(I,S) noisy conductances). Set
+/// as `cam::McamArrayConfig::lut`, it makes a `search::McamNnEngine` rank
+/// rows by the measured distance function.
 [[nodiscard]] cam::ConductanceLut measured_2bit_lut(const Stack& stack,
                                                     double measurement_noise_sigma,
                                                     std::uint64_t seed);

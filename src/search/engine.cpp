@@ -139,6 +139,10 @@ void TcamLshEngine::calibrate(std::span<const std::vector<float>> rows) {
 void TcamLshEngine::add(std::span<const std::vector<float>> rows,
                         std::span<const int> labels) {
   validate_batch(rows, labels, "TcamLshEngine::add");
+  // Refuse an oversized batch before a first batch calibrates the encoders.
+  if (config_.max_rows > 0 && (tcam_ ? tcam_->num_rows() : 0) + rows.size() > config_.max_rows) {
+    throw std::length_error{"TcamLshEngine::add: batch exceeds bank capacity"};
+  }
   calibrate(rows);
   // Encode the whole batch before mutating anything: a bad row (e.g. a
   // dimension mismatch) must leave rows and labels consistent.
@@ -146,10 +150,6 @@ void TcamLshEngine::add(std::span<const std::vector<float>> rows,
   signatures.reserve(rows.size());
   for (const auto& row : rows) {
     signatures.push_back(lsh_->encode(scaler_->transform(row)).unpack());
-  }
-  if (tcam_->config().max_rows > 0 &&
-      tcam_->num_rows() + signatures.size() > tcam_->config().max_rows) {
-    throw std::length_error{"TcamLshEngine::add: batch exceeds bank capacity"};
   }
   for (const auto& bits : signatures) tcam_->add_row_bits(bits);
   labels_.insert(labels_.end(), labels.begin(), labels.end());
@@ -205,24 +205,28 @@ void McamNnEngine::set_fixed_quantizer(encoding::UniformQuantizer quantizer) {
 void McamNnEngine::calibrate(std::span<const std::vector<float>> rows) {
   if (array_) return;  // Encoders are fitted once; later calls are no-ops.
   if (rows.empty()) throw std::invalid_argument{"McamNnEngine::calibrate: no rows"};
+  // The array refuses a bad config (e.g. a measured table with Vth noise)
+  // before the quantizer is fitted.
+  auto array = std::make_unique<cam::McamArray>(config_);
   quantizer_ = fixed_quantizer_ ? *fixed_quantizer_
                                 : encoding::UniformQuantizer::fit(
                                       rows, config_.level_map.bits(), clip_percentile_);
-  array_ = std::make_unique<cam::McamArray>(config_);
+  array_ = std::move(array);
 }
 
 void McamNnEngine::add(std::span<const std::vector<float>> rows,
                        std::span<const int> labels) {
   validate_batch(rows, labels, "McamNnEngine::add");
+  // Refuse an oversized batch before a first batch calibrates the quantizer.
+  if (config_.max_rows > 0 && (array_ ? array_->num_rows() : 0) + rows.size() > config_.max_rows) {
+    throw std::length_error{"McamNnEngine::add: batch exceeds bank capacity"};
+  }
   calibrate(rows);
   // Quantize the whole batch before programming: a bad row must leave the
   // array and labels consistent.
   std::vector<std::vector<std::uint16_t>> levels;
   levels.reserve(rows.size());
   for (const auto& row : rows) levels.push_back(quantizer_->quantize(row));
-  if (config_.max_rows > 0 && array_->num_rows() + levels.size() > config_.max_rows) {
-    throw std::length_error{"McamNnEngine::add: batch exceeds bank capacity"};
-  }
   for (const auto& level_row : levels) array_->add_row(level_row);
   labels_.insert(labels_.end(), labels.begin(), labels.end());
 }
@@ -258,7 +262,8 @@ QueryResult McamNnEngine::query_one(std::span<const float> query, std::size_t k)
 }
 
 std::string McamNnEngine::name() const {
-  return std::to_string(config_.level_map.bits()) + "-bit MCAM";
+  return std::to_string(config_.level_map.bits()) + "-bit MCAM" +
+         (config_.lut ? " (LUT)" : "");
 }
 
 // --- Snapshot hooks --------------------------------------------------------
@@ -369,7 +374,14 @@ void McamNnEngine::save_state(serve::io::Writer& out) const {
 }
 
 void McamNnEngine::load_state(serve::io::Reader& in) {
-  serve::io::expect_tag(in, "mcam-v1");
+  // "mcam-lut-v1" payloads, saved by the retired table-backed engine, have
+  // this layout byte for byte.
+  const std::string tag = in.str();
+  if (tag != "mcam-v1" && tag != "mcam-lut-v1") {
+    throw serve::io::SnapshotError{
+        "engine payload tag mismatch: expected 'mcam-v1' or 'mcam-lut-v1', found '" + tag +
+        "'"};
+  }
   clear();
   if (in.u8() == 0) return;
   const std::uint32_t bits = in.u32();
@@ -380,8 +392,9 @@ void McamNnEngine::load_state(serve::io::Reader& in) {
   }
   std::vector<float> lo = in.vec_f32();
   std::vector<float> hi = in.vec_f32();
+  auto array = std::make_unique<cam::McamArray>(config_);
   quantizer_ = encoding::UniformQuantizer::from_state(bits, std::move(lo), std::move(hi));
-  array_ = std::make_unique<cam::McamArray>(config_);
+  array_ = std::move(array);
   const std::size_t num_rows = in.checked_count(in.u64(), 8);
   for (std::size_t r = 0; r < num_rows; ++r) {
     array_->add_row(in.vec_u16());

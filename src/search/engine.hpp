@@ -121,7 +121,9 @@ class TcamLshEngine final : public NnIndex {
 class McamNnEngine final : public NnIndex {
  public:
   /// `config.level_map` fixes the bit precision; `clip_percentile` tunes
-  /// the quantizer's outlier clipping.
+  /// the quantizer's outlier clipping. `config.lut` swaps in a measured
+  /// cell table (the Fig. 9 path); a config McamArray refuses throws at
+  /// the first calibrate or add, before anything is fitted or stored.
   explicit McamNnEngine(cam::McamArrayConfig config = cam::McamArrayConfig{},
                         double clip_percentile = 0.0);
 

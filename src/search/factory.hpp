@@ -34,7 +34,8 @@
 // their own commas), so it must come last.
 //
 // The registry is process-global; `register_engine` accepts additional
-// builders (e.g. a LUT-backed MCAM bound to a measured conductance table).
+// builders. A measured conductance table needs none: it is a
+// `cam::McamArrayConfig::lut` on a plain `McamNnEngine`.
 #pragma once
 
 #include "cam/array.hpp"

@@ -46,7 +46,7 @@ struct QueryResponse {
   RequestStatus status = RequestStatus::kOk;
   bool cache_hit = false;           ///< Served from the LRU cache.
   search::QueryResult result;       ///< Valid when status == kOk.
-  std::string error;                ///< Populated when status == kFailed.
+  std::string error;                ///< Set unless kOk: why it failed or was refused.
 };
 
 /// Service knobs.

@@ -76,7 +76,7 @@ struct ManagerConfig {
 struct StoreResponse {
   serve::RequestStatus status = serve::RequestStatus::kOk;
   CollectionQueryResult result;  ///< Valid when status == kOk.
-  std::string error;             ///< Populated when status == kFailed.
+  std::string error;             ///< Set unless kOk: why it failed or was refused.
 };
 
 /// Multi-collection store front end. See the header comment.

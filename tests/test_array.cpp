@@ -231,6 +231,32 @@ TEST(McamArray, DifferentSeedsGiveDifferentInstances) {
   EXPECT_NE(a.search_conductances(q)[0], b.search_conductances(q)[0]);
 }
 
+TEST(McamArray, MeasuredTableReplacesTheNominalTable) {
+  // config.lut is the table a nominal cell reads; nothing models how a
+  // measured cell's Vth could be offset, so noise and drift are refused.
+  std::vector<double> values(16);
+  for (std::size_t i = 0; i < values.size(); ++i) values[i] = 1e-9 * static_cast<double>(i + 1);
+  McamArrayConfig config;
+  config.level_map = fefet::LevelMap{2};
+  config.lut = std::make_shared<const ConductanceLut>(ConductanceLut::from_values(4, values));
+  McamArray array{config};
+  EXPECT_EQ(array.lut().g(2, 3), values[2 * 4 + 3]);
+  array.add_row(row({3, 0}));
+  EXPECT_EQ(array.search_conductances(row({2, 1}))[0], values[2 * 4 + 3] + values[1 * 4 + 0]);
+  EXPECT_THROW((void)array.apply_drift(0.05, 1), std::logic_error);
+  EXPECT_EQ(array.search_conductances(row({2, 1}))[0], values[2 * 4 + 3] + values[1 * 4 + 0]);
+
+  McamArrayConfig wrong_size = config;
+  wrong_size.level_map = fefet::LevelMap{3};
+  EXPECT_THROW((void)McamArray{wrong_size}, std::invalid_argument);
+  McamArrayConfig noisy = config;
+  noisy.vth_sigma = 0.05;
+  EXPECT_THROW((void)McamArray{noisy}, std::invalid_argument);
+  McamArrayConfig drifting = config;
+  drifting.drift_sigma = 0.05;
+  EXPECT_THROW((void)McamArray{drifting}, std::invalid_argument);
+}
+
 TEST(McamArray, ZeroNoiseMatchesLutExactly) {
   McamArrayConfig config;
   config.vth_sigma = 0.0;

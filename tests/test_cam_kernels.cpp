@@ -6,17 +6,22 @@
 //    cannot see: single rows, partial tail blocks, 4095-row arrays and
 //    widths of 1 to 64 cells, across programming noise, stuck faults,
 //    tombstones, apply_drift, clear() + re-add and bounded banks;
+//  - an injected measured table (McamArrayConfig::lut) is read by the
+//    nominal-cell path: each row's total is distance::McamDistance's sum
+//    on that table, bit for bit, on every backend;
 //  - set_force_scalar / MCAM_FORCE_SCALAR pins the scalar reference.
 #include "cam/array.hpp"
 #include "cam/kernels/kernels.hpp"
 #include "cam/tcam.hpp"
 #include "distance/kernels/kernels.hpp"
+#include "distance/mcam_distance.hpp"
 #include "force_scalar_guard.hpp"
 #include "util/rng.hpp"
 
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -194,6 +199,50 @@ TEST(CamKernels, McamDriftClearAndBoundedBanksMatchScalarBits) {
   expect_backends_agree(nominal_sweep);
   nominal.apply_drift(0.04, 305);
   expect_backends_agree(nominal_sweep);
+}
+
+TEST(CamKernels, McamInjectedTableMatchesMcamDistanceBits) {
+  // Random measured tables at every bit width. Fault-free arrays must sum
+  // exactly McamDistance's loop on both paths; with stuck faults mixed in,
+  // every backend must still return the scalar reference's bits.
+  std::uint64_t seed = 400;
+  for (unsigned bits = 1; bits <= 6; ++bits) {
+    const std::size_t states = std::size_t{1} << bits;
+    for (const std::size_t rows : {1, 7, 8, 9, 33}) {
+      McamArrayConfig config;
+      config.level_map = fefet::LevelMap{bits};
+      config.seed = ++seed;
+      Rng data{seed * 31};
+      std::vector<double> values(states * states);
+      for (double& g : values) g = 1e-9 * std::exp(data.normal(0.0, 2.0));
+      config.lut =
+          std::make_shared<const ConductanceLut>(ConductanceLut::from_values(states, values));
+      const distance::McamDistance reference{*config.lut};
+      McamArray array{config};
+      std::vector<std::vector<std::uint16_t>> stored;
+      for (std::size_t r = 0; r < rows; ++r) {
+        stored.push_back(random_levels(data, 13, states));
+        array.add_row(stored.back());
+      }
+      for (std::size_t r = 0; r < rows; r += 5) array.invalidate_row(r);
+      const std::vector<std::uint16_t> query = random_levels(data, 13, states);
+      const ForceScalarGuard guard;
+      for (const bool scalar : {true, false}) {
+        distance::kernels::set_force_scalar(scalar);
+        const std::vector<double> totals = array.search_conductances(query);
+        for (std::size_t r = 0; r < rows; ++r) {
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(totals[r]),
+                    std::bit_cast<std::uint64_t>(reference(query, stored[r])))
+              << "bits " << bits << " rows " << rows << " row " << r << " on "
+              << kernels::active_ops().name;
+        }
+      }
+      if (!has_simd_backend()) continue;
+      config.stuck_short_rate = 0.05;
+      config.stuck_open_rate = 0.05;
+      check_mcam(config, rows, 13);
+    }
+  }
 }
 
 TEST(CamKernels, TcamEveryShapeMatchesScalarBits) {

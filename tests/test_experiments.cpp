@@ -1,10 +1,12 @@
 #include "experiments/harness.hpp"
-#include "experiments/lut_engine.hpp"
 #include "experiments/stack.hpp"
 
 #include "data/uci_synth.hpp"
+#include "search/engine.hpp"
 
 #include <gtest/gtest.h>
+
+#include <bit>
 
 namespace mcam::experiments {
 namespace {
@@ -161,32 +163,62 @@ TEST(Stack, ProgrammerIsCachedPerBits) {
   EXPECT_EQ(two_bit.num_levels(), 4u);
 }
 
-TEST(LutEngine, AgreesWithArrayEngineWithoutVariation) {
-  // The LUT-sum methodology (Sec. IV-A) and the array model must pick the
-  // same neighbors when no hardware noise is injected.
+TEST(MeasuredTable, NominalTableAnswersLikeTheDefaultEngine) {
+  // The LUT-sum methodology (Sec. IV-A) is the array's nominal cell path:
+  // injecting the nominal table as a "measured" one changes no bit.
   const data::Dataset iris = data::make_iris(3);
-  Stack stack;
-  const auto lut = cam::ConductanceLut::nominal(stack.level_map(3), stack.channel());
-
   const data::SplitDataset split = stratified_split(iris, 0.8, 5);
-  McamLutEngine lut_engine{lut, 3};
+  cam::McamArrayConfig config;
+  config.lut = std::make_shared<const cam::ConductanceLut>(
+      cam::ConductanceLut::nominal(config.level_map, config.channel));
+  search::McamNnEngine table_engine{config};
   search::McamNnEngine array_engine{};
-  lut_engine.add(split.train.features, split.train.labels);
+  table_engine.add(split.train.features, split.train.labels);
   array_engine.add(split.train.features, split.train.labels);
   for (const auto& query : split.test.features) {
-    EXPECT_EQ(lut_engine.query_one(query, 1).label, array_engine.query_one(query, 1).label);
+    const search::QueryResult got = table_engine.query_one(query, 5);
+    const search::QueryResult want = array_engine.query_one(query, 5);
+    EXPECT_EQ(got.label, want.label);
+    ASSERT_EQ(got.neighbors.size(), want.neighbors.size());
+    for (std::size_t i = 0; i < want.neighbors.size(); ++i) {
+      EXPECT_EQ(got.neighbors[i].index, want.neighbors[i].index) << "rank " << i;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got.neighbors[i].distance),
+                std::bit_cast<std::uint64_t>(want.neighbors[i].distance))
+          << "rank " << i;
+    }
+    EXPECT_EQ(got.telemetry.candidates, want.telemetry.candidates);
+    EXPECT_EQ(got.telemetry.energy_j, want.telemetry.energy_j);
   }
+  EXPECT_EQ(table_engine.name(), "3-bit MCAM (LUT)");
 }
 
-TEST(LutEngine, Validation) {
-  const auto lut = cam::ConductanceLut::nominal(fefet::LevelMap{2});
-  EXPECT_THROW((McamLutEngine{lut, 3}), std::invalid_argument);
-  McamLutEngine engine{lut, 2};
+TEST(MeasuredTable, EngineRefusesABadTableBeforeStoringAnything) {
+  const data::Dataset iris = data::make_iris(3);
+  cam::McamArrayConfig config;
+  config.level_map = fefet::LevelMap{3};
+  config.lut =
+      std::make_shared<const cam::ConductanceLut>(cam::ConductanceLut::nominal(fefet::LevelMap{2}));
+  search::McamNnEngine mismatched{config};
+  EXPECT_THROW(mismatched.calibrate(iris.features), std::invalid_argument);
+  EXPECT_THROW(mismatched.add(iris.features, iris.labels), std::invalid_argument);
+  EXPECT_EQ(mismatched.size(), 0u);
+  EXPECT_THROW((void)mismatched.query_one(iris.features.front(), 1), std::logic_error);
+
+  config.level_map = fefet::LevelMap{2};
+  config.vth_sigma = 0.05;
+  search::McamNnEngine noisy{config};
+  EXPECT_THROW(noisy.add(iris.features, iris.labels), std::invalid_argument);
+  EXPECT_EQ(noisy.size(), 0u);
+
+  config.vth_sigma = 0.0;
+  search::McamNnEngine engine{config};
   EXPECT_THROW((void)engine.query_one(std::vector<float>{1.0f}, 1), std::logic_error);
   EXPECT_THROW(engine.set_fixed_quantizer(
                    encoding::UniformQuantizer::fit(
                        std::vector<std::vector<float>>{{0.0f}, {1.0f}}, 3)),
                std::invalid_argument);
+  engine.add(iris.features, iris.labels);
+  EXPECT_EQ(engine.size(), iris.features.size());
 }
 
 TEST(VirtualInstrument, CleanProfileMonotone) {
@@ -241,8 +273,11 @@ TEST(VirtualInstrument, MeasuredLutStillClassifies) {
                                      [&features](std::size_t cls, Rng& rng) {
                                        return features.sample(cls, rng);
                                      }};
-  const mann::IndexFactory factory = [&measured, &quantizer]() {
-    auto engine = std::make_unique<McamLutEngine>(measured, 2);
+  cam::McamArrayConfig config;
+  config.level_map = fefet::LevelMap{2};
+  config.lut = std::make_shared<const cam::ConductanceLut>(measured);
+  const mann::IndexFactory factory = [&config, &quantizer]() {
+    auto engine = std::make_unique<search::McamNnEngine>(config);
     engine->set_fixed_quantizer(quantizer);
     return engine;
   };

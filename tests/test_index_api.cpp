@@ -8,12 +8,11 @@
 #include "search/knn.hpp"
 
 #include "distance/mcam_distance.hpp"
-#include "experiments/lut_engine.hpp"
-#include "experiments/stack.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <set>
 
 namespace mcam::search {
@@ -101,21 +100,33 @@ TEST(NnIndexTopK, McamRankingMatchesExactIndexUnderIdealSensing) {
   }
 }
 
-TEST(NnIndexTopK, LutEngineAgreesWithArrayEngineTopK) {
+TEST(NnIndexTopK, InjectedNominalTableAnswersLikeTheDefaultEngine) {
+  // A table injected through McamArrayConfig::lut is what a nominal cell
+  // reads: the nominal table itself must leave every answer bit unchanged.
   const Blobs blobs = make_blobs(10, 3, 6, 0.5, 33);
-  const experiments::Stack stack;
-  experiments::McamLutEngine lut_engine{
-      cam::ConductanceLut::nominal(stack.level_map(3), stack.channel()), 3};
+  cam::McamArrayConfig config;
+  config.lut = std::make_shared<const cam::ConductanceLut>(
+      cam::ConductanceLut::nominal(config.level_map, config.channel));
+  McamNnEngine table_engine{config};
   McamNnEngine array_engine{};
-  lut_engine.add(blobs.train, blobs.train_labels);
+  table_engine.add(blobs.train, blobs.train_labels);
   array_engine.add(blobs.train, blobs.train_labels);
+  ASSERT_TRUE(table_engine.erase(4));
+  ASSERT_TRUE(array_engine.erase(4));
   for (const auto& q : blobs.queries) {
-    const auto a = lut_engine.query_one(q, 4);
+    const auto a = table_engine.query_one(q, 4);
     const auto b = array_engine.query_one(q, 4);
+    EXPECT_EQ(a.label, b.label);
     ASSERT_EQ(a.neighbors.size(), b.neighbors.size());
     for (std::size_t i = 0; i < a.neighbors.size(); ++i) {
       EXPECT_EQ(a.neighbors[i].index, b.neighbors[i].index) << "rank " << i;
+      EXPECT_EQ(a.neighbors[i].label, b.neighbors[i].label) << "rank " << i;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(a.neighbors[i].distance),
+                std::bit_cast<std::uint64_t>(b.neighbors[i].distance))
+          << "rank " << i;
     }
+    EXPECT_EQ(a.telemetry.candidates, b.telemetry.candidates);
+    EXPECT_EQ(a.telemetry.energy_j, b.telemetry.energy_j);
   }
 }
 

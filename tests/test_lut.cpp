@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <string>
+#include <vector>
 
 namespace mcam::cam {
 namespace {
@@ -146,6 +149,24 @@ TEST(Lut, FromValuesRoundTrips) {
 TEST(Lut, FromValuesSizeMismatchThrows) {
   EXPECT_THROW((void)ConductanceLut::from_values(3, std::vector<double>(8, 0.0)),
                std::invalid_argument);
+  EXPECT_THROW((void)ConductanceLut::from_values(0, {}), std::invalid_argument);
+  // Measured conductances must be finite and non-negative; the message
+  // names the offending (input, stored) entry, row-major [input][stored].
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity(), -1e-9}) {
+    std::vector<double> values(9, 1e-9);
+    values[5] = bad;  // input 1, stored 2
+    try {
+      (void)ConductanceLut::from_values(3, values);
+      ADD_FAILURE() << "accepted " << bad;
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string{error.what()}.find("(input 1, stored 2)"), std::string::npos)
+          << error.what();
+    }
+  }
+  const std::vector<double> zeros(9, 0.0);
+  EXPECT_EQ(ConductanceLut::from_values(3, zeros).g(1, 2), 0.0);
 }
 
 TEST(Lut, DistanceScatterCoversAllPairsAndSpreads) {

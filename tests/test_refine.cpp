@@ -12,7 +12,6 @@
 
 #include "cam/lut.hpp"
 #include "energy/model.hpp"
-#include "experiments/lut_engine.hpp"
 #include "search/engine.hpp"
 #include "search/factory.hpp"
 #include "search/sharded.hpp"
@@ -684,13 +683,16 @@ TEST(KConvention, ZeroKEqualsOneKForEveryRegisteredBackend) {
       EXPECT_EQ(index->query_one(q, 0).neighbors.size(), 1u) << name;
     }
   }
-  // The LUT engine is not a registry builtin (it needs a conductance
-  // table) but is the fifth backend bound by the same contract.
-  experiments::McamLutEngine lut_engine{
-      cam::ConductanceLut::nominal(fefet::LevelMap{2}), 2};
-  lut_engine.add(data.rows, data.labels);
+  // An MCAM with a measured table is not a registry builtin (it needs a
+  // conductance table) but is bound by the same contract.
+  cam::McamArrayConfig table_config;
+  table_config.level_map = fefet::LevelMap{2};
+  table_config.lut = std::make_shared<const cam::ConductanceLut>(
+      cam::ConductanceLut::nominal(fefet::LevelMap{2}));
+  McamNnEngine table_engine{table_config};
+  table_engine.add(data.rows, data.labels);
   for (const auto& q : data.queries) {
-    expect_identical(lut_engine.query_one(q, 0), lut_engine.query_one(q, 1),
+    expect_identical(table_engine.query_one(q, 0), table_engine.query_one(q, 1),
                      "mcam-lut k=0 vs k=1");
   }
 }

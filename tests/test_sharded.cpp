@@ -162,6 +162,33 @@ TEST(ShardedIdentity, Acceptance500RowsEightBanksWithInterleavedAddErase) {
   }
 }
 
+TEST(ShardedIdentity, MeasuredTableBanksMatchOneTableArray) {
+  // A measured table is one McamArrayConfig field, so a table-backed
+  // McamNnEngine shards like any other MCAM bank.
+  const Data data = make_data(40, 6, 4, 139);
+  cam::McamArrayConfig table_config;
+  table_config.level_map = fefet::LevelMap{2};
+  std::vector<double> values(16);
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    values[i] = 1e-9 * std::exp(0.3 * static_cast<double>((i * 7) % 16));
+  }
+  table_config.lut =
+      std::make_shared<const cam::ConductanceLut>(cam::ConductanceLut::from_values(4, values));
+  ShardedConfig config;
+  config.bank_rows = 8;
+  config.workers = 1;
+  ShardedNnIndex sharded{[&] { return std::make_unique<McamNnEngine>(table_config); }, config};
+  McamNnEngine monolithic{table_config};
+  sharded.add(data.rows, data.labels);
+  monolithic.add(data.rows, data.labels);
+  ASSERT_TRUE(sharded.erase(9));
+  ASSERT_TRUE(monolithic.erase(9));
+  EXPECT_EQ(sharded.num_banks(), 5u);
+  for (const auto& q : data.queries) {
+    expect_identical(sharded.query_one(q, 5), monolithic.query_one(q, 5), "measured table");
+  }
+}
+
 TEST(ShardedMutation, TombstoneSemanticsAndMonotoneTelemetry) {
   const Data data = make_data(40, 6, 2, 107);
   ShardedConfig config;
@@ -487,19 +514,32 @@ TEST(ShardedCapacity, ArraysEnforceMaxRows) {
 
 TEST(ShardedCapacity, MonolithicEngineRefusesToOutgrowOneBank) {
   // bank_rows on a *monolithic* key bounds the physical array: the one
-  // thing real hardware cannot do is grow past its matchline.
-  const Data data = make_data(10, 4, 1, 131);
-  EngineConfig config;
-  config.num_features = 4;
-  config.bank_rows = 8;
-  auto index = make_index("mcam3", config);
-  EXPECT_THROW(index->add(data.rows, data.labels), std::length_error);
-  EXPECT_EQ(index->size(), 0u);  // All-or-nothing: nothing was programmed.
+  // thing real hardware cannot do is grow past its matchline. A refused
+  // first batch must not calibrate the encoders either: the next add fits
+  // them on its own rows, exactly as a fresh engine would.
+  const Data data = make_data(10, 4, 4, 131);
   const std::span<const std::vector<float>> rows{data.rows};
   const std::span<const int> labels{data.labels};
-  index->add(rows.subspan(0, 8), labels.subspan(0, 8));
-  EXPECT_THROW(index->add(rows.subspan(8), labels.subspan(8)), std::length_error);
-  EXPECT_EQ(index->size(), 8u);
+  for (const std::string name : {"mcam3", "tcam-lsh"}) {
+    EngineConfig config;
+    config.num_features = 4;
+    config.lsh_bits = 64;  // Long enough that a different z-score fit reranks rows.
+    config.bank_rows = 8;
+    auto index = make_index(name, config);
+    EXPECT_THROW(index->add(data.rows, data.labels), std::length_error) << name;
+    EXPECT_EQ(index->size(), 0u) << name;  // All-or-nothing: nothing was programmed.
+    index->add(rows.subspan(6), labels.subspan(6));
+    auto fresh = make_index(name, config);
+    fresh->add(rows.subspan(6), labels.subspan(6));
+    for (const auto& q : data.queries) {
+      expect_identical(index->query_one(q, 4), fresh->query_one(q, 4),
+                       name + " after a refused first batch");
+    }
+    index->add(rows.subspan(0, 4), labels.subspan(0, 4));
+    EXPECT_THROW(index->add(rows.subspan(4, 1), labels.subspan(4, 1)), std::length_error)
+        << name;
+    EXPECT_EQ(index->size(), 8u) << name;
+  }
 }
 
 TEST(EngineSpec, ParsesOverridesAndRejectsUnknownKeys) {

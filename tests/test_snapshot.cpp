@@ -9,7 +9,6 @@
 
 #include "cam/lut.hpp"
 #include "encoding/quantizer.hpp"
-#include "experiments/lut_engine.hpp"
 #include "mann/memory.hpp"
 #include "search/engine.hpp"
 #include "search/factory.hpp"
@@ -199,18 +198,35 @@ TEST(SnapshotRoundTrip, CalibratedEmptyIndexKeepsItsEncoders) {
   }
 }
 
-TEST(SnapshotRoundTrip, LutEngineRoundTripsThroughDirectHooks) {
-  // McamLutEngine is not a registry builtin (it needs a conductance
-  // table), so its hooks are exercised engine-to-engine.
+TEST(SnapshotRoundTrip, LutPayloadRestoresIntoTableEngine) {
+  // Engine payloads tagged "mcam-lut-v1" (saved by the retired table-backed
+  // MCAM engine) carry the mcam-v1 layout byte for byte, and restore into
+  // an McamNnEngine built with the table. The payload is written here the
+  // way that engine wrote it.
   const Data data = make_data(30, 4, 3, 83);
-  const cam::ConductanceLut lut = cam::ConductanceLut::nominal(fefet::LevelMap{2});
-  experiments::McamLutEngine original{lut, 2};
+  cam::McamArrayConfig config;
+  config.level_map = fefet::LevelMap{2};
+  config.lut = std::make_shared<const cam::ConductanceLut>(
+      cam::ConductanceLut::nominal(fefet::LevelMap{2}));
+  search::McamNnEngine original{config};
   original.add(data.rows, data.labels);
   ASSERT_TRUE(original.erase(3));
 
+  const encoding::UniformQuantizer quantizer = encoding::UniformQuantizer::fit(data.rows, 2);
   io::Writer out;
-  original.save_state(out);
-  experiments::McamLutEngine restored{lut, 2};
+  out.str("mcam-lut-v1");
+  out.u8(1);
+  out.u32(2);
+  out.vec_f32(quantizer.lows());
+  out.vec_f32(quantizer.highs());
+  out.u64(data.rows.size());
+  for (const auto& row : data.rows) out.vec_u16(quantizer.quantize(row));
+  std::vector<std::uint8_t> valid(data.rows.size(), 1);
+  valid[3] = 0;
+  out.vec_u8(valid);
+  out.vec_i32(data.labels);
+
+  search::McamNnEngine restored{config};
   io::Reader in{out.buffer()};
   restored.load_state(in);
   in.expect_end();
@@ -395,24 +411,6 @@ TEST(SnapshotFormat, NonFiniteQuantizerBoundIsRejected) {
     EXPECT_THROW((void)load(bad), std::invalid_argument);
   }
   EXPECT_EQ(load(blob)->size(), index->size());
-
-  // The LUT engine restores its quantizer the same way.
-  const cam::ConductanceLut lut = cam::ConductanceLut::nominal(fefet::LevelMap{2});
-  experiments::McamLutEngine original{lut, 2};
-  original.add(data.rows, data.labels);
-  io::Writer out;
-  original.save_state(out);
-  const std::vector<std::uint8_t>& payload = out.buffer();
-  const auto lut_highs = encoding::UniformQuantizer::fit(data.rows, 2).highs();
-  const auto* lut_bytes = reinterpret_cast<const std::uint8_t*>(lut_highs.data());
-  const auto lut_at = std::search(payload.begin(), payload.end(), lut_bytes,
-                                  lut_bytes + lut_highs.size() * sizeof(float));
-  ASSERT_NE(lut_at, payload.end());
-  std::vector<std::uint8_t> bad = payload;
-  std::memcpy(&bad[static_cast<std::size_t>(lut_at - payload.begin())], &inf, sizeof inf);
-  experiments::McamLutEngine restored{lut, 2};
-  io::Reader in{bad};
-  EXPECT_THROW(restored.load_state(in), std::invalid_argument);
 }
 
 TEST(SnapshotFormat, EnginePayloadTagMismatchIsDetected) {

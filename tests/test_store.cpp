@@ -7,6 +7,7 @@
 // filtered-query stats.
 #include "store/manager.hpp"
 
+#include "search/factory.hpp"
 #include "serve/snapshot.hpp"
 #include "store/collection.hpp"
 #include "store/metadata.hpp"
@@ -15,8 +16,12 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <filesystem>
 #include <future>
+#include <memory>
+#include <mutex>
+#include <semaphore>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -643,44 +648,105 @@ TEST(CollectionManager, FleetManifestRoundTripUnderInterleavedMutations) {
   std::filesystem::remove_all(dir);
 }
 
+/// Holds every query of the engines built with it until open(): it pins a
+/// manager's worker on one request for as long as a test needs (the
+/// executor tests' Gate, one layer up).
+class QueryGate {
+ public:
+  void enter() {
+    started_.release();
+    opened_.wait();
+  }
+  /// Blocks until a query has entered the gate.
+  void wait_started() { started_.acquire(); }
+  /// Idempotent.
+  void open() {
+    std::call_once(once_, [this] { open_.set_value(); });
+  }
+
+ private:
+  std::counting_semaphore<1024> started_{0};
+  std::promise<void> open_;
+  std::shared_future<void> opened_{open_.get_future().share()};
+  std::once_flag once_;
+};
+
+/// An mcam3 engine whose queries pass through a QueryGate.
+class GatedIndex final : public search::NnIndex {
+ public:
+  GatedIndex(std::shared_ptr<QueryGate> gate, const search::EngineConfig& config)
+      : gate_(std::move(gate)), inner_(search::make_index("mcam3", config)) {}
+  void add(std::span<const std::vector<float>> rows, std::span<const int> labels) override {
+    inner_->add(rows, labels);
+  }
+  void clear() override { inner_->clear(); }
+  [[nodiscard]] std::size_t size() const override { return inner_->size(); }
+  [[nodiscard]] search::QueryResult query_one(std::span<const float> query,
+                                              std::size_t k) const override {
+    gate_->enter();
+    return inner_->query_one(query, k);
+  }
+  [[nodiscard]] std::string name() const override { return "gated " + inner_->name(); }
+
+ private:
+  std::shared_ptr<QueryGate> gate_;
+  std::unique_ptr<search::NnIndex> inner_;
+};
+
 TEST(CollectionManager, AdmissionControlRejectsWithStatus) {
   const Data data = make_data(512, 16, 4, 653);
+  const auto gate = std::make_shared<QueryGate>();
+  search::EngineFactory::instance().register_engine(
+      "test-gated-mcam3", [gate](const search::EngineConfig& engine_config) {
+        return std::make_unique<GatedIndex>(gate, engine_config);
+      });
   search::EngineConfig base;
   base.num_features = 16;
   ManagerConfig config;
   config.workers = 1;
   config.collection_queue_cap = 1;  // One in-flight request per tenant.
   CollectionManager manager{config};
-  manager.create_collection("tenant", "mcam3", base);
+  // Declared after the manager, so it opens the gate before the manager's
+  // destructor drains the held request, whichever way the test ends.
+  struct OpenOnExit {
+    QueryGate& gate;
+    ~OpenOnExit() { gate.open(); }
+  } const opener{*gate};
+  manager.create_collection("tenant", "test-gated-mcam3", base);
   manager.add("tenant", data.rows, data.labels);
 
+  // The first request holds the one worker inside the engine, so each of
+  // the other 63 meets a full in-flight cap whatever the thread timing,
+  // and is refused at submit.
   std::vector<std::future<StoreResponse>> futures;
-  for (int i = 0; i < 64; ++i) {
+  futures.push_back(manager.submit("tenant", data.queries[0], 5));
+  gate->wait_started();
+  for (int i = 1; i < 64; ++i) {
     futures.push_back(manager.submit("tenant", data.queries[i % 4], 5));
   }
-  std::size_t ok = 0;
-  std::size_t rejected = 0;
-  for (auto& f : futures) {
-    const StoreResponse response = f.get();
-    if (response.status == serve::RequestStatus::kOk) {
-      ++ok;
-      EXPECT_FALSE(response.result.result.neighbors.empty());
-    } else {
-      ASSERT_EQ(response.status, serve::RequestStatus::kRejected);
-      ++rejected;
-    }
+  std::size_t resolved_while_held = 0;
+  for (const auto& f : futures) {
+    resolved_while_held += f.wait_for(std::chrono::seconds{0}) == std::future_status::ready;
   }
-  // A 1-deep per-tenant cap against an instant submit loop must reject;
-  // every outcome is reported, nothing is dropped.
-  EXPECT_GT(rejected, 0u);
-  EXPECT_EQ(ok + rejected, 64u);
+  gate->open();
+  EXPECT_EQ(resolved_while_held, 63u);
+  const StoreResponse first = futures.front().get();
+  ASSERT_EQ(first.status, serve::RequestStatus::kOk) << first.error;
+  EXPECT_FALSE(first.result.result.neighbors.empty());
+  for (std::size_t i = 1; i < futures.size(); ++i) {
+    const StoreResponse response = futures[i].get();
+    EXPECT_EQ(response.status, serve::RequestStatus::kRejected) << "request " << i;
+    EXPECT_NE(response.error.find("collection_queue_cap 1"), std::string::npos)
+        << "request " << i << ": " << response.error;
+  }
+  // Every outcome is reported, nothing is dropped.
   const serve::ServiceStats stats = manager.stats("tenant");
-  EXPECT_EQ(stats.accepted, ok);
-  EXPECT_EQ(stats.rejected, rejected);
-  EXPECT_EQ(stats.completed, ok);
+  EXPECT_EQ(stats.accepted, 1u);
+  EXPECT_EQ(stats.rejected, 63u);
+  EXPECT_EQ(stats.completed, 1u);
   EXPECT_EQ(stats.failed, 0u);
   EXPECT_EQ(stats.queue_depth, 0u);
-  EXPECT_LE(stats.queue_depth_peak, 1u);
+  EXPECT_EQ(stats.queue_depth_peak, 1u);
 
   // Unknown names throw at submit; dropped collections free the name and
   // late submits to them throw too.
