@@ -1,17 +1,24 @@
 // Filtered-search selectivity sweep: TCAM-pushed tag band vs brute-force
-// post-filtering.
+// post-filtering, and the `auto` policy that routes between them.
 //
-// Builds one tagged collection (store/collection.hpp) over clustered
+// Builds tagged collections (store/collection.hpp) over clustered
 // embeddings where every row carries tags at four selectivity tiers
 // (~50% / ~12.5% / ~3% / ~1%) and, per tier, answers the same filtered
-// top-10 queries twice: through the tag band pushed into the coarse TCAM
-// (exact kOne trits at the predicate's band slots, don't-care elsewhere)
-// and through `query_subset` over the exact matching ids. The table
-// reports matching rows, fine-stage candidates per path, and wall-clock
-// QPS per path.
+// top-10 queries three ways: through the tag band pushed into the coarse
+// TCAM (exact kOne trits at the predicate's band slots, don't-care
+// elsewhere), through `query_subset` over the exact matching ids, and
+// through the `auto` policy. The first table reports matching rows,
+// fine-stage candidates per path, the path `auto` took, and wall-clock
+// QPS per path. Its collections nominate candidate_factor * k = 1280
+// rows, more than the 960 stored, so every tier's matches fit the budget.
+//
+// A second, low-budget pass (candidate_factor = 2, a budget of 20 rows)
+// reports, at the tiers with more matches than the budget, the recall@10
+// of the forced band and of the post-filter against a brute-force exact
+// filtered top-10, and the path `auto` took.
 //
 // Smoke assertions (CI runs this binary in the Release and ASan+UBSan
-// jobs; it exits non-zero on failure):
+// jobs, and once with MCAM_FORCE_SCALAR=1; it exits non-zero on failure):
 //  1. at every selectivity tier the band path answers bit-identically -
 //     indices, labels, and distances - to the brute-force post-filter,
 //  2. the band path never reranks more fine-stage candidates than the
@@ -20,18 +27,40 @@
 //     count (band eligibility over-approximates the predicate only through
 //     Bloom slot collisions) and the exact verify prunes every collision
 //     before the rerank (band fine candidates == matching rows),
-//  4. the auto policy routes a ~1% predicate through the band and a ~50%
-//     predicate through the post-filter.
+//  4. at every tier whose matches fit the budget, `auto` post-filters and
+//     answers bit-identically to the band,
+//  5. in the low-budget pass, `auto` takes the band at a tier with more
+//     matches than the budget exactly when its selectivity is at most
+//     band_selectivity_limit, and post-filters every tier that fits.
 #include "bench_common.hpp"
 
 #include "store/collection.hpp"
 #include "util/rng.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstddef>
 #include <iostream>
 #include <string>
+#include <utility>
 #include <vector>
+
+namespace {
+
+/// Indices, labels and distances agree at every rank.
+bool same_answer(const mcam::search::QueryResult& a, const mcam::search::QueryResult& b) {
+  if (a.neighbors.size() != b.neighbors.size()) return false;
+  for (std::size_t i = 0; i < a.neighbors.size(); ++i) {
+    if (a.neighbors[i].index != b.neighbors[i].index ||
+        a.neighbors[i].label != b.neighbors[i].label ||
+        a.neighbors[i].distance != b.neighbors[i].distance) {
+      return false;
+    }
+  }
+  return true;
+}
+
+}  // namespace
 
 int main() {
   using namespace mcam;
@@ -77,17 +106,28 @@ int main() {
   std::vector<std::vector<float>> queries;
   for (std::size_t q = 0; q < kQueries; ++q) queries.push_back(sample(1.0));
 
+  search::EngineConfig config;
+  config.num_features = kFeatures;
+  const auto build = [&](const char* factor, const char* policy) {
+    store::Collection collection{
+        "bench",
+        std::string{"refine:coarse_bits=32,tag_bits=48,candidate_factor="} + factor +
+            ",sig=trained,filter=" + policy + ",fine=euclidean",
+        config};
+    collection.calibrate(rows);
+    collection.add(rows, labels, tags);
+    return collection;
+  };
+  const auto budget_of = [&](const store::Collection& collection) {
+    return dynamic_cast<const search::TwoStageNnIndex&>(collection.engine())
+        .nomination_budget(kTopK);
+  };
   // candidate_factor * kTopK covers every live row, so the band path must
   // reproduce the post-filter ranking bit-exactly (see query_filtered's
   // contract in search/refine.hpp).
-  const std::string spec =
-      "refine:coarse_bits=32,tag_bits=48,candidate_factor=128,sig=trained,"
-      "filter=band,fine=euclidean";
-  search::EngineConfig config;
-  config.num_features = kFeatures;
-  store::Collection banded{"bench", spec, config};
-  banded.calibrate(rows);
-  banded.add(rows, labels, tags);
+  const store::Collection banded = build("128", "band");
+  const store::Collection routed = build("128", "auto");
+  const std::size_t budget = budget_of(routed);
 
   const struct Tier {
     const char* label;
@@ -98,10 +138,22 @@ int main() {
                {"~1%", "rare"}};
 
   TextTable table{"Filtered top-" + std::to_string(kTopK) +
-                  " : TCAM tag band vs post-filter (" + std::to_string(kRows) +
-                  " rows, " + std::to_string(kQueries) + " queries)"};
+                  " : TCAM tag band vs post-filter vs auto (" + std::to_string(kRows) +
+                  " rows, " + std::to_string(kQueries) + " queries, budget " +
+                  std::to_string(budget) + ")"};
   table.set_header({"selectivity", "tag", "matching", "band_fine", "post_fine",
-                    "band_qps", "post_qps", "identical"});
+                    "band_qps", "post_qps", "auto_path", "auto_qps", "identical"});
+
+  const auto timed = [&](const auto& answer) {
+    using Answer = decltype(answer(queries[0]));
+    std::vector<Answer> answers;
+    answers.reserve(queries.size());
+    const auto start = Clock::now();
+    for (const auto& q : queries) answers.push_back(answer(q));
+    const double seconds = std::chrono::duration<double>(Clock::now() - start).count();
+    return std::pair{std::move(answers),
+                     std::to_string(static_cast<std::size_t>(queries.size() / seconds))};
+  };
 
   bool ok = true;
   for (const Tier& tier : tiers) {
@@ -112,22 +164,18 @@ int main() {
       return 1;
     }
 
+    const auto [band_results, band_qps] =
+        timed([&](const auto& q) { return banded.query(q, kTopK, predicate); });
+    const auto [post_results, post_qps] = timed(
+        [&](const auto& q) { return banded.engine().query_subset(q, matching, kTopK); });
+    const auto [auto_results, auto_qps] =
+        timed([&](const auto& q) { return routed.query(q, kTopK, predicate); });
+
     std::size_t band_fine = 0;
     std::size_t post_fine = 0;
     bool identical = true;
-    const auto band_start = Clock::now();
-    std::vector<store::CollectionQueryResult> band_results;
-    for (const auto& q : queries) {
-      band_results.push_back(banded.query(q, kTopK, predicate));
-    }
-    const double band_s = std::chrono::duration<double>(Clock::now() - band_start).count();
-    const auto post_start = Clock::now();
-    std::vector<search::QueryResult> post_results;
-    for (const auto& q : queries) {
-      post_results.push_back(banded.engine().query_subset(q, matching, kTopK));
-    }
-    const double post_s = std::chrono::duration<double>(Clock::now() - post_start).count();
-
+    bool auto_post = true;
+    bool auto_identical = true;
     for (std::size_t qi = 0; qi < queries.size(); ++qi) {
       const store::CollectionQueryResult& band = band_results[qi];
       const search::QueryResult& post = post_results[qi];
@@ -137,12 +185,9 @@ int main() {
       }
       band_fine += band.result.telemetry.fine_candidates;
       post_fine += post.telemetry.candidates;
-      if (band.result.neighbors.size() != post.neighbors.size()) identical = false;
-      for (std::size_t i = 0; identical && i < post.neighbors.size(); ++i) {
-        identical = band.result.neighbors[i].index == post.neighbors[i].index &&
-                    band.result.neighbors[i].label == post.neighbors[i].label &&
-                    band.result.neighbors[i].distance == post.neighbors[i].distance;
-      }
+      identical = identical && same_answer(band.result, post);
+      auto_post = auto_post && auto_results[qi].path == store::FilterPath::kPostFilter;
+      auto_identical = auto_identical && same_answer(auto_results[qi].result, band.result);
       // Band eligibility is matching + Bloom slot collisions, so the
       // in-array exclusion count is at most the non-matching complement;
       // the verify callback must then prune the collisions exactly.
@@ -170,39 +215,88 @@ int main() {
                 << post_fine << " fine candidates (" << tier.tag << ")\n";
       ok = false;
     }
+    if (matching.size() <= budget && (!auto_post || !auto_identical)) {
+      std::cerr << "[smoke] FAIL: " << matching.size() << " matches fit the budget of "
+                << budget << ", yet auto "
+                << (auto_post ? "diverged from the band" : "took the band") << " ("
+                << tier.tag << ")\n";
+      ok = false;
+    }
     table.add_row({tier.label, tier.tag, std::to_string(matching.size()),
                    std::to_string(band_fine / queries.size()),
-                   std::to_string(post_fine / queries.size()),
-                   std::to_string(static_cast<std::size_t>(queries.size() / band_s)),
-                   std::to_string(static_cast<std::size_t>(queries.size() / post_s)),
-                   identical ? "yes" : "NO"});
+                   std::to_string(post_fine / queries.size()), band_qps, post_qps,
+                   auto_post ? "post" : "band", auto_qps, identical ? "yes" : "NO"});
   }
   bench::emit(table, "bench_filtered_search");
 
-  // The auto policy spends the band only where it is selective.
-  {
-    search::EngineConfig auto_config = config;
-    store::Collection routed{
-        "auto",
-        "refine:coarse_bits=32,tag_bits=48,candidate_factor=128,sig=trained,"
-        "filter=auto,fine=euclidean",
-        auto_config};
-    routed.calibrate(rows);
-    routed.add(rows, labels, tags);
-    const auto rare = routed.query(queries[0], kTopK, store::Predicate::tag("rare"));
-    const auto broad = routed.query(queries[0], kTopK, store::Predicate::tag("shard=0"));
-    if (rare.path != store::FilterPath::kBand) {
-      std::cerr << "[smoke] FAIL: auto policy post-filtered a ~1% predicate\n";
+  // Low budget: the band can now miss matches, so measure what each path
+  // returns against the exact filtered top-k, and check where auto goes.
+  const store::Collection low_banded = build("2", "band");
+  const store::Collection low_routed = build("2", "auto");
+  const std::size_t low_budget = budget_of(low_routed);
+  const double limit = store::CollectionOptions{}.band_selectivity_limit;
+  TextTable low{"Filtered top-" + std::to_string(kTopK) + " at a budget of " +
+                std::to_string(low_budget) + " rows: recall@" + std::to_string(kTopK) +
+                " vs the exact filtered top-" + std::to_string(kTopK)};
+  low.set_header({"selectivity", "tag", "matching", "auto_path", "band_recall@10",
+                  "post_recall@10"});
+  const auto recall = [](const search::QueryResult& got,
+                          const std::vector<std::size_t>& truth) {
+    std::size_t hits = 0;
+    for (const auto& n : got.neighbors) {
+      hits += std::find(truth.begin(), truth.end(), n.index) != truth.end();
+    }
+    return static_cast<double>(hits) / static_cast<double>(truth.size());
+  };
+  for (const Tier& tier : tiers) {
+    const store::Predicate predicate = store::Predicate::tag(tier.tag);
+    const std::vector<std::size_t> matching = low_routed.metadata().matching_ids(predicate);
+    std::vector<std::size_t> nearest = matching;
+    const double selectivity =
+        static_cast<double>(matching.size()) / static_cast<double>(low_routed.size());
+    const bool fits = matching.size() <= low_budget;
+    const store::FilterPath want =
+        !fits && selectivity <= limit ? store::FilterPath::kBand : store::FilterPath::kPostFilter;
+    double band_recall = 0.0;
+    double post_recall = 0.0;
+    std::size_t misrouted = 0;
+    for (const auto& q : queries) {
+      // Brute-force exact filtered top-k, in double precision.
+      const auto distance = [&](std::size_t id) {
+        double sum = 0.0;
+        for (std::size_t f = 0; f < kFeatures; ++f) {
+          const double d = static_cast<double>(rows[id][f]) - q[f];
+          sum += d * d;
+        }
+        return sum;
+      };
+      const auto k = static_cast<std::ptrdiff_t>(std::min(kTopK, nearest.size()));
+      std::partial_sort(nearest.begin(), nearest.begin() + k, nearest.end(),
+                        [&](std::size_t a, std::size_t b) { return distance(a) < distance(b); });
+      const std::vector<std::size_t> truth(nearest.begin(), nearest.begin() + k);
+      band_recall += recall(low_banded.query(q, kTopK, predicate).result, truth);
+      post_recall += recall(low_routed.engine().query_subset(q, matching, kTopK), truth);
+      misrouted += low_routed.query(q, kTopK, predicate).path != want;
+    }
+    const bool to_band = want == store::FilterPath::kBand;
+    if (misrouted > 0) {
+      std::cerr << "[smoke] FAIL: auto took the " << (to_band ? "post-filter" : "band")
+                << " for " << matching.size() << " matches (selectivity " << selectivity
+                << ") at a budget of " << low_budget << " on " << misrouted << " queries ("
+                << tier.tag << ")\n";
       ok = false;
     }
-    if (broad.path != store::FilterPath::kPostFilter) {
-      std::cerr << "[smoke] FAIL: auto policy pushed a ~50% predicate into the band\n";
-      ok = false;
-    }
+    if (fits) continue;  // Auto post-filters these exactly; nothing to compare.
+    const double n = static_cast<double>(queries.size());
+    low.add_row({tier.label, tier.tag, std::to_string(matching.size()),
+                 to_band ? "band" : "post", format_double(band_recall / n),
+                 format_double(post_recall / n)});
   }
+  bench::emit(low, "bench_filtered_search_low_budget");
 
   if (!ok) return 1;
   std::cout << "[smoke] band path bit-identical to post-filtering at every "
-               "selectivity tier, with no extra fine-stage candidates\n";
+               "selectivity tier, with no extra fine-stage candidates; auto "
+               "post-filters every tier whose matches fit the budget\n";
   return 0;
 }

@@ -97,8 +97,9 @@ struct EngineConfig {
                                    ///< (store/collection.hpp): "band" forces the
                                    ///< TCAM-pushed tag band, "post" forces the
                                    ///< query_subset post-filter, "auto"/empty picks
-                                   ///< by predicate selectivity. Ignored by the
-                                   ///< engines themselves.
+                                   ///< by candidate budget, then predicate
+                                   ///< selectivity. Ignored by the engines
+                                   ///< themselves.
   std::string rerank;              ///< Software-engine rerank precision: "fp32" or
                                    ///< empty for the exact FP32 kernels, "int8" for
                                    ///< the symmetric int8 ordering with exact FP32

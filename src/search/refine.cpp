@@ -12,17 +12,6 @@
 
 namespace mcam::search {
 
-namespace {
-
-/// Rows to nominate: candidate_factor * k (factor >= 1, k >= 1), capped at
-/// the `pool` of live or eligible rows. The product saturates instead of
-/// wrapping, so any factor past pool / k nominates every row.
-std::size_t nomination_budget(std::size_t k, std::size_t factor, std::size_t pool) {
-  return factor > pool / k ? pool : k * factor;
-}
-
-}  // namespace
-
 TwoStageNnIndex::TwoStageNnIndex(std::unique_ptr<sig::SignatureModel> model,
                                  cam::TcamArrayConfig coarse_config,
                                  std::unique_ptr<NnIndex> fine, TwoStageConfig config)
@@ -231,7 +220,7 @@ QueryResult TwoStageNnIndex::query_one(std::span<const float> query, std::size_t
   // candidate_factor * k most-matching rows.
   obs::Trace* trace = obs::current_trace();
   const std::size_t live = tcam_->num_valid();
-  const std::size_t want = nomination_budget(kk, config_.candidate_factor, live);
+  const std::size_t want = std::min(nomination_budget(kk), live);
   const auto [best, probes_used] = coarse_sweep(query);
   obs::TraceSpan nominate_span(trace, "nominate");
   // Rank one past the cut so the nomination margin - the conductance gap
@@ -339,7 +328,7 @@ std::optional<QueryResult> TwoStageNnIndex::query_filtered(
   if (eligible_count == 0) return std::nullopt;
 
   const std::size_t kk = std::min(std::max<std::size_t>(k, 1), fine_->size());
-  const std::size_t want = nomination_budget(kk, config_.candidate_factor, eligible_count);
+  const std::size_t want = std::min(nomination_budget(kk), eligible_count);
   const auto [best, probes_used] = coarse_sweep(query);
   obs::TraceSpan nominate_span(trace, "nominate");
   const std::vector<std::size_t> ranked = cam::rank_by_sensing(

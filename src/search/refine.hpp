@@ -46,9 +46,11 @@
 #include "search/index.hpp"
 #include "sig/model.hpp"
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -188,6 +190,16 @@ class TwoStageNnIndex final : public NnIndex {
   [[nodiscard]] const TwoStageConfig& config() const noexcept { return config_; }
   /// Coarse cells reserved for the metadata tag band (0 = none).
   [[nodiscard]] std::size_t tag_bits() const noexcept { return config_.tag_bits; }
+  /// Rows the coarse stage nominates for a top-k read: candidate_factor *
+  /// max(k, 1), saturating at SIZE_MAX instead of wrapping. query_one and
+  /// query_filtered nominate the smaller of this and their live or
+  /// band-eligible rows; the store's filter router post-filters every
+  /// predicate whose matching rows fit it (store/collection.hpp).
+  [[nodiscard]] std::size_t nomination_budget(std::size_t k) const noexcept {
+    const std::size_t kk = std::max<std::size_t>(k, 1);
+    constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+    return config_.candidate_factor > kMax / kk ? kMax : kk * config_.candidate_factor;
+  }
 
  private:
   /// Fits the coarse side (scaler, model, TCAM) once; no-op when fitted.

@@ -1,7 +1,12 @@
 #include "serve/io.hpp"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <array>
+#include <atomic>
 #include <bit>
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
 
@@ -205,14 +210,35 @@ void expect_tag(Reader& in, const std::string& tag) {
 }
 
 void write_file(const std::string& path, std::span<const std::uint8_t> bytes) {
-  std::FILE* file = std::fopen(path.c_str(), "wb");
-  if (file == nullptr) {
-    throw SnapshotError{"cannot open '" + path + "' for writing"};
+  // The bytes go to a unique sibling file and reach the disk before a
+  // rename puts that file in the target's place. The rename is atomic, so
+  // a crash mid-save leaves the old file or the new one, never a torn mix,
+  // and a reader that opened the old file keeps reading the old bytes.
+  static std::atomic<std::uint64_t> sequence{0};
+  std::string temp;
+  int fd = -1;
+  for (int attempt = 0; fd < 0 && attempt < 16; ++attempt) {
+    temp = path + ".tmp-" + std::to_string(::getpid()) + "-" +
+           std::to_string(sequence.fetch_add(1));
+    fd = ::open(temp.c_str(), O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC, 0666);
+    if (fd < 0 && errno != EEXIST) break;
   }
-  const std::size_t written = std::fwrite(bytes.data(), 1, bytes.size(), file);
-  const bool flushed = std::fclose(file) == 0;
-  if (written != bytes.size() || !flushed) {
+  if (fd < 0) throw SnapshotError{"cannot open '" + path + "' for writing"};
+  std::size_t written = 0;
+  while (written < bytes.size()) {
+    const ::ssize_t n = ::write(fd, bytes.data() + written, bytes.size() - written);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) break;
+    written += static_cast<std::size_t>(n);
+  }
+  const bool synced = written == bytes.size() && ::fsync(fd) == 0;
+  if (::close(fd) != 0 || !synced) {
+    ::unlink(temp.c_str());
     throw SnapshotError{"short write to '" + path + "'"};
+  }
+  if (::rename(temp.c_str(), path.c_str()) != 0) {
+    ::unlink(temp.c_str());
+    throw SnapshotError{"cannot replace '" + path + "'"};
   }
 }
 

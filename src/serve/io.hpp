@@ -129,6 +129,9 @@ void expect_tag(Reader& in, const std::string& tag);
 /// Whole-file byte IO shared by index snapshots, collection snapshots and
 /// the collection manager's manifest; throws SnapshotError naming `path`
 /// when the file cannot be opened or on a short read or write.
+/// `write_file` writes a unique sibling temp file, fsyncs it and renames it
+/// over `path`, so the target holds its old bytes or the new ones, never a
+/// torn mix; on failure it removes the temp file and leaves `path` as it was.
 void write_file(const std::string& path, std::span<const std::uint8_t> bytes);
 [[nodiscard]] std::vector<std::uint8_t> read_file(const std::string& path);
 

@@ -1,7 +1,10 @@
 #include "serve/snapshot.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cmath>
+#include <initializer_list>
+#include <string_view>
 #include <utility>
 
 namespace mcam::serve {
@@ -44,6 +47,18 @@ double read_magnitude(io::Reader& in, const char* field) {
   return value;
 }
 
+/// Reads one mode string under the spec parser's rule: empty (the
+/// default) or one of `known`.
+std::string read_mode(io::Reader& in, const char* field,
+                      std::initializer_list<std::string_view> known) {
+  std::string value = in.str();
+  if (!value.empty() && std::find(known.begin(), known.end(), value) == known.end()) {
+    throw io::SnapshotError{"snapshot config has unknown " + std::string{field} + " '" +
+                            value + "'"};
+  }
+  return value;
+}
+
 search::EngineConfig read_config(io::Reader& in, std::uint32_t version) {
   search::EngineConfig config;
   config.num_features = in.u64();
@@ -77,14 +92,14 @@ search::EngineConfig read_config(io::Reader& in, std::uint32_t version) {
   }
   if (version >= 4) {
     config.tag_bits = in.u64();
-    config.filter_policy = in.str();
+    config.filter_policy = read_mode(in, "filter_policy", {"auto", "band", "post"});
   } else {
     // Pre-v4 blobs predate filtered search: no tag band, auto policy.
     config.tag_bits = 0;
     config.filter_policy.clear();
   }
   if (version >= 5) {
-    config.rerank = in.str();
+    config.rerank = read_mode(in, "rerank", {"fp32", "int8"});
   } else {
     // Pre-v5 blobs predate the rerank kernel layer; they were written by
     // FP32-only software engines, which the empty default rebuilds.

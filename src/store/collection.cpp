@@ -118,9 +118,14 @@ CollectionQueryResult Collection::query(std::span<const float> query, std::size_
   }
   out.selectivity =
       live == 0 ? 0.0 : static_cast<double>(matching.size()) / static_cast<double>(live);
-  const bool push_band = band_capable() && policy_ != FilterPolicy::kPost &&
-                         (policy_ == FilterPolicy::kBand ||
-                          out.selectivity <= options_.band_selectivity_limit);
+  // Under auto, matching rows that fit the nomination budget post-filter:
+  // the band would nominate every eligible row (a superset of `matching`),
+  // so its gate, sweep and nomination buy nothing (header comment).
+  const bool push_band =
+      band_capable() &&
+      (policy_ == FilterPolicy::kBand ||
+       (policy_ == FilterPolicy::kAuto && matching.size() > two_stage_->nomination_budget(k) &&
+        out.selectivity <= options_.band_selectivity_limit));
   if (push_band) {
     const std::vector<std::uint8_t> band = meta_.band_query(*tags, two_stage_->tag_bits());
     const auto verify = [this, &tags](std::size_t id) { return meta_.matches(id, *tags); };

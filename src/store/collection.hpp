@@ -21,10 +21,15 @@
 //
 // The `filter=` spec key picks the policy: "band" forces the band (post
 // only as fallback when the band cannot serve), "post" forces the
-// post-filter, "auto" (default) pushes into the band when the predicate
-// selectivity (matching / live) is at most band_selectivity_limit - a
-// broad predicate nominates nearly everything anyway, so the exact
-// post-filter is the cheaper path.
+// post-filter, "auto" (default) post-filters whenever the matching rows
+// fit the nomination budget (TwoStageNnIndex::nomination_budget,
+// candidate_factor * max(k, 1)) - the band would rerank every one of
+// them anyway, after paying for a gate, a full sweep and a nomination,
+// and a Bloom collision could push its eligible rows past the budget.
+// Only when more rows match than the budget does auto push into the band,
+// and then only when the predicate selectivity (matching / live) is at
+// most band_selectivity_limit - a broad predicate nominates nearly
+// everything anyway, so the exact post-filter is the cheaper path.
 //
 // Collections are externally synchronized (one writer or concurrent
 // readers) - store::CollectionManager wraps each in a shared_mutex and
@@ -68,7 +73,8 @@ struct CollectionQueryResult {
 
 /// Per-collection knobs that live outside the engine spec.
 struct CollectionOptions {
-  /// Auto-policy threshold: push the predicate into the tag band when
+  /// Auto-policy threshold, consulted only when more rows match than the
+  /// nomination budget: push the predicate into the tag band when
   /// matching / live <= this fraction; broader predicates post-filter.
   double band_selectivity_limit = 0.25;
 };

@@ -4,7 +4,8 @@
 // randomized add/erase history, later adds behave identically (the replay
 // reconstructs the RNG position), the header layer rejects corrupted,
 // truncated, mis-versioned and mis-typed blobs before any engine code
-// runs, and a well-sealed blob with non-finite signature state is refused.
+// runs, a well-sealed blob with non-finite signature state or an unknown
+// config mode is refused, and a file write replaces its target atomically.
 #include "serve/snapshot.hpp"
 
 #include "cam/lut.hpp"
@@ -23,6 +24,7 @@
 #include <array>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <limits>
 #include <string>
 #include <utility>
@@ -385,6 +387,43 @@ TEST(SnapshotFormat, BadConfigMagnitudeIsRejected) {
   EXPECT_EQ(load(blob)->size(), index->size());
 }
 
+TEST(SnapshotFormat, BadConfigModeIsRejected) {
+  // The spec parser admits only the known filter policies and rerank
+  // precisions; the config block of a blob must meet the same rule. An
+  // unknown policy used to load and fail later in Collection::restore, an
+  // unknown precision inside the engine factory, both as invalid_argument.
+  const Data data = make_data(30, 4, 0, 107);
+  EngineConfig config;
+  config.num_features = 4;
+  config.filter_policy = "band";
+  config.rerank = "fp32";
+  auto index = search::make_index("euclidean", config);
+  index->add(data.rows, data.labels);
+  const std::vector<std::uint8_t> blob = save(*index, "euclidean", config);
+  // The config block ends with filter_policy, then rerank, each a u64
+  // length and its bytes.
+  io::Writer modes;
+  modes.str("band");
+  modes.str("fp32");
+  const auto at = std::search(blob.begin(), blob.end(), modes.buffer().begin(),
+                              modes.buffer().end());
+  ASSERT_NE(at, blob.end());
+  const std::size_t filter_policy = static_cast<std::size_t>(at - blob.begin()) + 8;
+  const std::size_t rerank = filter_policy + 4 + 8;
+  for (const std::size_t offset : {filter_policy, rerank}) {
+    SCOPED_TRACE(::testing::Message() << "offset " << offset);
+    std::vector<std::uint8_t> bad = blob;
+    std::memcpy(&bad[offset], "junk", 4);
+    reseal(bad);
+    EXPECT_THROW((void)inspect(bad), io::SnapshotError);
+    EXPECT_THROW((void)load(bad), io::SnapshotError);
+  }
+  const SnapshotInfo info = inspect(blob);
+  EXPECT_EQ(info.config.filter_policy, "band");
+  EXPECT_EQ(info.config.rerank, "fp32");
+  EXPECT_EQ(load(blob)->size(), index->size());
+}
+
 TEST(SnapshotFormat, NonFiniteQuantizerBoundIsRejected) {
   // An infinite bound passes hi > lo, yet quantizes every value of its
   // feature to level 0. It must fail to load as a hi <= lo bound does.
@@ -597,6 +636,51 @@ TEST(SnapshotCompat, HandAssembledV3BlobLoadsBitIdentically) {
   EXPECT_EQ(inspect(resaved).version, kSnapshotVersion);
   expect_identical(load(resaved)->query_one(data.queries[0], 5),
                    original->query_one(data.queries[0], 5), "v3 -> v4 re-save");
+}
+
+TEST(SnapshotIo, WriteFileReplacesTheTargetAtomically) {
+  // A reader that opened the old file (here: a hard link to it) keeps the
+  // old bytes, because the new ones land in a fresh file renamed over the
+  // target instead of truncating it in place.
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::path(::testing::TempDir()) / "mcam_write_file";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const std::string target = (dir / "snap").string();
+  const std::vector<std::uint8_t> old_bytes(4096, 0xAB);
+  const std::vector<std::uint8_t> new_bytes{1, 2, 3};
+  io::write_file(target, old_bytes);
+  fs::create_hard_link(target, dir / "old");
+  io::write_file(target, new_bytes);
+  EXPECT_EQ(io::read_file(target), new_bytes);
+  EXPECT_EQ(io::read_file((dir / "old").string()), old_bytes);
+  const auto entries = [&] {
+    std::vector<std::string> names;
+    for (const auto& entry : fs::directory_iterator(dir)) {
+      names.push_back(entry.path().filename().string());
+    }
+    std::sort(names.begin(), names.end());
+    return names;
+  };
+  EXPECT_EQ(entries(), (std::vector<std::string>{"old", "snap"}));
+
+  // A rename onto a directory fails after the bytes were written: the
+  // error names the target and the temp file is gone.
+  fs::create_directory(dir / "taken");
+  try {
+    io::write_file((dir / "taken").string(), new_bytes);
+    ADD_FAILURE() << "wrote over a directory";
+  } catch (const io::SnapshotError& error) {
+    EXPECT_NE(std::string{error.what()}.find((dir / "taken").string()), std::string::npos)
+        << error.what();
+  }
+  EXPECT_EQ(entries(), (std::vector<std::string>{"old", "snap", "taken"}));
+  EXPECT_TRUE(fs::is_empty(dir / "taken"));
+
+  // A missing directory fails at open, naming the target.
+  EXPECT_THROW(io::write_file((dir / "missing" / "snap").string(), new_bytes),
+               io::SnapshotError);
+  fs::remove_all(dir);
 }
 
 TEST(SnapshotIo, PrimitivesRoundTripAndBoundsCheck) {

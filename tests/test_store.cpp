@@ -1,10 +1,10 @@
 // The collection store (src/store/): metadata interning/TTL/soft-delete
 // semantics, TCAM-pushed tag-band filtering bit-identical to brute-force
-// post-filtering on every factory backend, selectivity-based routing,
-// collection snapshot round-trips (v4 store block), and the
-// CollectionManager fleet - manifest save/load identity under interleaved
-// add/erase/TTL-expiry, shared-pool admission control, and per-collection
-// filtered-query stats.
+// post-filtering on every factory backend, routing by candidate budget
+// then selectivity, collection snapshot round-trips (v4 store block), and
+// the CollectionManager fleet - manifest save/load identity under
+// interleaved add/erase/TTL-expiry, shared-pool admission control, and
+// per-collection filtered-query stats.
 #include "store/manager.hpp"
 
 #include "search/factory.hpp"
@@ -16,9 +16,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <filesystem>
 #include <future>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <semaphore>
@@ -325,41 +327,149 @@ TEST(CollectionFiltering, BandPathBitIdenticalToPostFilterOnEveryBackend) {
   }
 }
 
-TEST(CollectionFiltering, AutoPolicyRoutesBySelectivity) {
+TEST(CollectionFiltering, AutoPolicyRoutesByBudgetThenSelectivity) {
   const Data data = make_data(48, 8, 3, 613);
   const auto tags = make_tags(data.rows.size());
   search::EngineConfig base;
   base.num_features = 8;
-  Collection collection{
-      "c", "refine:coarse_bits=32,tag_bits=24,candidate_factor=64,fine=euclidean", base};
-  ASSERT_EQ(collection.filter_policy(), FilterPolicy::kAuto);
-  collection.add(data.rows, data.labels, tags);
+  const auto query = [&](const Collection& collection, std::size_t k, const char* tag) {
+    return collection.query(data.queries[0], k, Predicate::tag(tag));
+  };
+  const auto refine = [](const std::string& factor) {
+    return "refine:coarse_bits=32,tag_bits=24,candidate_factor=" + factor + ",fine=euclidean";
+  };
 
-  // "rare" matches 4/48 (~8%) -> pushed into the band; "all" matches
-  // every row (100% > the 25% default limit) -> post-filter.
-  const CollectionQueryResult rare = collection.query(data.queries[0], 3,
-                                                      Predicate::tag("rare"));
-  EXPECT_EQ(rare.path, FilterPath::kBand);
-  EXPECT_NEAR(rare.selectivity, 4.0 / 48.0, 1e-12);
+  // "rare" matches 4/48 (~8%), "class=1" 12/48 (25%, at the limit), "all"
+  // every row. With candidate_factor = 64 every predicate fits the budget
+  // of 64 * k, so auto post-filters even the narrow one.
+  Collection roomy{"c", refine("64"), base};
+  ASSERT_EQ(roomy.filter_policy(), FilterPolicy::kAuto);
+  roomy.add(data.rows, data.labels, tags);
+  const CollectionQueryResult fits = query(roomy, 3, "rare");
+  EXPECT_EQ(fits.path, FilterPath::kPostFilter);
+  EXPECT_NEAR(fits.selectivity, 4.0 / 48.0, 1e-12);
+  EXPECT_EQ(fits.result.telemetry.filtered_out, 44u);
+  const auto rare = roomy.metadata().matching_ids(Predicate::tag("rare"));
+  expect_identical(fits.result, roomy.engine().query_subset(data.queries[0], rare, 3),
+                   "auto post");
 
-  const CollectionQueryResult all = collection.query(data.queries[0], 3,
-                                                     Predicate::tag("all"));
+  // candidate_factor = 1: a budget of k = 3 rows. More rows match than
+  // that, so selectivity decides: the narrow predicates (the one at the
+  // limit included) take the band, the broad one post-filters.
+  Collection tight{"c", refine("1"), base};
+  tight.add(data.rows, data.labels, tags);
+  EXPECT_EQ(query(tight, 3, "rare").path, FilterPath::kBand);
+  const CollectionQueryResult at_limit = query(tight, 3, "class=1");
+  EXPECT_DOUBLE_EQ(at_limit.selectivity, 0.25);
+  EXPECT_EQ(at_limit.path, FilterPath::kBand);
+  const CollectionQueryResult all = query(tight, 3, "all");
   EXPECT_EQ(all.path, FilterPath::kPostFilter);
   EXPECT_DOUBLE_EQ(all.selectivity, 1.0);
   EXPECT_EQ(all.result.telemetry.filtered_out, 0u);  // Nothing was excluded.
+  // k = 4 covers the four "rare" rows again.
+  EXPECT_EQ(query(tight, 4, "rare").path, FilterPath::kPostFilter);
 
-  // Both paths agree with the brute-force subset answer.
-  const auto matching = collection.metadata().matching_ids(Predicate::tag("rare"));
-  expect_identical(rare.result,
-                   collection.engine().query_subset(data.queries[0], matching, 3),
-                   "auto band");
+  // k = 0 budgets as k = 1: 4 * 1 covers "rare", 1 * 1 does not.
+  Collection four{"c", refine("4"), base};
+  four.add(data.rows, data.labels, tags);
+  EXPECT_EQ(query(four, 0, "rare").path, FilterPath::kPostFilter);
+  EXPECT_EQ(query(tight, 0, "rare").path, FilterPath::kBand);
+
+  // A factor whose product with k overflows saturates, so the budget
+  // covers every row. 2^63 * 2 would wrap to a budget of 0 and send the
+  // narrow predicate to the band.
+  Collection huge{"c", refine("9223372036854775808"), base};
+  huge.add(data.rows, data.labels, tags);
+  const auto& huge_two_stage =
+      dynamic_cast<const search::TwoStageNnIndex&>(huge.engine());
+  EXPECT_EQ(huge_two_stage.nomination_budget(2), std::numeric_limits<std::size_t>::max());
+  EXPECT_EQ(query(huge, 2, "rare").path, FilterPath::kPostFilter);
+  EXPECT_EQ(query(huge, 2, "class=1").path, FilterPath::kPostFilter);
 
   // An unfiltered query takes neither filter path.
-  const CollectionQueryResult plain = collection.query(data.queries[0], 3);
+  const CollectionQueryResult plain = roomy.query(data.queries[0], 3);
   EXPECT_EQ(plain.path, FilterPath::kNone);
   EXPECT_EQ(plain.result.telemetry.filtered_out, 0u);
-  expect_identical(plain.result, collection.engine().query_one(data.queries[0], 3),
+  expect_identical(plain.result, roomy.engine().query_one(data.queries[0], 3),
                    "unfiltered");
+}
+
+TEST(CollectionFiltering, AutoPolicyMatchesBandWhereTheBudgetCoversEveryEligibleRow) {
+  const Data data = make_data(48, 8, 4, 631);
+  const auto tags = make_tags(data.rows.size());
+  search::EngineConfig base;
+  base.num_features = 8;
+  for (const std::string& fine : kFineBackends) {
+    SCOPED_TRACE(fine);
+    const std::string spec = "refine:coarse_bits=32,tag_bits=24,candidate_factor=4,";
+    Collection routed{"a", spec + "fine=" + fine, base};
+    Collection banded{"b", spec + "filter=band,fine=" + fine, base};
+    routed.add(data.rows, data.labels, tags);
+    banded.add(data.rows, data.labels, tags);
+    const auto& two_stage = dynamic_cast<const search::TwoStageNnIndex&>(routed.engine());
+
+    std::size_t covered = 0;
+    for (const std::string& tag : {std::string("rare"), std::string("class=1")}) {
+      const Predicate predicate = Predicate::tag(tag);
+      const std::vector<std::size_t> matching = routed.metadata().matching_ids(predicate);
+      for (const auto& q : data.queries) {
+        for (std::size_t k : {std::size_t{1}, std::size_t{3}, std::size_t{5}}) {
+          const std::string context = tag + " k=" + std::to_string(k);
+          const CollectionQueryResult got = routed.query(q, k, predicate);
+          const CollectionQueryResult band = banded.query(q, k, predicate);
+          ASSERT_EQ(band.path, FilterPath::kBand) << context;
+          const std::size_t eligible = banded.size() - band.result.telemetry.filtered_out;
+          EXPECT_GE(eligible, matching.size()) << context;
+          const bool fits = matching.size() <= two_stage.nomination_budget(k);
+          EXPECT_EQ(got.path, fits ? FilterPath::kPostFilter : FilterPath::kBand) << context;
+          if (eligible > two_stage.nomination_budget(k)) continue;
+          ++covered;
+          expect_identical(got.result, band.result, context + " auto vs band");
+          expect_identical(got.result, routed.engine().query_subset(q, matching, k),
+                           context + " auto vs subset");
+        }
+      }
+    }
+    // "rare" fits every k; "class=1" fits at k = 3 and 5.
+    EXPECT_EQ(covered, data.queries.size() * 5) << fine;
+  }
+}
+
+TEST(CollectionFiltering, AutoPolicyStaysExactUnderBloomCollisions) {
+  // Six tags share two band slots, so the band's eligible rows run far
+  // past the budget of candidate_factor * k = 6: forced through the band,
+  // "rare" loses matches that the coarse sweep ranks below colliding rows.
+  // Its four matches fit the budget, so auto post-filters and answers
+  // exactly.
+  const Data data = make_data(48, 8, 50, 641);
+  const auto tags = make_tags(data.rows.size());
+  search::EngineConfig base;
+  base.num_features = 8;
+  const std::string spec = "refine:coarse_bits=32,tag_bits=2,candidate_factor=2,";
+  Collection routed{"a", spec + "fine=euclidean", base};
+  Collection banded{"b", spec + "filter=band,fine=euclidean", base};
+  ASSERT_EQ(banded.filter_policy(), FilterPolicy::kBand);
+  routed.add(data.rows, data.labels, tags);
+  banded.add(data.rows, data.labels, tags);
+  const Predicate predicate = Predicate::tag("rare");
+  const std::vector<std::size_t> matching = routed.metadata().matching_ids(predicate);
+  ASSERT_EQ(matching.size(), 4u);
+
+  std::size_t band_misses = 0;
+  for (std::size_t q = 0; q < data.queries.size(); ++q) {
+    const search::QueryResult exact =
+        routed.engine().query_subset(data.queries[q], matching, 3);
+    const CollectionQueryResult got = routed.query(data.queries[q], 3, predicate);
+    EXPECT_EQ(got.path, FilterPath::kPostFilter) << "query " << q;
+    expect_identical(got.result, exact, "query " + std::to_string(q));
+    const CollectionQueryResult band = banded.query(data.queries[q], 3, predicate);
+    band_misses += band.result.neighbors.size() != exact.neighbors.size() ||
+                   !std::equal(band.result.neighbors.begin(), band.result.neighbors.end(),
+                               exact.neighbors.begin(), [](const auto& a, const auto& b) {
+                                 return a.index == b.index;
+                               });
+  }
+  EXPECT_GT(band_misses, 0u);  // The collisions do cost the forced band.
 }
 
 TEST(CollectionFiltering, PostPolicyAndBandlessEnginesAlwaysPostFilter) {
@@ -770,11 +880,12 @@ TEST(CollectionManager, StatsAggregateFilteredQueries) {
   config.workers = 1;
   CollectionManager manager{config};
   manager.create_collection(
-      "docs", "refine:coarse_bits=32,tag_bits=24,candidate_factor=64,fine=euclidean",
+      "docs", "refine:coarse_bits=32,tag_bits=24,candidate_factor=1,fine=euclidean",
       base);
   manager.add("docs", data.rows, data.labels, tags);
 
-  // 2 band-routed (rare, ~8%), 1 post-routed (all, 100%), 1 unfiltered.
+  // 2 band-routed (rare, ~8%: 4 matches past the budget of 1 * k = 3), 1
+  // post-routed (all, 100%), 1 unfiltered.
   ASSERT_EQ(manager.query_one("docs", data.queries[0], 3, Predicate::tag("rare")).status,
             serve::RequestStatus::kOk);
   ASSERT_EQ(manager.query_one("docs", data.queries[1], 3, Predicate::tag("rare")).status,
