@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
   constexpr std::size_t kQueries = 64;
   constexpr std::size_t kTopK = 5;
   constexpr std::size_t kRequests = 512;
-  const std::string kSpec = "sharded-mcam2:bank_rows=128,shard_workers=1";
+  const std::string kSpec = "sharded-mcam2:bank_rows=128";
 
   Rng rng{777};
   std::vector<std::vector<float>> rows(kRows, std::vector<float>(kFeatures));

@@ -30,7 +30,7 @@ int main() {
   constexpr std::size_t kFeatures = 16;
   constexpr std::size_t kQueries = 32;
   constexpr std::size_t kTopK = 5;
-  const std::string kSpec = "sharded-mcam3:bank_rows=64,shard_workers=1";
+  const std::string kSpec = "sharded-mcam3:bank_rows=64";
 
   Rng rng{2026};
   std::vector<std::vector<float>> rows(kRows, std::vector<float>(kFeatures));

@@ -22,6 +22,18 @@ Rules (each finding prints as `file:line: [rule-id] message`, exit 1):
                      weakening, annotated `// invariant-ok: relaxed-order
                      (<why>)`.
 
+  thread-spawn       A std::thread or std::jthread object, or a std::async
+                     call, in src/ lives in one of the three places that
+                     run work in parallel: the serving runtime's worker
+                     pool (src/serve/runtime.hpp), BatchExecutor
+                     (src/search/batch.cpp) and the health monitors
+                     (src/obs/health/). Engines answer a query on the
+                     calling thread; one that starts threads of its own
+                     nests a second layer under those. std::thread::
+                     hardware_concurrency and std::this_thread are not
+                     findings. Anything else is annotated
+                     `// invariant-ok: thread-spawn (<why>)`.
+
   snapshot-version   kMinSnapshotVersion <= kSnapshotVersion in
                      src/serve/snapshot.hpp, and README.md documents the
                      current `format version N` - the constants and the
@@ -52,6 +64,10 @@ MUTEX_DECL = re.compile(
 NAKED_NEW = re.compile(r"(?<!operator\s)\bnew\b(?!\s*\()")
 SMART_NEW = re.compile(r"unique_ptr|shared_ptr|make_unique|make_shared")
 RELAXED = re.compile(r"\bmemory_order_relaxed\b")
+# A thread object or an async launch; `std::thread::hardware_concurrency`
+# (a static member) and `std::this_thread` do not match.
+THREAD_SPAWN = re.compile(r"\bstd::(?:j?thread\b(?!\s*::)|async\b)")
+THREAD_HOMES = ("src/serve/runtime.hpp", "src/search/batch.cpp", "src/obs/health/")
 LOCK_ORDER_COMMENT = "lock-order:"
 VERSION_DEF = re.compile(
     r"k(Min)?SnapshotVersion\s*=\s*(?:std::uint32_t\{)?\s*(\d+)"
@@ -116,7 +132,9 @@ def annotated(raw_line: str, tag: str) -> bool:
 def check_source_file(path: Path, rel: str, findings: list[str]) -> None:
     raw = path.read_text(encoding="utf-8", errors="replace").splitlines()
     code = strip_code(raw)
-    in_obs = rel.replace("\\", "/").startswith("src/obs/")
+    posix_rel = rel.replace("\\", "/")
+    in_obs = posix_rel.startswith("src/obs/")
+    may_spawn = not posix_rel.startswith("src/") or posix_rel.startswith(THREAD_HOMES)
     for idx, (raw_line, code_line) in enumerate(zip(raw, code)):
         lineno = idx + 1
         if code_line.lstrip().startswith("#"):  # Preprocessor (e.g. #include <new>).
@@ -140,6 +158,14 @@ def check_source_file(path: Path, rel: str, findings: list[str]) -> None:
                     f"{rel}:{lineno}: [relaxed-order] memory_order_relaxed outside "
                     f"src/obs/ (use the seq_cst default, or annotate "
                     f"`// invariant-ok: relaxed-order (<why>)`)"
+                )
+        if not may_spawn and THREAD_SPAWN.search(code_line):
+            if not annotated(raw_line, "thread-spawn"):
+                findings.append(
+                    f"{rel}:{lineno}: [thread-spawn] thread started outside the "
+                    f"worker pool, BatchExecutor and obs/health (run on the "
+                    f"calling thread, or annotate "
+                    f"`// invariant-ok: thread-spawn (<why>)`)"
                 )
 
 

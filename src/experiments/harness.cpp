@@ -46,7 +46,6 @@ search::EngineConfig engine_config(std::size_t num_features, const EngineOptions
   config.clip_percentile = options.clip_percentile;
   config.seed = options.seed;
   config.bank_rows = options.bank_rows;
-  config.shard_workers = options.shard_workers;
   return config;
 }
 
@@ -162,7 +161,6 @@ mann::FewShotResult run_few_shot(const data::TaskSpec& task, Method method,
     if (engine_options.bank_rows == 0) return make_bank();
     search::ShardedConfig shard;
     shard.bank_rows = engine_options.bank_rows;
-    shard.workers = engine_options.shard_workers;
     return search::make_sharded(make_bank, shard);
   };
 

@@ -45,7 +45,6 @@ struct EngineOptions {
                                    ///< When set, dataset-scale runs shard the
                                    ///< engine across banks whenever the stored
                                    ///< rows exceed one bank (search/sharded.hpp).
-  std::size_t shard_workers = 0;   ///< Per-bank fan-out threads; 0 = hw concurrency.
 };
 
 /// The search::EngineConfig equivalent of `options` (for direct registry

@@ -17,10 +17,10 @@
 //    branches, and does nothing else: no clock read, no allocation. That
 //    is the whole hot-path cost of tracing-off, and bench_obs_overhead
 //    gates it.
-//  - Fan-out code (ShardedNnIndex) captures the current trace pointer
-//    before spawning bank workers and opens spans against it from those
-//    threads; Trace::add is mutex-protected, so concurrent bank spans
-//    are safe (the ASan CI job runs the service tests with
+//  - A sampled trace can change threads: the serving fronts allocate it
+//    on the caller's thread and install it on the worker that runs the
+//    query. Trace::add is mutex-protected, so spans recorded from any
+//    thread are safe (the sanitizer CI jobs run the service tests with
 //    MCAM_TRACE_SAMPLE=1 to keep it honest).
 //  - Finished traces land in a bounded TraceSink ring (oldest evicted),
 //    exportable as JSON-lines.
@@ -64,8 +64,9 @@ struct TraceRecord {
 /// One JSON line for a finished trace (the obs_dump / log-shipper format).
 [[nodiscard]] std::string to_json(const TraceRecord& record);
 
-/// An in-flight query's trace. `add` is thread-safe (bank fan-out spans
-/// complete concurrently); everything else is owned by the serving layer.
+/// An in-flight query's trace. `add` is thread-safe (the serving fronts
+/// hand a trace from the caller's thread to a worker); everything else is
+/// owned by the serving layer.
 class Trace {
  public:
   explicit Trace(std::string root);
@@ -78,8 +79,8 @@ class Trace {
   [[nodiscard]] TraceRecord finish();
 
  private:
-  // lock-order: leaf. Serializes add()/finish() span appends from
-  // fan-out worker threads; held only for the vector push_back.
+  // lock-order: leaf. Serializes add()/finish() span appends across the
+  // threads a trace passes through; held only for the vector push_back.
   std::mutex mutex_;
   TraceRecord record_;
   std::chrono::steady_clock::time_point started_;

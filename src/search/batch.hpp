@@ -18,13 +18,12 @@ namespace mcam::search {
 /// Resolves a requested worker count against the reported hardware
 /// concurrency: an explicit request always wins; the default (0) resolves
 /// to the hardware thread count, clamped to 1 when the host reports <= 1
-/// core (or cannot report at all). Every parallel stage (BatchExecutor,
-/// the ShardedNnIndex bank fan-out, serve::QueryService) resolves its
-/// default through this function. When it returns 1, the synchronous
-/// stages (BatchExecutor, the shard fan-out) run inline with *no* thread
-/// spawned - on a single-core host per-query spawn overhead is pure loss
-/// (PR 2's shard bench measured ~0.9x there); QueryService still keeps
-/// its one worker thread, which its asynchronous submit contract needs.
+/// core (or cannot report at all). Both parallel stages (BatchExecutor
+/// and the serving runtime's worker pool behind serve::QueryService and
+/// store::CollectionManager) resolve their default through this function.
+/// When it returns 1, BatchExecutor runs inline with *no* thread spawned;
+/// the pool still keeps its one worker thread, which its asynchronous
+/// submit contract needs.
 [[nodiscard]] std::size_t resolve_worker_count(std::size_t requested,
                                                std::size_t hardware_threads) noexcept;
 

@@ -88,7 +88,6 @@ EngineFactory::Builder sharded_builder(std::string base) {
   return [base = std::move(base)](const EngineConfig& config) -> std::unique_ptr<NnIndex> {
     ShardedConfig shard;
     shard.bank_rows = config.bank_rows > 0 ? config.bank_rows : ShardedConfig{}.bank_rows;
-    shard.workers = config.shard_workers;
     shard.reprogram_energy = reprogram_model(base, config);
     EngineConfig bank_config = config;
     bank_config.bank_rows = shard.bank_rows;
@@ -160,7 +159,10 @@ void apply_spec_override(EngineConfig& config, const std::string& key,
   } else if (key == "bank_rows") {
     parse_unsigned(config.bank_rows, key, value, spec);
   } else if (key == "shard_workers") {
-    parse_unsigned(config.shard_workers, key, value, spec);
+    // Retired: banks answer in turn on the calling thread. The value is
+    // still checked, so a malformed legacy spec keeps failing.
+    std::size_t ignored = 0;
+    parse_unsigned(ignored, key, value, spec);
   } else if (key == "lsh_bits") {
     parse_unsigned(config.lsh_bits, key, value, spec);
   } else if (key == "num_features") {

@@ -11,8 +11,8 @@
 //   cosine, euclidean,
 //   manhattan, linf    - FP32 software linear scan over that metric
 //   sharded-<name>     - any of the above tiled across capacity-bounded
-//                        banks of `config.bank_rows` rows with parallel
-//                        fan-out + hierarchical top-k merge
+//                        banks of `config.bank_rows` rows, asked in turn
+//                        and merged hierarchically into one top-k
 //                        (search/sharded.hpp)
 //   refine             - two-stage pipeline (search/refine.hpp): a coarse
 //                        signature TCAM of `coarse_bits` bits - signatures
@@ -75,8 +75,6 @@ struct EngineConfig {
                                    ///< sharded-* keys (0 = the 64-row default)
                                    ///< and the physical `max_rows` bound of the
                                    ///< monolithic CAM arrays (0 = unbounded).
-  std::size_t shard_workers = 0;   ///< Per-bank fan-out threads; 0 = hardware
-                                   ///< concurrency.
   std::size_t coarse_bits = 0;     ///< "refine": coarse TCAM-LSH signature bits
                                    ///< (0 = lsh_bits, then num_features).
   std::size_t candidate_factor = 0;  ///< "refine": coarse candidates nominated per
@@ -113,6 +111,8 @@ struct EngineConfig {
                                    ///< environment default). Deliberately not
                                    ///< persisted by snapshots - sampling is an
                                    ///< operational knob, not engine state.
+
+  bool operator==(const EngineConfig&) const = default;
 };
 
 /// A parsed "name:key=value,..." engine spec.
@@ -122,7 +122,7 @@ struct EngineSpec {
 };
 
 /// Parses an engine spec string into the registry key and an EngineConfig.
-/// Known keys: bits (mcam_bits), bank_rows, shard_workers, lsh_bits,
+/// Known keys: bits (mcam_bits), bank_rows, lsh_bits,
 /// num_features, vth_sigma, drift_sigma (injected post-programming
 /// retention drift for health-scrub testing), clip_percentile,
 /// sense_clock_period, seed,
@@ -133,7 +133,9 @@ struct EngineSpec {
 /// "auto", filter_policy), rerank (= "fp32" | "int8", software engines'
 /// rerank precision), trace_sample (1-in-N serving-layer stage-trace
 /// sampling, 0 = off), and fine (fine_spec; consumes the rest of the
-/// spec, so it must come last). Unknown keys, malformed or empty values,
+/// spec, so it must come last). shard_workers=<unsigned> is parsed and
+/// ignored, so specs written when banks ran on their own threads still
+/// load. Unknown keys, malformed or empty values,
 /// unsigned values that do not fit their field, non-finite or negative
 /// double values, and duplicate keys throw std::invalid_argument naming
 /// the offending spec string and listing the known keys.

@@ -215,31 +215,44 @@ QueryResult TwoStageNnIndex::query_one(std::span<const float> query, std::size_t
     result.telemetry.fine_candidates = result.telemetry.candidates;
     return result;
   }
+  // Every live row is eligible and none needs verifying, so at least one
+  // row is nominated and a result always comes back.
+  return nominate_and_rerank(query, kk, tcam_->valid_mask(), tcam_->num_valid(), {}).value();
+}
 
+std::optional<QueryResult> TwoStageNnIndex::nominate_and_rerank(
+    std::span<const float> query, std::size_t kk, std::span<const std::uint8_t> eligible,
+    std::size_t eligible_count, const std::function<bool(std::size_t)>& verify) const {
   // Stage 1: best-of-probes coarse match, then nominate the
-  // candidate_factor * k most-matching rows.
+  // candidate_factor * k most-matching eligible rows.
   obs::Trace* trace = obs::current_trace();
   const std::size_t live = tcam_->num_valid();
-  const std::size_t want = std::min(nomination_budget(kk), live);
+  const std::size_t want = std::min(nomination_budget(kk), eligible_count);
   const auto [best, probes_used] = coarse_sweep(query);
   obs::TraceSpan nominate_span(trace, "nominate");
   // Rank one past the cut so the nomination margin - the conductance gap
   // between the last nominated row and the best excluded one, the
   // adaptive-candidate_factor signal - falls out of the same sweep.
   const std::vector<std::size_t> ranked = cam::rank_by_sensing(
-      best, tcam_->valid_mask(), coarse_config_.sensing, coarse_config_.matchline,
+      best, eligible, coarse_config_.sensing, coarse_config_.matchline,
       tcam_->word_length(), coarse_config_.sense_clock_period,
-      std::min(want + 1, live));
+      std::min(want + 1, eligible_count));
   double coarse_margin = 0.0;
   if (ranked.size() > want && want > 0) {
     coarse_margin = std::max(0.0, best[ranked[want]] - best[ranked[want - 1]]);
   }
-  const std::vector<std::size_t> ids(ranked.begin(),
-                                     ranked.begin() + static_cast<std::ptrdiff_t>(
-                                                          std::min(want, ranked.size())));
+  // A filtered read's band is a Bloom-style presence map, so a nominated
+  // row may carry the required bits via colliding tags; the caller's exact
+  // predicate check prunes those before any fine matchline is charged.
+  std::vector<std::size_t> ids;
+  ids.reserve(std::min(want, ranked.size()));
+  for (std::size_t i = 0; i < std::min(want, ranked.size()); ++i) {
+    if (!verify || verify(ranked[i])) ids.push_back(ranked[i]);
+  }
   nominate_span.note("nominated", static_cast<double>(ids.size()));
   nominate_span.note("coarse_margin", coarse_margin);
   nominate_span.close();
+  if (ids.empty()) return std::nullopt;
 
   // Stage 2: precise rerank of the candidates only.
   obs::TraceSpan fine_span(trace, "fine-rerank");
@@ -261,6 +274,7 @@ QueryResult TwoStageNnIndex::query_one(std::span<const float> query, std::size_t
   result.telemetry.banks_searched += 1;
   result.telemetry.coarse_margin = coarse_margin;
   result.telemetry.probes_used = probes_used;
+  result.telemetry.filtered_out = live - eligible_count;
   merge_span.note("coarse_candidates", static_cast<double>(result.telemetry.coarse_candidates));
   merge_span.note("fine_candidates", static_cast<double>(result.telemetry.fine_candidates));
   merge_span.note("candidates", static_cast<double>(result.telemetry.candidates));
@@ -328,56 +342,7 @@ std::optional<QueryResult> TwoStageNnIndex::query_filtered(
   if (eligible_count == 0) return std::nullopt;
 
   const std::size_t kk = std::min(std::max<std::size_t>(k, 1), fine_->size());
-  const std::size_t want = std::min(nomination_budget(kk), eligible_count);
-  const auto [best, probes_used] = coarse_sweep(query);
-  obs::TraceSpan nominate_span(trace, "nominate");
-  const std::vector<std::size_t> ranked = cam::rank_by_sensing(
-      best, eligible, coarse_config_.sensing, coarse_config_.matchline,
-      tcam_->word_length(), coarse_config_.sense_clock_period,
-      std::min(want + 1, eligible_count));
-  double coarse_margin = 0.0;
-  if (ranked.size() > want && want > 0) {
-    coarse_margin = std::max(0.0, best[ranked[want]] - best[ranked[want - 1]]);
-  }
-  // The band is a Bloom-style presence map, so a nominated row may carry
-  // the required bits via colliding tags; the caller's exact predicate
-  // check prunes those before any fine matchline is charged.
-  std::vector<std::size_t> verified;
-  verified.reserve(std::min(want, ranked.size()));
-  for (std::size_t i = 0; i < std::min(want, ranked.size()); ++i) {
-    if (!verify || verify(ranked[i])) verified.push_back(ranked[i]);
-  }
-  nominate_span.note("nominated", static_cast<double>(verified.size()));
-  nominate_span.note("coarse_margin", coarse_margin);
-  nominate_span.close();
-  if (verified.empty()) return std::nullopt;
-
-  obs::TraceSpan fine_span(trace, "fine-rerank");
-  QueryResult result = fine_->query_subset(query, verified, kk);
-  fine_span.tag(result.telemetry.kernel);
-  fine_span.note("candidates", static_cast<double>(result.telemetry.candidates));
-  fine_span.close();
-
-  obs::TraceSpan merge_span(trace, "merge");
-  result.telemetry.coarse_candidates = live * probes_used;
-  result.telemetry.fine_candidates = result.telemetry.candidates;
-  result.telemetry.candidates =
-      result.telemetry.coarse_candidates + result.telemetry.fine_candidates;
-  result.telemetry.sense_events += verified.size();
-  result.telemetry.energy_j +=
-      static_cast<double>(probes_used) *
-      energy::ArrayEnergyModel{energy::ArrayParams{}}.tcam_search_energy(
-          live, tcam_->word_length());
-  result.telemetry.banks_searched += 1;
-  result.telemetry.coarse_margin = coarse_margin;
-  result.telemetry.probes_used = probes_used;
-  result.telemetry.filtered_out = live - eligible_count;
-  merge_span.note("coarse_candidates", static_cast<double>(result.telemetry.coarse_candidates));
-  merge_span.note("fine_candidates", static_cast<double>(result.telemetry.fine_candidates));
-  merge_span.note("candidates", static_cast<double>(result.telemetry.candidates));
-  merge_span.note("energy_j", result.telemetry.energy_j);
-  merge_span.note("probes", static_cast<double>(probes_used));
-  return result;
+  return nominate_and_rerank(query, kk, eligible, eligible_count, verify);
 }
 
 std::string TwoStageNnIndex::name() const {

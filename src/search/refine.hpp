@@ -215,6 +215,15 @@ class TwoStageNnIndex final : public NnIndex {
   /// band masked out (kDontCare), plus the number of sweeps executed.
   [[nodiscard]] std::pair<std::vector<double>, std::size_t> coarse_sweep(
       std::span<const float> query) const;
+  /// The read path behind query_one and query_filtered: sweeps the coarse
+  /// TCAM, nominates the best min(nomination_budget(kk), eligible_count)
+  /// of the `eligible_count` rows set in `eligible`, drops the nominees
+  /// `verify` rejects (when set), reranks the rest in the fine stage and
+  /// books the telemetry and spans. `filtered_out` reports the live rows
+  /// outside `eligible`. std::nullopt when no nominee is left.
+  [[nodiscard]] std::optional<QueryResult> nominate_and_rerank(
+      std::span<const float> query, std::size_t kk, std::span<const std::uint8_t> eligible,
+      std::size_t eligible_count, const std::function<bool(std::size_t)>& verify) const;
   /// Restores the calibrated coarse block shared by both payload formats
   /// (`legacy` = the "tcam-lsh-v1" layout: implicit zero thresholds,
   /// trailing per-row labels).

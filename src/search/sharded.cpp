@@ -2,14 +2,11 @@
 
 #include "energy/model.hpp"
 #include "obs/trace.hpp"
-#include "search/batch.hpp"
 #include "serve/io.hpp"
 #include "util/linalg.hpp"
 
 #include <algorithm>
-#include <exception>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 namespace mcam::search {
@@ -18,7 +15,6 @@ ShardedNnIndex::ShardedNnIndex(BankFactory bank_factory, ShardedConfig config)
     : bank_factory_(std::move(bank_factory)), config_(config) {
   if (!bank_factory_) throw std::invalid_argument{"ShardedNnIndex: null bank factory"};
   if (config_.bank_rows == 0) throw std::invalid_argument{"ShardedNnIndex: zero bank_rows"};
-  if (config_.min_banks_per_worker == 0) config_.min_banks_per_worker = 1;
 }
 
 void ShardedNnIndex::calibrate(std::span<const std::vector<float>> rows) {
@@ -168,17 +164,6 @@ void ShardedNnIndex::compact(std::size_t b) {
   bank = std::move(fresh);
 }
 
-std::size_t ShardedNnIndex::workers_for(std::size_t num_banks) const {
-  if (num_banks == 0) return 0;
-  // Default resolves through the shared clamp: on a single-core (or
-  // unknown-core) host it comes back as 1, and the <= 1 branch of
-  // query_one runs the fan-out inline with no thread spawned at all.
-  const std::size_t resolved =
-      config_.workers > 0 ? config_.workers : default_worker_count();
-  const std::size_t by_floor = num_banks / config_.min_banks_per_worker;
-  return std::max<std::size_t>(1, std::min(resolved, by_floor));
-}
-
 QueryResult ShardedNnIndex::query_one(std::span<const float> query, std::size_t k) const {
   if (live_rows_ == 0) throw std::logic_error{"ShardedNnIndex::query_one before add"};
   const std::size_t kk = std::min(std::max<std::size_t>(k, 1), live_rows_);
@@ -190,46 +175,15 @@ QueryResult ShardedNnIndex::query_one(std::span<const float> query, std::size_t 
     if (banks_[b].live_count > 0) live_banks.push_back(b);
   }
 
-  // Capture the caller's trace BEFORE fanning out: the per-bank spans run
-  // on spawned worker threads, which do not inherit the submitting
-  // thread's thread-local trace context. Trace::add is thread-safe, so
-  // concurrent bank spans record against one trace without coordination.
   obs::Trace* const trace = obs::current_trace();
   std::vector<QueryResult> per_bank(live_banks.size());
-  const auto query_range = [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      const Bank& bank = banks_[live_banks[i]];
-      obs::TraceSpan bank_span(trace, "bank-query");
-      per_bank[i] = bank.engine->query_one(query, std::min(kk, bank.live_count));
-      bank_span.note("bank", static_cast<double>(live_banks[i]));
-      bank_span.note("candidates",
-                     static_cast<double>(per_bank[i].telemetry.candidates));
-      bank_span.note("energy_j", per_bank[i].telemetry.energy_j);
-    }
-  };
-  const std::size_t workers = workers_for(live_banks.size());
-  if (workers <= 1) {
-    query_range(0, live_banks.size());
-  } else {
-    // Contiguous bank ranges per worker, exactly the BatchExecutor recipe:
-    // parallelism changes the wall clock, never the merged answer.
-    const std::size_t stride = (live_banks.size() + workers - 1) / workers;
-    std::vector<std::thread> threads;
-    threads.reserve(workers);
-    std::vector<std::exception_ptr> errors(workers);
-    for (std::size_t w = 0; w < workers; ++w) {
-      threads.emplace_back([&, w] {
-        try {
-          query_range(w * stride, std::min(w * stride + stride, live_banks.size()));
-        } catch (...) {
-          errors[w] = std::current_exception();
-        }
-      });
-    }
-    for (std::thread& t : threads) t.join();
-    for (const std::exception_ptr& error : errors) {
-      if (error) std::rethrow_exception(error);
-    }
+  for (std::size_t i = 0; i < live_banks.size(); ++i) {
+    const Bank& bank = banks_[live_banks[i]];
+    obs::TraceSpan bank_span(trace, "bank-query");
+    per_bank[i] = bank.engine->query_one(query, std::min(kk, bank.live_count));
+    bank_span.note("bank", static_cast<double>(live_banks[i]));
+    bank_span.note("candidates", static_cast<double>(per_bank[i].telemetry.candidates));
+    bank_span.note("energy_j", per_bank[i].telemetry.energy_j);
   }
 
   // Hierarchical merge: repeatedly pop the bank head with the smallest

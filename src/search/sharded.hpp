@@ -12,9 +12,11 @@
 //    the same rows the monolithic engine would have fitted its encoders on
 //    (the first add batch, or an explicit `calibrate` call), so per-bank
 //    scores stay globally comparable.
-//  - `query_one` fans the query across the banks - in parallel across
-//    worker threads for large bank counts - and hierarchically merges the
-//    per-bank top-k lists into one nearest-first ranking. Under kIdealSum
+//  - `query_one` asks the live banks in turn on the calling thread and
+//    hierarchically merges the per-bank top-k lists into one
+//    nearest-first ranking. Parallelism belongs to the caller: the
+//    serving runtime's worker pool and BatchExecutor spread queries over
+//    the cores, so the shard layer spawns no threads. Under kIdealSum
 //    the per-bank matchline conductances are globally comparable, and the
 //    head-merge (smallest score first, bank index breaking ties) is
 //    *bit-identical* to the monolithic engine's ranking: global ids
@@ -54,14 +56,6 @@ struct ShardedConfig {
   /// many physical rows. Mirrors the matchline-length limit of the
   /// hardware (Sec. III): keep it at or below ~128.
   std::size_t bank_rows = 64;
-  /// Worker threads for the per-bank query fan-out; 0 = hardware
-  /// concurrency. Parallelism never changes the merged result. Threads
-  /// are spawned per query (none when one worker resolves, e.g. on a
-  /// single core); when queries already fan out through BatchExecutor,
-  /// set workers = 1 so the two layers don't oversubscribe the cores.
-  std::size_t workers = 0;
-  /// Don't spawn a worker for fewer banks than this.
-  std::size_t min_banks_per_worker = 2;
   /// Compact (reprogram) a bank when dead/physical rows exceeds this
   /// fraction; >= 1.0 disables compaction.
   double compact_dead_fraction = 0.5;
@@ -163,8 +157,6 @@ class ShardedNnIndex final : public NnIndex {
     std::size_t slot = 0;
   };
   [[nodiscard]] Location locate(std::size_t id) const;
-  /// Resolved worker count for `num_banks` banks.
-  [[nodiscard]] std::size_t workers_for(std::size_t num_banks) const;
 
   BankFactory bank_factory_;
   ShardedConfig config_;

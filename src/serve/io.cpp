@@ -213,7 +213,8 @@ void write_file(const std::string& path, std::span<const std::uint8_t> bytes) {
   // The bytes go to a unique sibling file and reach the disk before a
   // rename puts that file in the target's place. The rename is atomic, so
   // a crash mid-save leaves the old file or the new one, never a torn mix,
-  // and a reader that opened the old file keeps reading the old bytes.
+  // and a reader that opened the old file keeps reading the old bytes. A
+  // final fsync of the parent directory makes the rename itself durable.
   static std::atomic<std::uint64_t> sequence{0};
   std::string temp;
   int fd = -1;
@@ -239,6 +240,14 @@ void write_file(const std::string& path, std::span<const std::uint8_t> bytes) {
   if (::rename(temp.c_str(), path.c_str()) != 0) {
     ::unlink(temp.c_str());
     throw SnapshotError{"cannot replace '" + path + "'"};
+  }
+  const std::size_t slash = path.rfind('/');
+  const std::string dir =
+      slash == std::string::npos ? "." : (slash == 0 ? "/" : path.substr(0, slash));
+  const int dir_fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  const bool dir_synced = dir_fd >= 0 && ::fsync(dir_fd) == 0;
+  if ((dir_fd >= 0 && ::close(dir_fd) != 0) || !dir_synced) {
+    throw SnapshotError{"cannot sync the directory of '" + path + "'"};
   }
 }
 

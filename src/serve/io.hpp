@@ -132,6 +132,9 @@ void expect_tag(Reader& in, const std::string& tag);
 /// `write_file` writes a unique sibling temp file, fsyncs it and renames it
 /// over `path`, so the target holds its old bytes or the new ones, never a
 /// torn mix; on failure it removes the temp file and leaves `path` as it was.
+/// It then fsyncs the parent directory (`.` for a bare file name), so the
+/// rename survives a power cut; a failure there throws too, with the new
+/// bytes already in place.
 void write_file(const std::string& path, std::span<const std::uint8_t> bytes);
 [[nodiscard]] std::vector<std::uint8_t> read_file(const std::string& path);
 

@@ -24,7 +24,7 @@ void write_config(io::Writer& out, const search::EngineConfig& config) {
   out.f64(config.clip_percentile);
   out.u64(config.seed);
   out.u64(config.bank_rows);
-  out.u64(config.shard_workers);
+  out.u64(1);  // The retired shard_workers slot: 1 reads as sequential.
   out.u64(config.coarse_bits);
   out.u64(config.candidate_factor);
   out.u8(config.refine_exhaustive ? 1 : 0);
@@ -74,7 +74,7 @@ search::EngineConfig read_config(io::Reader& in, std::uint32_t version) {
   config.clip_percentile = read_magnitude(in, "clip_percentile");
   config.seed = in.u64();
   config.bank_rows = in.u64();
-  config.shard_workers = in.u64();
+  (void)in.u64();  // The retired shard_workers slot.
   config.coarse_bits = in.u64();
   config.candidate_factor = in.u64();
   config.refine_exhaustive = in.u8() != 0;

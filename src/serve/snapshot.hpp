@@ -10,7 +10,10 @@
 //   [16,24)  u64 payload length
 //   [24,...) payload:
 //              str  factory engine name  (e.g. "sharded-mcam3")
-//              ...  EngineConfig fields  (the full effective config)
+//              ...  EngineConfig fields  (the full effective config; the
+//                                         u64 after bank_rows is a retired
+//                                         slot, written as 1, read and
+//                                         ignored)
 //              u8   store block present  (v4+; 0 in plain engine snapshots)
 //              ...  store block          (v4+, optional: collection name,
 //                                         metadata row/tag counts, opaque

@@ -427,7 +427,6 @@ TEST(StressSharded, FanoutQueriesRaceCompaction) {
   const Data data = make_data(96, 8, 8, 61);
   search::EngineConfig config;
   config.bank_rows = 16;
-  config.shard_workers = 4;
 
   const auto build = [&] {
     auto index = search::make_index("sharded-cosine", config);
@@ -441,8 +440,8 @@ TEST(StressSharded, FanoutQueriesRaceCompaction) {
   // production stack serializes through QueryService's shared_mutex. The
   // torture reproduces exactly that discipline so TSan checks that the
   // lock is SUFFICIENT for the bank fan-out + compaction internals -
-  // worker threads spawned under the shared lock, banks rebuilt in place
-  // under the exclusive one.
+  // reader threads walking every bank under the shared lock, banks
+  // rebuilt in place under the exclusive one.
   std::shared_mutex index_mutex;  // lock-order: leaf (no lock acquired under it).
 
   // Single writer => the mutation history is deterministic; record it so
@@ -493,7 +492,6 @@ TEST(StressSharded, ConcurrentBatchExecutorsShareOneIndex) {
   const Data data = make_data(64, 8, 24, 71);
   search::EngineConfig config;
   config.bank_rows = 16;
-  config.shard_workers = 2;
   const auto index = search::make_index("sharded-cosine", config);
   index->calibrate(data.rows);
   index->add(data.rows, data.labels);
@@ -503,8 +501,8 @@ TEST(StressSharded, ConcurrentBatchExecutorsShareOneIndex) {
   sequential.num_threads = 1;
   const auto reference = search::BatchExecutor(sequential).run(*index, data.queries, 3);
 
-  // Nested parallelism: several BatchExecutors (each spawning shard
-  // workers through the index's fan-out) share the const index.
+  // Several BatchExecutors, each with its own threads, share the const
+  // index; every thread walks the banks itself.
   search::BatchOptions nested;
   nested.num_threads = 2;
   nested.min_shard_size = 1;
@@ -688,8 +686,9 @@ TEST(StressTrace, SamplerSharedCounterIsExact) {
 }
 
 TEST(StressTrace, ConcurrentSpansOnOneTrace) {
-  // The sharded fan-out records bank spans from many worker threads onto
-  // one Trace; this is the distilled version.
+  // Trace::add stays thread-safe because a serving front hands a sampled
+  // trace from the caller's thread to a worker; this torture records spans
+  // onto one Trace from many threads at once.
   obs::Trace trace("stress.fanout");
   const std::size_t threads = stress_threads();
   const std::size_t per_thread = iterations(200);

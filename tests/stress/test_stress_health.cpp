@@ -179,7 +179,6 @@ TEST(StressHealth, CanaryGroundTruthNeverObservesTombstonedRows) {
   const Data data = make_data(96, 8, 16, 101);
   search::EngineConfig config;
   config.bank_rows = 16;
-  config.shard_workers = 2;
   const auto index = search::make_index("sharded-cosine", config);
   index->calibrate(data.rows);
   index->add(data.rows, data.labels);
@@ -268,7 +267,6 @@ TEST(StressHealth, ScrubRacesAddEraseCompactionOnShardedBanks) {
   const Data data = make_data(64, 8, 8, 111);
   search::EngineConfig config;
   config.bank_rows = 16;
-  config.shard_workers = 2;
   const auto index = search::make_index("sharded-mcam2", config);
   index->calibrate(data.rows);
   index->add(data.rows, data.labels);

@@ -49,10 +49,10 @@ const std::vector<std::string> kSpecs = {
     "euclidean",
     "manhattan",
     "linf",
-    "sharded-mcam3:bank_rows=4,shard_workers=1",
-    "sharded-euclidean:bank_rows=4,shard_workers=1",
+    "sharded-mcam3:bank_rows=4",
+    "sharded-euclidean:bank_rows=4",
     "refine:coarse_bits=32,fine=euclidean",
-    "refine:coarse_bits=32,tag_bits=8,fine=sharded-mcam3:bank_rows=8,shard_workers=1",
+    "refine:coarse_bits=32,tag_bits=8,fine=sharded-mcam3:bank_rows=8",
 };
 
 TEST(EraseContract, UniformAcrossEveryFactoryBackend) {
@@ -87,7 +87,7 @@ TEST(EraseContract, ShardedCompactionKeepsEraseSemantics) {
   // 4-row banks + the default compact_dead_fraction = 0.5: the third
   // erase in a bank exceeds the dead fraction and rebuilds it with only
   // the live rows, so ids 0-2 stop existing physically anywhere.
-  auto index = make_index("sharded-euclidean:bank_rows=4,shard_workers=1", config);
+  auto index = make_index("sharded-euclidean:bank_rows=4", config);
   index->add(data.rows, data.labels);
 
   EXPECT_TRUE(index->erase(0));

@@ -77,7 +77,6 @@ TEST(Harness, ClassificationShardsWhenTrainExceedsBankCapacity) {
   const data::Dataset iris = data::make_iris(3);  // 120 train rows.
   EngineOptions bounded;
   bounded.bank_rows = 32;  // 120 rows -> 4 banks.
-  bounded.shard_workers = 2;
   for (Method method : {Method::kMcam3, Method::kEuclidean, Method::kTcamLsh}) {
     EXPECT_DOUBLE_EQ(run_classification(iris, method, 11, bounded),
                      run_classification(iris, method, 11, EngineOptions{}))
@@ -95,7 +94,6 @@ TEST(Harness, FewShotEpisodesExerciseBankAllocation) {
   const data::TaskSpec task{5, 5, 3};
   EngineOptions sharded = paper_engine_options();
   sharded.bank_rows = 8;
-  sharded.shard_workers = 2;
   const auto banked = run_few_shot(task, Method::kMcam3, options, sharded);
   const auto monolithic =
       run_few_shot(task, Method::kMcam3, options, paper_engine_options());

@@ -75,6 +75,9 @@ TEST(LintInvariants, SeededViolationsFailWithEveryRuleReported) {
              "  void relax(std::atomic<int>& a) {\n"
              "    a.store(1, std::memory_order_relaxed);\n"
              "  }\n"
+             "  void fan_out() { std::thread worker([] {}); worker.join(); }\n"
+             "  void fan_out_joined() { std::jthread worker([] {}); }\n"
+             "  int later() { return std::async([] { return 1; }).get(); }\n"
              "};\n");
   write_file(tree.root / "src" / "serve" / "snapshot.hpp",
              "constexpr std::uint32_t kSnapshotVersion = 3;\n"
@@ -87,6 +90,10 @@ TEST(LintInvariants, SeededViolationsFailWithEveryRuleReported) {
   EXPECT_NE(result.output.find("[mutex-lock-order]"), std::string::npos) << result.output;
   EXPECT_NE(result.output.find("[naked-new]"), std::string::npos) << result.output;
   EXPECT_NE(result.output.find("[relaxed-order]"), std::string::npos) << result.output;
+  for (const char* spawn : {"src/bad.cpp:9: [thread-spawn]", "src/bad.cpp:10: [thread-spawn]",
+                            "src/bad.cpp:11: [thread-spawn]"}) {
+    EXPECT_NE(result.output.find(spawn), std::string::npos) << result.output;
+  }
   EXPECT_NE(result.output.find("[snapshot-version]"), std::string::npos) << result.output;
   EXPECT_NE(result.output.find("[tsan-suppression]"), std::string::npos) << result.output;
   // Both snapshot-version failure modes: min > current, and README silent.
@@ -107,11 +114,24 @@ TEST(LintInvariants, AnnotationEscapesAndDocsPass) {
              "  void relax(std::atomic<int>& a) {\n"
              "    a.store(1, std::memory_order_relaxed);  // invariant-ok: relaxed-order (test)\n"
              "  }\n"
+             "  void spawn() {\n"
+             "    std::thread t([] {});  // invariant-ok: thread-spawn (test)\n"
+             "    t.join();\n"
+             "  }\n"
+             "  unsigned cores() { return std::thread::hardware_concurrency(); }\n"
+             "  void rest() { std::this_thread::yield(); }\n"
              "};\n");
   // src/obs/ may use relaxed without annotation.
   write_file(tree.root / "src" / "obs" / "hot.cpp",
              "#include <atomic>\n"
              "void f(std::atomic<int>& a) { a.store(1, std::memory_order_relaxed); }\n");
+  // The three homes of parallel work, and code outside src/, may start
+  // threads without annotation.
+  for (const fs::path& home :
+       {fs::path("src") / "serve" / "runtime.hpp", fs::path("src") / "search" / "batch.cpp",
+        fs::path("src") / "obs" / "health" / "health.cpp", fs::path("tests") / "t.cpp"}) {
+    write_file(tree.root / home, "void g() { std::thread t([] {}); t.join(); }\n");
+  }
   write_file(tree.root / "src" / "serve" / "snapshot.hpp",
              "constexpr std::uint32_t kSnapshotVersion = 4;\n"
              "constexpr std::uint32_t kMinSnapshotVersion = 2;\n");

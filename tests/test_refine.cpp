@@ -125,7 +125,6 @@ TEST(TwoStageIdentity, FullCandidateSetIsBitIdenticalPerFactoryBackend) {
       EngineConfig config;
       config.num_features = 8;
       config.bank_rows = sharded_fine ? 16 : 0;
-      config.shard_workers = 1;
       auto fine_alone = make_index(fine_key, config);
       EngineConfig refine_config = config;
       refine_config.fine_spec = fine_key;
@@ -673,7 +672,6 @@ TEST(KConvention, ZeroKEqualsOneKForEveryRegisteredBackend) {
     EngineConfig config;
     config.num_features = 6;
     config.bank_rows = name.rfind("sharded-", 0) == 0 ? 8 : 0;
-    config.shard_workers = 1;
     if (name == "refine") config.fine_spec = "euclidean";
     auto index = make_index(name, config);
     index->add(data.rows, data.labels);
@@ -754,7 +752,7 @@ TEST(TagBand, FilteredQueryMatchesSubsetPostFilterExactly) {
   const Data data = make_data(36, 6, 5, 331);
   for (const std::string& fine :
        {std::string{"euclidean"}, std::string{"mcam3"},
-        std::string{"sharded-mcam3:bank_rows=16,shard_workers=1"}}) {
+        std::string{"sharded-mcam3:bank_rows=16"}}) {
     EngineConfig config;
     config.num_features = 6;
     config.fine_spec = fine;

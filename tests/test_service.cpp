@@ -95,7 +95,6 @@ TEST(QueryService, ConcurrentClientsMatchDirectQueries) {
   EngineConfig config;
   config.num_features = 6;
   config.bank_rows = 32;
-  config.shard_workers = 1;  // The service pool is the outer parallel layer.
   auto index = search::make_index("sharded-mcam3", config);
   index->add(data.rows, data.labels);
 
@@ -267,7 +266,6 @@ TEST(Tombstones, EraseIsNeverServedFromAnyPath) {
     EngineConfig config;
     config.num_features = 5;
     config.bank_rows = name.rfind("sharded-", 0) == 0 ? 16 : 0;
-    config.shard_workers = 1;
     if (name == "refine") config.fine_spec = "euclidean";
     auto index = search::make_index(name, config);
     index->add(data.rows, data.labels);
@@ -340,7 +338,6 @@ TEST(QueryService, MutationsInterleavedWithConcurrentClientsStaySane) {
   EngineConfig config;
   config.num_features = 5;
   config.bank_rows = 32;
-  config.shard_workers = 1;
   auto index = search::make_index("sharded-mcam2", config);
   index->add(data.rows, data.labels);
 

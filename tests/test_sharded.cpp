@@ -91,7 +91,6 @@ TEST(ShardedIdentity, TopKMatchesMonolithicForEveryBackend) {
     auto monolithic = make_index(key, config);
     EngineConfig sharded_config = config;
     sharded_config.bank_rows = bank_rows;
-    sharded_config.shard_workers = 3;
     auto sharded = make_index("sharded-" + key, sharded_config);
 
     monolithic->add(data.rows, data.labels);
@@ -119,7 +118,6 @@ TEST(ShardedIdentity, Acceptance500RowsEightBanksWithInterleavedAddErase) {
     auto monolithic = make_index(key, config);
     EngineConfig sharded_config = config;
     sharded_config.bank_rows = 64;
-    sharded_config.shard_workers = 4;
     auto sharded = make_index("sharded-" + key, sharded_config);
 
     const std::span<const std::vector<float>> rows{data.rows};
@@ -176,7 +174,6 @@ TEST(ShardedIdentity, MeasuredTableBanksMatchOneTableArray) {
       std::make_shared<const cam::ConductanceLut>(cam::ConductanceLut::from_values(4, values));
   ShardedConfig config;
   config.bank_rows = 8;
-  config.workers = 1;
   ShardedNnIndex sharded{[&] { return std::make_unique<McamNnEngine>(table_config); }, config};
   McamNnEngine monolithic{table_config};
   sharded.add(data.rows, data.labels);
@@ -193,7 +190,6 @@ TEST(ShardedMutation, TombstoneSemanticsAndMonotoneTelemetry) {
   const Data data = make_data(40, 6, 2, 107);
   ShardedConfig config;
   config.bank_rows = 8;
-  config.workers = 1;
   ShardedNnIndex index{[] { return std::make_unique<SoftwareNnEngine>("euclidean"); },
                        config};
   index.add(data.rows, data.labels);
@@ -230,7 +226,6 @@ TEST(ShardedMutation, CompactionReprogramsAndDropsEmptyBanks) {
   const Data data = make_data(8, 4, 1, 109);
   ShardedConfig config;
   config.bank_rows = 4;  // Two banks of four.
-  config.workers = 1;
   config.compact_dead_fraction = 0.5;
   config.reprogram_energy = [](std::size_t rows, std::size_t cols) {
     return static_cast<double>(rows * cols);  // Countable fake model.
@@ -271,7 +266,6 @@ TEST(ShardedMutation, WholeBankReleaseKeepsIdMappingEraseAndQueriesCorrect) {
   EngineConfig config;
   config.num_features = 4;
   config.bank_rows = 8;  // Banks: ids [0,8), [8,16), [16,24).
-  config.shard_workers = 1;
   auto index = make_index("sharded-euclidean", config);
   index->add(data.rows, data.labels);
   auto& sharded = dynamic_cast<ShardedNnIndex&>(*index);
@@ -348,7 +342,6 @@ TEST(ShardedMutation, BankOfDistinguishesCompactedIdsInsideASurvivingBank) {
   const Data data = make_data(8, 4, 1, 157);
   ShardedConfig config;
   config.bank_rows = 4;
-  config.workers = 1;
   config.compact_dead_fraction = 0.5;
   ShardedNnIndex index{[] { return std::make_unique<SoftwareNnEngine>("euclidean"); },
                        config};
@@ -407,7 +400,7 @@ TEST(ShardedMerge, NanDistanceRanksLastAsInTheMonolithicEngine) {
     EngineConfig config;
     config.num_features = 2;
     auto monolithic = make_index("euclidean", config);
-    auto sharded = make_index("sharded-euclidean:bank_rows=2,shard_workers=1", config);
+    auto sharded = make_index("sharded-euclidean:bank_rows=2", config);
     monolithic->add(rows, labels);
     sharded->add(rows, labels);
     const std::vector<float> query{0.0f, 0.0f};
@@ -439,26 +432,19 @@ TEST(ShardedMerge, RankBySensingTieBreaksToLowerIndexWithAndWithoutMask) {
   EXPECT_EQ(masked, (std::vector<std::size_t>{2, 0, 4}));
 }
 
-TEST(ShardedQuery, ParallelFanOutMatchesSingleWorker) {
+TEST(ShardedQuery, BatchExecutorMatchesSequentialQueries) {
   const Data data = make_data(60, 6, 4, 113);
   EngineConfig config;
   config.num_features = 6;
   config.bank_rows = 7;
-  config.shard_workers = 1;
-  auto sequential = make_index("sharded-mcam2", config);
-  config.shard_workers = 5;
-  auto parallel = make_index("sharded-mcam2", config);
-  sequential->add(data.rows, data.labels);
-  parallel->add(data.rows, data.labels);
-  for (const auto& q : data.queries) {
-    expect_identical(parallel->query_one(q, 9), sequential->query_one(q, 9),
-                     "worker count");
-  }
-  // And through the batched executor, the serving path.
+  auto index = make_index("sharded-mcam2", config);
+  index->add(data.rows, data.labels);
+  // Two threads of the batched executor, the offline parallel path, share
+  // one sharded index; each answer equals the sequential query_one.
   const BatchExecutor executor{BatchOptions{2, 1}};
-  const auto batched = executor.run(*parallel, data.queries, 9);
+  const auto batched = executor.run(*index, data.queries, 9);
   for (std::size_t i = 0; i < data.queries.size(); ++i) {
-    expect_identical(batched[i], sequential->query_one(data.queries[i], 9), "batched");
+    expect_identical(batched[i], index->query_one(data.queries[i], 9), "batched");
   }
 }
 
@@ -547,7 +533,15 @@ TEST(EngineSpec, ParsesOverridesAndRejectsUnknownKeys) {
   EXPECT_EQ(spec.name, "mcam");
   EXPECT_EQ(spec.config.mcam_bits, 2u);
   EXPECT_EQ(spec.config.bank_rows, 64u);
-  EXPECT_EQ(spec.config.shard_workers, 3u);
+  // The retired shard_workers key still parses, so old serving configs
+  // load, and changes nothing: the spec equals the same spec without it.
+  const EngineSpec without = parse_engine_spec("mcam:bits=2,bank_rows=64");
+  EXPECT_EQ(spec.name, without.name);
+  EXPECT_TRUE(spec.config == without.config);
+  for (const char* bad : {"mcam:shard_workers=x", "mcam:shard_workers=", "mcam:shard_workers=-1",
+                          "mcam:shard_workers=1,shard_workers=1"}) {
+    EXPECT_THROW((void)parse_engine_spec(bad), std::invalid_argument) << bad;
+  }
 
   EngineConfig base;
   base.seed = 42;
@@ -624,7 +618,7 @@ TEST(EngineSpec, FactoryCreatesFromSpecStrings) {
   const Data data = make_data(20, 4, 2, 137);
   EngineConfig config;
   config.num_features = 4;
-  auto index = make_index("sharded-mcam:bits=2,bank_rows=8,shard_workers=2", config);
+  auto index = make_index("sharded-mcam:bits=2,bank_rows=8", config);
   index->add(data.rows, data.labels);
   EXPECT_NE(index->name().find("2-bit MCAM"), std::string::npos);
   EXPECT_NE(index->name().find("3 banks"), std::string::npos);
@@ -638,7 +632,6 @@ TEST(ShardedMann, FeatureMemoryExercisesBankAllocationAndForgetting) {
   const Data data = make_data(24, 6, 3, 139);
   ShardedConfig config;
   config.bank_rows = 8;
-  config.workers = 1;
   auto sharded = std::make_unique<ShardedNnIndex>(
       [] { return std::make_unique<SoftwareNnEngine>("euclidean"); }, config);
   const ShardedNnIndex* raw = sharded.get();

@@ -156,7 +156,6 @@ TEST(SnapshotRoundTrip, BitIdenticalForEveryFactoryBackendIdealSensing) {
     // bank_rows bounds the *physical* array for monolithic keys; only the
     // sharded twins tile past it.
     config.bank_rows = name.rfind("sharded-", 0) == 0 ? 24 : 0;
-    config.shard_workers = 2;
     // The two-stage pipeline rides the same loop: both stages (coarse
     // TCAM planes + the noisy MCAM fine stage) must replay bit-identically.
     if (name == "refine") config.fine_spec = "mcam3";
@@ -595,7 +594,7 @@ TEST(SnapshotCompat, HandAssembledV3BlobLoadsBitIdentically) {
   payload.f64(c.clip_percentile);
   payload.u64(c.seed);
   payload.u64(c.bank_rows);
-  payload.u64(c.shard_workers);
+  payload.u64(4);  // The retired shard_workers slot; its value is ignored.
   payload.u64(c.coarse_bits);
   payload.u64(c.candidate_factor);
   payload.u8(c.refine_exhaustive ? 1 : 0);
@@ -680,6 +679,23 @@ TEST(SnapshotIo, WriteFileReplacesTheTargetAtomically) {
   // A missing directory fails at open, naming the target.
   EXPECT_THROW(io::write_file((dir / "missing" / "snap").string(), new_bytes),
                io::SnapshotError);
+
+  // A bare file name lands in the working directory, which is the
+  // directory synced after the rename.
+  {
+    struct RestoreCwd {
+      fs::path path = fs::current_path();
+      ~RestoreCwd() {
+        std::error_code ignored;
+        fs::current_path(path, ignored);
+      }
+    } const restore;
+    fs::current_path(dir);
+    io::write_file("bare", old_bytes);
+    io::write_file("bare", new_bytes);
+  }
+  EXPECT_EQ(io::read_file((dir / "bare").string()), new_bytes);
+  EXPECT_EQ(entries(), (std::vector<std::string>{"bare", "old", "snap", "taken"}));
   fs::remove_all(dir);
 }
 

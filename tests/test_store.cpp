@@ -283,7 +283,7 @@ const std::vector<std::string> kFineBackends = {
     "manhattan",
     "mcam3",
     "tcam-lsh",
-    "sharded-mcam3:bank_rows=32,shard_workers=1",
+    "sharded-mcam3:bank_rows=32",
 };
 
 TEST(CollectionFiltering, BandPathBitIdenticalToPostFilterOnEveryBackend) {
@@ -683,7 +683,7 @@ TEST(CollectionManager, FleetManifestRoundTripUnderInterleavedMutations) {
   manager.create_collection(
       "alpha", "refine:coarse_bits=32,tag_bits=24,candidate_factor=64,fine=euclidean",
       base);
-  manager.create_collection("beta", "sharded-mcam3:bank_rows=32,shard_workers=1", base);
+  manager.create_collection("beta", "sharded-mcam3:bank_rows=32", base);
   manager.create_collection("gamma", "euclidean", base);
   EXPECT_THROW(manager.create_collection("alpha", "euclidean", base),
                std::invalid_argument);
