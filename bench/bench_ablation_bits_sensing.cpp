@@ -25,7 +25,7 @@ int main() {
   bits_table.set_header({"bits", "states", "accuracy [%]"});
   for (unsigned bits : {1u, 2u, 3u, 4u}) {
     // Reuse the harness by temporarily constructing engines directly.
-    experiments::EngineOptions engine_options = experiments::paper_engine_options();
+    search::EngineConfig engine_options = experiments::paper_engine_options();
     const Method method = bits == 2 ? Method::kMcam2 : Method::kMcam3;
     double accuracy = 0.0;
     if (bits == 2 || bits == 3) {
@@ -78,7 +78,7 @@ int main() {
       {"matchline timing, 1 ns clock", cam::SensingMode::kMatchlineTiming, 1e-9},
   };
   for (const SensingCase& c : cases) {
-    experiments::EngineOptions engine_options = experiments::paper_engine_options();
+    search::EngineConfig engine_options = experiments::paper_engine_options();
     engine_options.sensing = c.mode;
     engine_options.sense_clock_period = c.clock;
     const auto result =

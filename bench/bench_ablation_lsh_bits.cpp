@@ -25,7 +25,7 @@ int main() {
   table.set_header({"LSH bits (TCAM word length)", "accuracy [%]",
                     "vs 3-bit MCAM @64 cells [%]"});
   for (std::size_t bits : {16ul, 32ul, 64ul, 128ul, 256ul, 512ul}) {
-    experiments::EngineOptions engine_options = experiments::paper_engine_options();
+    search::EngineConfig engine_options = experiments::paper_engine_options();
     engine_options.lsh_bits = bits;
     const auto result =
         experiments::run_few_shot(task, Method::kTcamLsh, options, engine_options);

@@ -13,7 +13,7 @@ int main() {
 
   experiments::FewShotOptions options;
   options.episodes = 200;
-  const experiments::EngineOptions engine_options = experiments::paper_engine_options();
+  const search::EngineConfig engine_options = experiments::paper_engine_options();
 
   const data::TaskSpec tasks[] = {{5, 1, 5}, {5, 5, 5}, {20, 1, 5}, {20, 5, 5}};
   const char* task_names[] = {"5-way 1-shot", "5-way 5-shot", "20-way 1-shot",

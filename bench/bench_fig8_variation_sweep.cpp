@@ -29,7 +29,7 @@ int main() {
   for (std::size_t s = 0; s < std::size(sigmas_mv); ++s) {
     std::vector<std::string> row{format_double(sigmas_mv[s], 0)};
     for (std::size_t t = 0; t < 4; ++t) {
-      experiments::EngineOptions engine_options = experiments::paper_engine_options();
+      search::EngineConfig engine_options = experiments::paper_engine_options();
       engine_options.vth_sigma = sigmas_mv[s] * 1e-3;
       const auto result = experiments::run_few_shot(tasks[t], experiments::Method::kMcam3,
                                                     options, engine_options);

@@ -1,5 +1,6 @@
 // Filtered-search selectivity sweep: TCAM-pushed tag band vs brute-force
-// post-filtering, and the `auto` policy that routes between them.
+// post-filtering, and the `auto` policy, which post-filters every
+// predicate.
 //
 // Builds tagged collections (store/collection.hpp) over clustered
 // embeddings where every row carries tags at four selectivity tiers
@@ -13,9 +14,10 @@
 // rows, more than the 960 stored, so every tier's matches fit the budget.
 //
 // A second, low-budget pass (candidate_factor = 2, a budget of 20 rows)
-// reports, at the tiers with more matches than the budget, the recall@10
-// of the forced band and of the post-filter against a brute-force exact
-// filtered top-10, and the path `auto` took.
+// reports, at every tier, the recall@10 of the forced band and of `auto`
+// against a brute-force exact filtered top-10, and the path `auto` took.
+// At the tiers with more matches than the budget the band nominates only
+// part of them.
 //
 // Smoke assertions (CI runs this binary in the Release and ASan+UBSan
 // jobs, and once with MCAM_FORCE_SCALAR=1; it exits non-zero on failure):
@@ -27,11 +29,10 @@
 //     count (band eligibility over-approximates the predicate only through
 //     Bloom slot collisions) and the exact verify prunes every collision
 //     before the rerank (band fine candidates == matching rows),
-//  4. at every tier whose matches fit the budget, `auto` post-filters and
-//     answers bit-identically to the band,
-//  5. in the low-budget pass, `auto` takes the band at a tier with more
-//     matches than the budget exactly when its selectivity is at most
-//     band_selectivity_limit, and post-filters every tier that fits.
+//  4. at every tier (all fit the budget), `auto` post-filters and answers
+//     bit-identically to the band,
+//  5. in the low-budget pass, `auto` post-filters every tier with
+//     recall@10 1.000 against the exact filtered top-10.
 #include "bench_common.hpp"
 
 #include "store/collection.hpp"
@@ -215,11 +216,11 @@ int main() {
                 << post_fine << " fine candidates (" << tier.tag << ")\n";
       ok = false;
     }
-    if (matching.size() <= budget && (!auto_post || !auto_identical)) {
-      std::cerr << "[smoke] FAIL: " << matching.size() << " matches fit the budget of "
-                << budget << ", yet auto "
-                << (auto_post ? "diverged from the band" : "took the band") << " ("
-                << tier.tag << ")\n";
+    if (!auto_post || !auto_identical) {
+      std::cerr << "[smoke] FAIL: auto "
+                << (auto_post ? "diverged from the band" : "took the band") << " at "
+                << matching.size() << " matches, budget " << budget << " (" << tier.tag
+                << ")\n";
       ok = false;
     }
     table.add_row({tier.label, tier.tag, std::to_string(matching.size()),
@@ -234,12 +235,11 @@ int main() {
   const store::Collection low_banded = build("2", "band");
   const store::Collection low_routed = build("2", "auto");
   const std::size_t low_budget = budget_of(low_routed);
-  const double limit = store::CollectionOptions{}.band_selectivity_limit;
   TextTable low{"Filtered top-" + std::to_string(kTopK) + " at a budget of " +
                 std::to_string(low_budget) + " rows: recall@" + std::to_string(kTopK) +
                 " vs the exact filtered top-" + std::to_string(kTopK)};
   low.set_header({"selectivity", "tag", "matching", "auto_path", "band_recall@10",
-                  "post_recall@10"});
+                  "auto_recall@10"});
   const auto recall = [](const search::QueryResult& got,
                           const std::vector<std::size_t>& truth) {
     std::size_t hits = 0;
@@ -252,13 +252,8 @@ int main() {
     const store::Predicate predicate = store::Predicate::tag(tier.tag);
     const std::vector<std::size_t> matching = low_routed.metadata().matching_ids(predicate);
     std::vector<std::size_t> nearest = matching;
-    const double selectivity =
-        static_cast<double>(matching.size()) / static_cast<double>(low_routed.size());
-    const bool fits = matching.size() <= low_budget;
-    const store::FilterPath want =
-        !fits && selectivity <= limit ? store::FilterPath::kBand : store::FilterPath::kPostFilter;
     double band_recall = 0.0;
-    double post_recall = 0.0;
+    double auto_recall = 0.0;
     std::size_t misrouted = 0;
     for (const auto& q : queries) {
       // Brute-force exact filtered top-k, in double precision.
@@ -275,28 +270,28 @@ int main() {
                         [&](std::size_t a, std::size_t b) { return distance(a) < distance(b); });
       const std::vector<std::size_t> truth(nearest.begin(), nearest.begin() + k);
       band_recall += recall(low_banded.query(q, kTopK, predicate).result, truth);
-      post_recall += recall(low_routed.engine().query_subset(q, matching, kTopK), truth);
-      misrouted += low_routed.query(q, kTopK, predicate).path != want;
+      const store::CollectionQueryResult routed_answer = low_routed.query(q, kTopK, predicate);
+      auto_recall += recall(routed_answer.result, truth);
+      misrouted += routed_answer.path != store::FilterPath::kPostFilter;
     }
-    const bool to_band = want == store::FilterPath::kBand;
-    if (misrouted > 0) {
-      std::cerr << "[smoke] FAIL: auto took the " << (to_band ? "post-filter" : "band")
-                << " for " << matching.size() << " matches (selectivity " << selectivity
-                << ") at a budget of " << low_budget << " on " << misrouted << " queries ("
+    const double n = static_cast<double>(queries.size());
+    if (misrouted > 0 || auto_recall != n) {
+      std::cerr << "[smoke] FAIL: auto took the band on " << misrouted
+                << " queries and read recall@10 " << auto_recall / n << " for "
+                << matching.size() << " matches at a budget of " << low_budget << " ("
                 << tier.tag << ")\n";
       ok = false;
     }
-    if (fits) continue;  // Auto post-filters these exactly; nothing to compare.
-    const double n = static_cast<double>(queries.size());
     low.add_row({tier.label, tier.tag, std::to_string(matching.size()),
-                 to_band ? "band" : "post", format_double(band_recall / n),
-                 format_double(post_recall / n)});
+                 misrouted > 0 ? "band" : "post", format_double(band_recall / n),
+                 format_double(auto_recall / n)});
   }
   bench::emit(low, "bench_filtered_search_low_budget");
 
   if (!ok) return 1;
   std::cout << "[smoke] band path bit-identical to post-filtering at every "
                "selectivity tier, with no extra fine-stage candidates; auto "
-               "post-filters every tier whose matches fit the budget\n";
+               "post-filters every tier at both budgets, with recall@10 1.000 at "
+               "the low one\n";
   return 0;
 }

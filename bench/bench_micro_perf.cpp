@@ -8,7 +8,6 @@
 #include "cam/lut.hpp"
 #include "cam/tcam.hpp"
 #include "distance/kernels/kernels.hpp"
-#include "encoding/lsh.hpp"
 #include "encoding/quantizer.hpp"
 #include "experiments/harness.hpp"
 #include "search/batch.hpp"
@@ -440,13 +439,15 @@ void BM_Quantize64d(benchmark::State& state) {
 BENCHMARK(BM_Quantize64d);
 
 void BM_LshEncode(benchmark::State& state) {
+  // The TCAM+LSH baseline's signature: the `random` model's encode_bits.
   const auto bits = static_cast<std::size_t>(state.range(0));
-  encoding::RandomHyperplaneLsh lsh{64, bits, 7};
+  sig::RandomSignatureModel lsh{{.num_bits = bits, .seed = 7}};
   Rng rng{9};
   std::vector<float> v(64);
   for (auto& x : v) x = static_cast<float>(rng.normal());
+  lsh.fit(std::vector<std::vector<float>>{v});
   for (auto _ : state) {
-    benchmark::DoNotOptimize(lsh.encode(v));
+    benchmark::DoNotOptimize(lsh.encode_bits(v));
   }
 }
 BENCHMARK(BM_LshEncode)->Arg(64)->Arg(512);

@@ -36,16 +36,15 @@ int main() {
     labels[r] = static_cast<int>(r % 8);
   }
 
-  // The spec string carries the sampling rate: trace 1 query in 8.
-  const search::EngineSpec spec = search::parse_engine_spec(
-      "refine:coarse_bits=48,probes=2,candidate_factor=8,trace_sample=8,fine=mcam2");
-  search::EngineConfig config = spec.config;
+  search::EngineConfig config;
   config.num_features = kFeatures;
-  auto index = search::make_index("refine", config);
+  auto index =
+      search::make_index("refine:coarse_bits=48,probes=2,candidate_factor=8,fine=mcam2", config);
   index->add(rows, labels);
 
+  // The serving layer owns the sampling rate: trace 1 query in 8.
   serve::QueryServiceConfig service_config;
-  service_config.trace_sample = config.trace_sample;
+  service_config.trace_sample = 8;
   // Recall canary: re-execute 1 in 4 completed queries through the exact
   // fine path on a background worker and score the served answer.
   service_config.canary.sample_every = 4;

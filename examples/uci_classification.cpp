@@ -41,7 +41,7 @@ int main() {
   const data::SplitDataset split = data::stratified_split(iris, 0.8, 11);
 
   // Engines come from the string-keyed registry; the enum-era make_engine
-  // is now a thin wrapper over exactly this call.
+  // is a thin wrapper over exactly this call.
   search::EngineConfig config;
   config.num_features = iris.dim();
   config.clip_percentile = 6.0;

@@ -36,32 +36,13 @@ std::string method_key(Method method) {
   throw std::logic_error{"method_key: unknown method"};
 }
 
-search::EngineConfig engine_config(std::size_t num_features, const EngineOptions& options) {
-  search::EngineConfig config;
-  config.num_features = num_features;
-  config.lsh_bits = options.lsh_bits;
-  config.vth_sigma = options.vth_sigma;
-  config.sensing = options.sensing;
-  config.sense_clock_period = options.sense_clock_period;
-  config.clip_percentile = options.clip_percentile;
-  config.seed = options.seed;
-  config.bank_rows = options.bank_rows;
-  return config;
-}
-
-std::unique_ptr<search::NnIndex> make_engine(Method method, std::size_t num_features,
-                                             const EngineOptions& options) {
-  return make_engine(method_key(method), num_features, options);
-}
-
-std::unique_ptr<search::NnIndex> make_engine(const std::string& name,
-                                             std::size_t num_features,
-                                             const EngineOptions& options) {
-  return search::make_index(name, engine_config(num_features, options));
+std::unique_ptr<search::NnIndex> make_engine(Method method,
+                                             const search::EngineConfig& config) {
+  return search::make_index(method_key(method), config);
 }
 
 double run_classification(const data::Dataset& dataset, Method method,
-                          std::uint64_t split_seed, const EngineOptions& options) {
+                          std::uint64_t split_seed, search::EngineConfig config) {
   const data::SplitDataset split = stratified_split(dataset, 0.8, split_seed);
   // Each method receives features in its canonical domain: the FP32
   // software baselines use z-scored features (standard NN-classification
@@ -75,10 +56,11 @@ double run_classification(const data::Dataset& dataset, Method method,
   // the sharded-* twin of the engine, which tiles banks and merges
   // per-bank top-k (identical results under kIdealSum).
   std::string key = method_key(method);
-  if (options.bank_rows > 0 && split.train.features.size() > options.bank_rows) {
+  if (config.bank_rows > 0 && split.train.features.size() > config.bank_rows) {
     key = "sharded-" + key;
   }
-  std::unique_ptr<search::NnIndex> engine = make_engine(key, dataset.dim(), options);
+  config.num_features = dataset.dim();
+  std::unique_ptr<search::NnIndex> engine = search::make_index(key, config);
   // The whole test split is served as one batch through the parallel query
   // executor - the production path; results are identical to sequential
   // predict() calls (BatchExecutor guarantees order and determinism).
@@ -107,7 +89,7 @@ double run_classification(const data::Dataset& dataset, Method method,
 
 mann::FewShotResult run_few_shot(const data::TaskSpec& task, Method method,
                                  const FewShotOptions& fs_options,
-                                 const EngineOptions& engine_options) {
+                                 search::EngineConfig config) {
   // Feature model: held-out classes for episodes, plus a disjoint base pool
   // for encoder calibration (quantizer ranges / LSH scaler), mirroring the
   // SimpleShot deployment where the base split fixes all statistics.
@@ -131,8 +113,7 @@ mann::FewShotResult run_few_shot(const data::TaskSpec& task, Method method,
     lsh_scaler = encoding::FeatureScaler::fit_z_score(calibration);
   } else if (method == Method::kMcam2 || method == Method::kMcam3) {
     const unsigned bits = method == Method::kMcam3 ? 3 : 2;
-    quantizer = encoding::UniformQuantizer::fit(calibration, bits,
-                                                engine_options.clip_percentile);
+    quantizer = encoding::UniformQuantizer::fit(calibration, bits, config.clip_percentile);
   }
 
   const data::EpisodeSampler sampler{
@@ -141,11 +122,12 @@ mann::FewShotResult run_few_shot(const data::TaskSpec& task, Method method,
 
   // One bank = one physical array instance. Every bank (and every episode)
   // re-seeds its variation sampling, exactly like programming a fresh chip.
+  config.num_features = fs_options.feature_dim;
   std::uint64_t instance = 0;
   const search::BankFactory make_bank = [&]() {
-    EngineOptions opts = engine_options;
-    opts.seed = engine_options.seed + 1000003 * (++instance);
-    auto engine = make_engine(method, fs_options.feature_dim, opts);
+    search::EngineConfig bank = config;
+    bank.seed = config.seed + 1000003 * (++instance);
+    auto engine = make_engine(method, bank);
     if (lsh_scaler) {
       static_cast<search::TcamLshEngine&>(*engine).set_fixed_scaler(*lsh_scaler);
     }
@@ -158,9 +140,9 @@ mann::FewShotResult run_few_shot(const data::TaskSpec& task, Method method,
   // one bank exercise the shard layer's bank allocation; the fixed
   // encoders keep per-bank scores comparable.
   const mann::IndexFactory factory = [&]() -> std::unique_ptr<search::NnIndex> {
-    if (engine_options.bank_rows == 0) return make_bank();
+    if (config.bank_rows == 0) return make_bank();
     search::ShardedConfig shard;
-    shard.bank_rows = engine_options.bank_rows;
+    shard.bank_rows = config.bank_rows;
     return search::make_sharded(make_bank, shard);
   };
 

@@ -33,51 +33,30 @@ enum class Method { kMcam3, kMcam2, kTcamLsh, kCosine, kEuclidean };
 /// search::EngineFactory registry key of `method`, e.g. "mcam3".
 [[nodiscard]] std::string method_key(Method method);
 
-/// Per-engine knobs (hardware non-idealities and capacity).
-struct EngineOptions {
-  std::size_t lsh_bits = 0;        ///< TCAM signature length; 0 = #features.
-  double vth_sigma = 0.0;          ///< MCAM per-FeFET programming noise [V].
-  cam::SensingMode sensing = cam::SensingMode::kIdealSum;  ///< Ranking fidelity.
-  double sense_clock_period = 0.0; ///< Sense clock [s] for kMatchlineTiming.
-  double clip_percentile = 0.0;    ///< Quantizer outlier clipping.
-  std::uint64_t seed = 7;          ///< Seed for LSH planes / programming noise.
-  std::size_t bank_rows = 0;       ///< CAM bank capacity; 0 = one unbounded array.
-                                   ///< When set, dataset-scale runs shard the
-                                   ///< engine across banks whenever the stored
-                                   ///< rows exceed one bank (search/sharded.hpp).
-};
+/// Builds `method`'s engine through the search::EngineFactory registry:
+/// `search::make_index(method_key(method), config)`. `config.num_features`
+/// sizes the TCAM+LSH signature when `config.lsh_bits` is 0.
+[[nodiscard]] std::unique_ptr<search::NnIndex> make_engine(
+    Method method, const search::EngineConfig& config);
 
-/// The search::EngineConfig equivalent of `options` (for direct registry
-/// calls: `search::make_index(name, engine_config(n, options))`).
-[[nodiscard]] search::EngineConfig engine_config(std::size_t num_features,
-                                                 const EngineOptions& options);
-
-/// Builds one engine via the search::EngineFactory registry; `num_features`
-/// sizes the LSH default.
-[[nodiscard]] std::unique_ptr<search::NnIndex> make_engine(Method method,
-                                                           std::size_t num_features,
-                                                           const EngineOptions& options);
-
-/// Registry-keyed overload: any name in search::EngineFactory.
-[[nodiscard]] std::unique_ptr<search::NnIndex> make_engine(const std::string& name,
-                                                           std::size_t num_features,
-                                                           const EngineOptions& options);
-
-/// Engine options used by the paper-figure benches: quantizer range
+/// Engine config used by the paper-figure benches: quantizer range
 /// calibrated to the 6th-94th percentile of the base features - the
 /// deployment knob that maps the embedding distribution onto the 2^B
 /// levels without wasting codes on tails.
-[[nodiscard]] inline EngineOptions paper_engine_options() {
-  EngineOptions options;
-  options.clip_percentile = 6.0;
-  return options;
+[[nodiscard]] inline search::EngineConfig paper_engine_options() {
+  search::EngineConfig config;
+  config.clip_percentile = 6.0;
+  return config;
 }
 
 /// Fig. 6 protocol on one dataset: stratified 80/20 split (seeded),
-/// z-score scaling fitted on train, 1-NN accuracy on test.
+/// z-score scaling fitted on train, 1-NN accuracy on test. The engine is
+/// built from `config` with num_features set to the dataset's width; with
+/// `config.bank_rows` set, a training split larger than one bank runs on
+/// the sharded-* twin of the engine (search/sharded.hpp).
 [[nodiscard]] double run_classification(const data::Dataset& dataset, Method method,
                                         std::uint64_t split_seed,
-                                        const EngineOptions& options = EngineOptions{});
+                                        search::EngineConfig config = {});
 
 /// Few-shot study configuration (Figs. 7/8/9c).
 struct FewShotOptions {
@@ -93,10 +72,13 @@ struct FewShotOptions {
 
 /// Runs one few-shot task with `method`; encoders (quantizer ranges,
 /// LSH scaler) are calibrated on base-class features, as a deployment
-/// would, then episodes use held-out classes only.
+/// would, then episodes use held-out classes only. Every bank is built
+/// from `config` with num_features set to `fs_options.feature_dim` and its
+/// own seed; with `config.bank_rows` set, episodes run on banks of that
+/// many rows.
 [[nodiscard]] mann::FewShotResult run_few_shot(const data::TaskSpec& task, Method method,
                                                const FewShotOptions& fs_options,
-                                               const EngineOptions& engine_options);
+                                               search::EngineConfig config);
 
 /// Fig. 9 virtual instrument: the 2-bit distance function measured on a
 /// simulated GLOBALFOUNDRIES AND-array. `measurement_noise_sigma` is the

@@ -19,11 +19,6 @@ namespace mcam::mann {
 /// Builds a fresh NN index per episode (new array instance each time).
 using IndexFactory = std::function<std::unique_ptr<search::NnIndex>()>;
 
-/// Deprecated spelling of IndexFactory (pre-NnIndex API); kept for the
-/// original call sites. Not to be confused with the string-keyed
-/// search::EngineFactory registry.
-using EngineFactory = IndexFactory;
-
 /// Aggregated few-shot accuracy.
 struct FewShotResult {
   double accuracy = 0.0;     ///< Fraction of queries classified correctly.

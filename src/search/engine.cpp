@@ -123,16 +123,17 @@ QueryResult SoftwareNnEngine::query_subset(std::span<const float> query,
 
 TcamLshEngine::TcamLshEngine(std::size_t signature_bits, std::uint64_t seed,
                              cam::TcamArrayConfig config)
-    : signature_bits_(signature_bits), seed_(seed), config_(config) {}
+    : config_(config), lsh_({.num_bits = signature_bits, .seed = seed}) {}
 
 void TcamLshEngine::calibrate(std::span<const std::vector<float>> rows) {
   if (tcam_) return;  // Encoders are fitted once; later calls are no-ops.
   if (rows.empty()) throw std::invalid_argument{"TcamLshEngine::calibrate: no rows"};
   // Calibration: random-hyperplane LSH approximates *cosine* distance
   // only for centered data, so signatures are computed on z-scored
-  // features. Fitted once, on the fixed scaler's data or this batch.
+  // features. Fitted once, on the fixed scaler's data or this batch. The
+  // random planes read only the batch's width.
   scaler_ = fixed_scaler_ ? *fixed_scaler_ : encoding::FeatureScaler::fit_z_score(rows);
-  lsh_.emplace(rows.front().size(), signature_bits_, seed_);
+  lsh_.fit(rows);
   tcam_ = std::make_unique<cam::TcamArray>(config_);
 }
 
@@ -149,7 +150,7 @@ void TcamLshEngine::add(std::span<const std::vector<float>> rows,
   std::vector<std::vector<std::uint8_t>> signatures;
   signatures.reserve(rows.size());
   for (const auto& row : rows) {
-    signatures.push_back(lsh_->encode(scaler_->transform(row)).unpack());
+    signatures.push_back(lsh_.encode_bits(scaler_->transform(row)));
   }
   for (const auto& bits : signatures) tcam_->add_row_bits(bits);
   labels_.insert(labels_.end(), labels.begin(), labels.end());
@@ -173,8 +174,8 @@ QueryResult TcamLshEngine::query_one(std::span<const float> query, std::size_t k
   if (!tcam_ || tcam_->num_valid() == 0) {
     throw std::logic_error{"TcamLshEngine::query_one before add"};
   }
-  const encoding::Signature sig = lsh_->encode(scaler_->transform(query));
-  const std::vector<double> conductances = tcam_->search_conductances(sig.unpack());
+  const std::vector<double> conductances =
+      tcam_->search_conductances(lsh_.encode_bits(scaler_->transform(query)));
   const std::vector<std::size_t> order =
       rank_rows(conductances, tcam_->valid_mask(), config_.sensing, config_.matchline,
                 tcam_->word_length(), config_.sense_clock_period, k);
@@ -187,7 +188,7 @@ QueryResult TcamLshEngine::query_one(std::span<const float> query, std::size_t k
 }
 
 std::string TcamLshEngine::name() const {
-  return "TCAM+LSH (" + std::to_string(signature_bits_) + "b)";
+  return "TCAM+LSH (" + std::to_string(lsh_.num_bits()) + "b)";
 }
 
 // --- McamNnEngine ----------------------------------------------------------
@@ -324,38 +325,21 @@ void TcamLshEngine::save_state(serve::io::Writer& out) const {
   if (!tcam_) return;  // Uncalibrated engine: nothing beyond the tag.
   out.vec_f32(scaler_->offsets());
   out.vec_f32(scaler_->scales());
-  out.u64(lsh_->num_features());
-  out.u64(lsh_->num_bits());
-  out.vec_f32(lsh_->hyperplanes());
+  out.u64(lsh_.num_features());
+  out.u64(lsh_.num_bits());
+  out.vec_f32(lsh_.planes());
   detail::write_tcam_rows(out, *tcam_);
   out.vec_u8(tcam_->valid_mask());
   out.vec_i32(labels_);
 }
 
 void TcamLshEngine::load_state(serve::io::Reader& in) {
-  serve::io::expect_tag(in, "tcam-lsh-v1");
   clear();
-  if (in.u8() == 0) return;
-  std::vector<float> offsets = in.vec_f32();
-  std::vector<float> scales = in.vec_f32();
-  scaler_ = encoding::FeatureScaler::from_state(std::move(offsets), std::move(scales));
-  const std::uint64_t lsh_features = in.u64();
-  const std::uint64_t lsh_bits = in.u64();
-  if (lsh_bits != signature_bits_) {
-    throw serve::io::SnapshotError{"LSH width mismatch: snapshot has " +
-                                   std::to_string(lsh_bits) + " bits, engine expects " +
-                                   std::to_string(signature_bits_)};
-  }
-  lsh_ = encoding::RandomHyperplaneLsh::from_state(lsh_features, lsh_bits, in.vec_f32());
-  tcam_ = std::make_unique<cam::TcamArray>(config_);
-  const std::size_t num_rows = detail::read_tcam_rows(in, *tcam_, signature_bits_);
-  const std::vector<std::uint8_t> valid = in.vec_u8();
-  labels_ = in.vec_i32();
-  serve::io::require_payload(valid.size() == num_rows && labels_.size() == num_rows,
-                  "tcam row/label/valid counts disagree");
-  for (std::size_t r = 0; r < valid.size(); ++r) {
-    if (!valid[r]) tcam_->invalidate_row(r);
-  }
+  std::optional<detail::TcamLshState> state = detail::read_tcam_lsh(in, lsh_, config_);
+  if (!state) return;
+  scaler_ = std::move(state->scaler);
+  tcam_ = std::move(state->tcam);
+  labels_ = std::move(state->labels);
 }
 
 void McamNnEngine::save_state(serve::io::Writer& out) const {

@@ -4,8 +4,9 @@
 //  1. SoftwareNnEngine - FP32 exact NN with cosine or Euclidean distance
 //     (the GPU baseline).
 //  2. TcamLshEngine    - LSH signatures stored in a TCAM, Hamming-distance
-//     NN (the ref [3] baseline). Signature length defaults to the CAM word
-//     length for the paper's iso-capacity comparison.
+//     NN (the ref [3] baseline). The signatures come from the `random`
+//     signature model (sig/model.hpp). Signature length defaults to the
+//     CAM word length for the paper's iso-capacity comparison.
 //  3. McamNnEngine     - features quantized to B bits, stored in the FeFET
 //     MCAM, single-step NN search with the proposed distance function.
 //
@@ -19,10 +20,10 @@
 
 #include "cam/array.hpp"
 #include "cam/tcam.hpp"
-#include "encoding/lsh.hpp"
 #include "encoding/normalize.hpp"
 #include "encoding/quantizer.hpp"
 #include "search/index.hpp"
+#include "sig/model.hpp"
 
 #include <memory>
 #include <optional>
@@ -76,7 +77,8 @@ class SoftwareNnEngine final : public NnIndex {
 /// TCAM + LSH baseline (Hamming distance over binary signatures).
 class TcamLshEngine final : public NnIndex {
  public:
-  /// `signature_bits`: LSH signature length = TCAM word length.
+  /// `signature_bits`: LSH signature length = TCAM word length (> 0, else
+  /// std::invalid_argument); `seed` draws the hyperplanes.
   TcamLshEngine(std::size_t signature_bits, std::uint64_t seed,
                 cam::TcamArrayConfig config = cam::TcamArrayConfig{});
 
@@ -107,12 +109,10 @@ class TcamLshEngine final : public NnIndex {
   [[nodiscard]] cam::TcamArray& tcam() { return *tcam_; }
 
  private:
-  std::size_t signature_bits_;
-  std::uint64_t seed_;
   cam::TcamArrayConfig config_;
   std::optional<encoding::FeatureScaler> fixed_scaler_;
   std::optional<encoding::FeatureScaler> scaler_;
-  std::optional<encoding::RandomHyperplaneLsh> lsh_;
+  sig::RandomSignatureModel lsh_;  ///< Fitted at calibration.
   std::unique_ptr<cam::TcamArray> tcam_;
   std::vector<int> labels_;
 };

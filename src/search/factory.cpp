@@ -158,8 +158,9 @@ void apply_spec_override(EngineConfig& config, const std::string& key,
     parse_unsigned(config.mcam_bits, key, value, spec);
   } else if (key == "bank_rows") {
     parse_unsigned(config.bank_rows, key, value, spec);
-  } else if (key == "shard_workers") {
-    // Retired: banks answer in turn on the calling thread. The value is
+  } else if (key == "shard_workers" || key == "trace_sample") {
+    // Retired: banks answer in turn on the calling thread, and the serving
+    // layers take their trace sampling from their own configs. The value is
     // still checked, so a malformed legacy spec keeps failing.
     std::size_t ignored = 0;
     parse_unsigned(ignored, key, value, spec);
@@ -191,8 +192,6 @@ void apply_spec_override(EngineConfig& config, const std::string& key,
     config.sig_model = value;
   } else if (key == "tag_bits") {
     parse_unsigned(config.tag_bits, key, value, spec);
-  } else if (key == "trace_sample") {
-    parse_unsigned(config.trace_sample, key, value, spec);
   } else if (key == "filter") {
     if (value != "band" && value != "post" && value != "auto") {
       throw_spec_error("bad value '" + value + "' for key 'filter' (band|post|auto)",

@@ -62,11 +62,10 @@ struct EngineConfig {
                                    ///< vth_sigma when rows are programmed, so
                                    ///< the health scrubber's drift detection
                                    ///< (obs/health) is testable end to end.
-                                   ///< Like trace_sample this is an operational
-                                   ///< knob, deliberately not persisted by
-                                   ///< snapshots: restore replays the row
-                                   ///< writes, which reprograms the cells and
-                                   ///< cures the drift.
+                                   ///< An operational knob, deliberately not
+                                   ///< persisted by snapshots: restore replays
+                                   ///< the row writes, which reprograms the
+                                   ///< cells and cures the drift.
   cam::SensingMode sensing = cam::SensingMode::kIdealSum;  ///< Ranking fidelity.
   double sense_clock_period = 0.0; ///< Sense clock [s] for kMatchlineTiming.
   double clip_percentile = 0.0;    ///< Quantizer outlier clipping.
@@ -93,24 +92,14 @@ struct EngineConfig {
                                    ///< 0 = no band).
   std::string filter_policy;       ///< Filtered-query routing for the store layer
                                    ///< (store/collection.hpp): "band" forces the
-                                   ///< TCAM-pushed tag band, "post" forces the
-                                   ///< query_subset post-filter, "auto"/empty picks
-                                   ///< by candidate budget, then predicate
-                                   ///< selectivity. Ignored by the engines
-                                   ///< themselves.
+                                   ///< TCAM-pushed tag band; "post", "auto" and
+                                   ///< empty post-filter through query_subset.
+                                   ///< Ignored by the engines themselves.
   std::string rerank;              ///< Software-engine rerank precision: "fp32" or
                                    ///< empty for the exact FP32 kernels, "int8" for
                                    ///< the symmetric int8 ordering with exact FP32
                                    ///< rescoring of the final top-k
                                    ///< (search/knn.hpp). Ignored by CAM engines.
-  std::size_t trace_sample = 0;    ///< Per-query stage-trace sampling for the
-                                   ///< SERVING layers (serve::QueryService /
-                                   ///< store::CollectionManager read it off the
-                                   ///< spec; the engines themselves never sample):
-                                   ///< 1-in-N, 0 = off (or the MCAM_TRACE_SAMPLE
-                                   ///< environment default). Deliberately not
-                                   ///< persisted by snapshots - sampling is an
-                                   ///< operational knob, not engine state.
 
   bool operator==(const EngineConfig&) const = default;
 };
@@ -131,11 +120,13 @@ struct EngineSpec {
 /// the signature-model registry when the refine engine is built), probes,
 /// tag_bits (metadata tag band width), filter (= "band" | "post" |
 /// "auto", filter_policy), rerank (= "fp32" | "int8", software engines'
-/// rerank precision), trace_sample (1-in-N serving-layer stage-trace
-/// sampling, 0 = off), and fine (fine_spec; consumes the rest of the
-/// spec, so it must come last). shard_workers=<unsigned> is parsed and
-/// ignored, so specs written when banks ran on their own threads still
-/// load. Unknown keys, malformed or empty values,
+/// rerank precision), and fine (fine_spec; consumes the rest of the
+/// spec, so it must come last). shard_workers=<unsigned> and
+/// trace_sample=<unsigned> are parsed and ignored, so specs written when
+/// banks ran on their own threads, or when a spec carried the serving
+/// layers' trace sampling (now serve::QueryServiceConfig /
+/// store::ManagerConfig::trace_sample), still load. Unknown keys,
+/// malformed or empty values,
 /// unsigned values that do not fit their field, non-finite or negative
 /// double values, and duplicate keys throw std::invalid_argument naming
 /// the offending spec string and listing the known keys.

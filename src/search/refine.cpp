@@ -378,12 +378,10 @@ void TwoStageNnIndex::save_state(serve::io::Writer& out) const {
   fine_->save_state(out);
 }
 
-void TwoStageNnIndex::load_coarse(serve::io::Reader& in, bool legacy) {
-  // Both formats share this layout: scaler state, model dimensions,
-  // planes, [thresholds - v2+ only, legacy "tcam-lsh-v1" is implicitly
-  // zero-thresholded], TCAM rows, validity mask, [per-row labels -
-  // legacy only, discarded]. One reader keeps the v2 and v3 restore
-  // paths from drifting apart.
+void TwoStageNnIndex::load_coarse(serve::io::Reader& in) {
+  // The v2 and v3 layouts share this reader: scaler state, model
+  // dimensions, planes, thresholds, TCAM rows (v3's band cells included),
+  // validity mask.
   std::vector<float> offsets = in.vec_f32();
   std::vector<float> scales = in.vec_f32();
   scaler_ = encoding::FeatureScaler::from_state(std::move(offsets), std::move(scales));
@@ -397,9 +395,7 @@ void TwoStageNnIndex::load_coarse(serve::io::Reader& in, bool legacy) {
                                    std::to_string(model_->num_bits())};
   }
   std::vector<float> planes = in.vec_f32();
-  std::vector<float> thresholds = legacy
-                                      ? std::vector<float>(model_->num_bits(), 0.0f)
-                                      : in.vec_f32();
+  std::vector<float> thresholds = in.vec_f32();
   try {
     model_->install_state(model_features, std::move(planes), std::move(thresholds));
   } catch (const std::invalid_argument& error) {
@@ -411,11 +407,6 @@ void TwoStageNnIndex::load_coarse(serve::io::Reader& in, bool legacy) {
   const std::vector<std::uint8_t> valid = in.vec_u8();
   serve::io::require_payload(valid.size() == num_rows,
                              "two-stage coarse valid count disagrees");
-  if (legacy) {
-    const std::vector<int> labels = in.vec_i32();  // Legacy per-row labels; unused.
-    serve::io::require_payload(labels.size() == num_rows,
-                               "two-stage coarse label count disagrees");
-  }
   for (std::size_t r = 0; r < valid.size(); ++r) {
     if (!valid[r]) tcam_->invalidate_row(r);
   }
@@ -423,9 +414,9 @@ void TwoStageNnIndex::load_coarse(serve::io::Reader& in, bool legacy) {
 
 void TwoStageNnIndex::load_legacy_coarse(serve::io::Reader& in) {
   // Pre-signature-model payload (snapshot format v2): the coarse stage
-  // was a TcamLshEngine, so its state is scaler + LSH planes + TCAM rows
-  // + per-row labels. It restores as a `random` model with zero
-  // thresholds - bit-identical signatures by construction.
+  // was a TcamLshEngine, so its state is that engine's "tcam-lsh-v1" block,
+  // read by the engine's own reader. It restores as a `random` model with
+  // zero thresholds; the per-row labels are dropped.
   if (model_->key() != "random") {
     throw serve::io::SnapshotError{
         "legacy two-stage payload encodes random-hyperplane signatures, but this "
@@ -438,9 +429,11 @@ void TwoStageNnIndex::load_legacy_coarse(serve::io::Reader& in) {
         "with probes=" +
         std::to_string(config_.probes)};
   }
-  serve::io::expect_tag(in, "tcam-lsh-v1");
-  if (in.u8() == 0) return;  // Uncalibrated coarse stage.
-  load_coarse(in, /*legacy=*/true);
+  std::optional<detail::TcamLshState> state =
+      detail::read_tcam_lsh(in, *model_, coarse_config_);
+  if (!state) return;  // Uncalibrated coarse stage.
+  scaler_ = std::move(state->scaler);
+  tcam_ = std::move(state->tcam);
 }
 
 void TwoStageNnIndex::load_state(serve::io::Reader& in) {
@@ -496,7 +489,7 @@ void TwoStageNnIndex::load_state(serve::io::Reader& in) {
                                    model_key + "', engine was built with '" +
                                    model_->key() + "'"};
   }
-  if (in.u8() != 0) load_coarse(in, /*legacy=*/false);
+  if (in.u8() != 0) load_coarse(in);
   fine_->load_state(in);
   // A blob claiming no coarse calibration while the fine stage holds rows
   // would crash the first query (null TCAM); fail at load time instead.

@@ -193,8 +193,7 @@ class TwoStageNnIndex final : public NnIndex {
   /// Rows the coarse stage nominates for a top-k read: candidate_factor *
   /// max(k, 1), saturating at SIZE_MAX instead of wrapping. query_one and
   /// query_filtered nominate the smaller of this and their live or
-  /// band-eligible rows; the store's filter router post-filters every
-  /// predicate whose matching rows fit it (store/collection.hpp).
+  /// band-eligible rows.
   [[nodiscard]] std::size_t nomination_budget(std::size_t k) const noexcept {
     const std::size_t kk = std::max<std::size_t>(k, 1);
     constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
@@ -224,11 +223,10 @@ class TwoStageNnIndex final : public NnIndex {
   [[nodiscard]] std::optional<QueryResult> nominate_and_rerank(
       std::span<const float> query, std::size_t kk, std::span<const std::uint8_t> eligible,
       std::size_t eligible_count, const std::function<bool(std::size_t)>& verify) const;
-  /// Restores the calibrated coarse block shared by both payload formats
-  /// (`legacy` = the "tcam-lsh-v1" layout: implicit zero thresholds,
-  /// trailing per-row labels).
-  void load_coarse(serve::io::Reader& in, bool legacy);
-  /// Restores the legacy "two-stage-v1" (TcamLshEngine-shaped) payload.
+  /// Restores the calibrated coarse block of a "two-stage-v2"/"-v3" payload.
+  void load_coarse(serve::io::Reader& in);
+  /// Restores the coarse stage of a legacy "two-stage-v1" payload: a
+  /// TcamLshEngine "tcam-lsh-v1" block (detail::read_tcam_lsh).
   void load_legacy_coarse(serve::io::Reader& in);
 
   std::unique_ptr<sig::SignatureModel> model_;

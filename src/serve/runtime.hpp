@@ -91,12 +91,10 @@ struct ServiceStats {
                                        ///< leaves the filter fields zero.
   std::size_t band_queries = 0;        ///< ... answered via the TCAM-pushed tag band.
   std::size_t post_filter_queries = 0; ///< ... answered via the query_subset
-                                       ///< post-filter fallback.
+                                       ///< post-filter.
   double filter_selectivity_mean = 0.0;  ///< Mean predicate selectivity
                                          ///< (matching / live rows) over the
-                                         ///< filtered queries - the signal the
-                                         ///< band-vs-post routing threshold is
-                                         ///< tuned against.
+                                         ///< filtered queries.
   std::map<std::string, std::size_t> kernel_queries;  ///< Executed queries by
                                          ///< QueryTelemetry::kernel backend
                                          ///< ("scalar", "avx2", "avx2+int8",

@@ -342,23 +342,6 @@ std::vector<std::uint8_t> signature_bits(std::span<const float> margins) {
   return bits;
 }
 
-encoding::Signature SignatureModel::encode(std::span<const float> features) const {
-  // Derived from project() + signature_bits so every signature consumer
-  // shares one projection loop and one sign rule. Bit-compat with the
-  // legacy LSH encoder holds because `proj - t >= 0` and `proj >= t`
-  // agree bit-for-bit in IEEE arithmetic (and t = 0 makes the margin
-  // exactly the projection), which tests/test_sig.cpp pins against
-  // RandomHyperplaneLsh.
-  const std::vector<std::uint8_t> bits = encode_bits(features);
-  encoding::Signature sig;
-  sig.bits = config_.num_bits;
-  sig.words.assign((config_.num_bits + 63) / 64, 0);
-  for (std::size_t b = 0; b < config_.num_bits; ++b) {
-    if (bits[b]) sig.words[b / 64] |= (std::uint64_t{1} << (b % 64));
-  }
-  return sig;
-}
-
 std::vector<std::uint8_t> SignatureModel::encode_bits(
     std::span<const float> features) const {
   return signature_bits(project(features));
@@ -370,8 +353,8 @@ std::vector<float> SignatureModel::project(std::span<const float> features) cons
     throw std::invalid_argument{"SignatureModel::project: width mismatch"};
   }
   // The one projection loop: each bit adds plane_b[f] * x[f] in ascending
-  // f, the accumulation of RandomHyperplaneLsh::encode (the v2-snapshot
-  // compatibility contract), across the bits over the transposed planes.
+  // f (the sum order every pinned signature was made with), across the bits
+  // over the transposed planes.
   std::vector<float> margins(config_.num_bits);
   vec_mat(features, planes_t_.data(), config_.num_bits, margins.data());
   for (std::size_t b = 0; b < config_.num_bits; ++b) margins[b] -= thresholds_[b];
@@ -386,12 +369,13 @@ RandomSignatureModel::RandomSignatureModel(const SignatureModelConfig& config)
 void RandomSignatureModel::fit(std::span<const std::vector<float>> rows) {
   if (fitted()) return;
   require_calibration(rows, "RandomSignatureModel::fit");
-  // Delegate the plane draw to RandomHyperplaneLsh so the signatures are
-  // bit-identical to the legacy coarse stage at the same seed.
-  const encoding::RandomHyperplaneLsh lsh{rows.front().size(), num_bits(),
-                                          config().seed};
-  install_state(rows.front().size(), lsh.hyperplanes(),
-                std::vector<float>(num_bits(), 0.0f));
+  // One standard normal per weight, row-major: the planes of every saved
+  // TCAM+LSH engine and v2 coarse stage were drawn in this order.
+  const std::size_t width = rows.front().size();
+  Rng rng{config().seed};
+  std::vector<float> planes(num_bits() * width);
+  for (float& w : planes) w = static_cast<float>(rng.normal());
+  install_state(width, std::move(planes), std::vector<float>(num_bits(), 0.0f));
 }
 
 // --- trained -----------------------------------------------------------------

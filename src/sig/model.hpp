@@ -1,20 +1,22 @@
 // Coarse-signature models: how real-valued features become the binary
 // signatures the two-stage pipeline's coarse TCAM stores and sweeps.
 //
-// The random-hyperplane LSH baseline (encoding/lsh.hpp, paper refs [3],
+// The random-hyperplane LSH baseline (the `random` model, paper refs [3],
 // [8]) is data-independent: every bit is the sign of a projection onto a
 // Gaussian plane, so bits are spent uniformly over directions the data may
-// not occupy. The models here make the coarse stage *trainable* - the
-// FeReX-style reconfigurability story - while keeping one runtime shape:
-// after `fit`, every model is a linear projector (bit b = plane_b . x >=
-// threshold_b), so encoding, multi-probe margins (sig/multiprobe.hpp), and
-// snapshot state are uniform across models.
+// not occupy. It also encodes the TCAM+LSH baseline engine
+// (search::TcamLshEngine). The other models make the coarse stage
+// *trainable* - the FeReX-style reconfigurability story - while keeping
+// one runtime shape: after `fit`, every model is a linear projector (bit
+// b = plane_b . x >= threshold_b), so encoding, multi-probe margins
+// (sig/multiprobe.hpp), and snapshot state are uniform across models.
 //
 // Built-in registry keys (SignatureModelFactory):
 //
 //   random  - Gaussian hyperplanes through the origin, drawn from the
-//             seed; bit-identical to encoding::RandomHyperplaneLsh (the
-//             pre-v3 coarse stage, and the v2-snapshot compat default).
+//             seed (one normal draw per weight, row-major) with zero
+//             thresholds: the TCAM+LSH baseline's encoder, the pre-v3
+//             coarse stage, and the v2-snapshot compat default.
 //   trained - variance-balanced data projections: principal directions of
 //             the calibration rows (power iteration on the covariance,
 //             ml::Tensor substrate), bits apportioned across directions by
@@ -35,8 +37,6 @@
 // fitted planes/thresholds are the complete serializable state.
 #pragma once
 
-#include "encoding/lsh.hpp"
-
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -49,7 +49,7 @@ namespace mcam::sig {
 
 /// The one margins-to-bits rule of the subsystem: bit b is set iff
 /// margin_b >= 0. Every consumer of a signature derives it through this
-/// helper (encode, encode_bits, the pipeline's query path), so the sign
+/// helper (encode_bits, the pipeline's query path), so the sign
 /// convention - part of the v2-snapshot bit-compat contract - lives in
 /// exactly one place.
 [[nodiscard]] std::vector<std::uint8_t> signature_bits(std::span<const float> margins);
@@ -60,7 +60,7 @@ struct SignatureModelConfig {
   std::uint64_t seed = 7;    ///< Seed for random planes / rotation init.
 };
 
-/// A fitted linear signature model: bit b of `encode(x)` is
+/// A fitted linear signature model: bit b of `encode_bits(x)` is
 /// `dot(plane_b, x) >= threshold_b`.
 class SignatureModel {
  public:
@@ -82,20 +82,16 @@ class SignatureModel {
   /// Drops the fitted state so the next fit starts fresh.
   void reset() noexcept;
 
-  /// Packed binary signature of one feature vector. Bit b is
-  /// `projection_b >= threshold_b` with the same float accumulation as
-  /// encoding::RandomHyperplaneLsh::encode, so the "random" model is
-  /// bit-identical to the legacy LSH coarse stage. Throws std::logic_error
-  /// before fit, std::invalid_argument on a width mismatch.
-  [[nodiscard]] encoding::Signature encode(std::span<const float> features) const;
-
   /// Per-bit signed margins `projection_b - threshold_b`: the signature is
   /// the margins' sign pattern, and |margin| is the bit's confidence - the
-  /// quantity multi-probe flips smallest-first (sig/multiprobe.hpp).
+  /// quantity multi-probe flips smallest-first (sig/multiprobe.hpp). Each
+  /// projection adds plane_b[f] * x[f] in ascending f from +0.0f. Throws
+  /// std::logic_error before fit, std::invalid_argument on a width
+  /// mismatch.
   [[nodiscard]] std::vector<float> project(std::span<const float> features) const;
 
-  /// `encode(features)` as one byte per bit (the TCAM programming/search
-  /// shape): `signature_bits(project(features))`.
+  /// The signature of one feature vector, one byte (0 or 1) per bit - the
+  /// TCAM programming/search shape: `signature_bits(project(features))`.
   [[nodiscard]] std::vector<std::uint8_t> encode_bits(
       std::span<const float> features) const;
 
@@ -134,7 +130,9 @@ class SignatureModel {
   std::vector<float> thresholds_;  ///< [num_bits].
 };
 
-/// Data-independent Gaussian hyperplanes (the LSH baseline).
+/// Data-independent Gaussian hyperplanes (the LSH baseline). `fit` reads
+/// only the rows' width: it draws num_bits x width standard normals from
+/// `Rng{seed}`, row-major, as the planes, with zero thresholds.
 class RandomSignatureModel final : public SignatureModel {
  public:
   explicit RandomSignatureModel(const SignatureModelConfig& config);

@@ -15,16 +15,15 @@ constexpr const char* kCollectionPayloadTag = "store-collection-v1";
 }  // namespace
 
 FilterPolicy parse_filter_policy(const std::string& value) {
-  if (value.empty() || value == "auto") return FilterPolicy::kAuto;
+  if (value.empty() || value == "auto" || value == "post") return FilterPolicy::kPost;
   if (value == "band") return FilterPolicy::kBand;
-  if (value == "post") return FilterPolicy::kPost;
   throw std::invalid_argument{"unknown filter policy '" + value +
                               "' (expected auto | band | post)"};
 }
 
 Collection::Collection(std::string name, const std::string& spec,
-                       const search::EngineConfig& base, CollectionOptions options)
-    : name_(std::move(name)), options_(options) {
+                       const search::EngineConfig& base)
+    : name_(std::move(name)) {
   if (name_.empty()) throw std::invalid_argument{"Collection: empty name"};
   spec_ = search::parse_engine_spec(spec, base);
   engine_ = search::make_index(spec_.name, spec_.config);
@@ -118,15 +117,7 @@ CollectionQueryResult Collection::query(std::span<const float> query, std::size_
   }
   out.selectivity =
       live == 0 ? 0.0 : static_cast<double>(matching.size()) / static_cast<double>(live);
-  // Under auto, matching rows that fit the nomination budget post-filter:
-  // the band would nominate every eligible row (a superset of `matching`),
-  // so its gate, sweep and nomination buy nothing (header comment).
-  const bool push_band =
-      band_capable() &&
-      (policy_ == FilterPolicy::kBand ||
-       (policy_ == FilterPolicy::kAuto && matching.size() > two_stage_->nomination_budget(k) &&
-        out.selectivity <= options_.band_selectivity_limit));
-  if (push_band) {
+  if (policy_ == FilterPolicy::kBand && band_capable()) {
     const std::vector<std::uint8_t> band = meta_.band_query(*tags, two_stage_->tag_bits());
     const auto verify = [this, &tags](std::size_t id) { return meta_.matches(id, *tags); };
     if (auto result = two_stage_->query_filtered(query, k, band, verify)) {
@@ -159,8 +150,7 @@ void Collection::save_file(const std::string& path) const {
   serve::io::write_file(path, snapshot());
 }
 
-std::unique_ptr<Collection> Collection::restore(std::span<const std::uint8_t> blob,
-                                                CollectionOptions options) {
+std::unique_ptr<Collection> Collection::restore(std::span<const std::uint8_t> blob) {
   serve::StoreBlock block;
   serve::SnapshotInfo info;
   std::unique_ptr<search::NnIndex> engine = serve::load_with_store(blob, block, &info);
@@ -173,7 +163,6 @@ std::unique_ptr<Collection> Collection::restore(std::span<const std::uint8_t> bl
   collection->name_ = block.collection;
   collection->spec_.name = info.engine;
   collection->spec_.config = info.config;
-  collection->options_ = options;
   collection->engine_ = std::move(engine);
   collection->two_stage_ =
       dynamic_cast<search::TwoStageNnIndex*>(collection->engine_.get());
@@ -194,9 +183,8 @@ std::unique_ptr<Collection> Collection::restore(std::span<const std::uint8_t> bl
   return collection;
 }
 
-std::unique_ptr<Collection> Collection::load_file(const std::string& path,
-                                                  CollectionOptions options) {
-  return restore(serve::io::read_file(path), options);
+std::unique_ptr<Collection> Collection::load_file(const std::string& path) {
+  return restore(serve::io::read_file(path));
 }
 
 }  // namespace mcam::store

@@ -20,16 +20,13 @@
 //           exact by construction; O(matching) precise compares.
 //
 // The `filter=` spec key picks the policy: "band" forces the band (post
-// only as fallback when the band cannot serve), "post" forces the
-// post-filter, "auto" (default) post-filters whenever the matching rows
-// fit the nomination budget (TwoStageNnIndex::nomination_budget,
-// candidate_factor * max(k, 1)) - the band would rerank every one of
-// them anyway, after paying for a gate, a full sweep and a nomination,
-// and a Bloom collision could push its eligible rows past the budget.
-// Only when more rows match than the budget does auto push into the band,
-// and then only when the predicate selectivity (matching / live) is at
-// most band_selectivity_limit - a broad predicate nominates nearly
-// everything anyway, so the exact post-filter is the cheaper path.
+// only as fallback when the band cannot serve); "post", "auto" and the
+// empty default post-filter every predicate. Where the matching rows fit
+// the nomination budget (TwoStageNnIndex::nomination_budget,
+// candidate_factor * max(k, 1)), the band would rerank every one of them
+// anyway, after paying for a gate, a full sweep and a nomination; where
+// more rows match than the budget, the band nominates only part of them
+// and loses recall, and on the measured shapes it was slower there too.
 //
 // Collections are externally synchronized (one writer or concurrent
 // readers) - store::CollectionManager wraps each in a shared_mutex and
@@ -51,10 +48,11 @@
 namespace mcam::store {
 
 /// Filtered-query routing policy (the `filter=` spec key).
-enum class FilterPolicy : std::uint8_t { kAuto = 0, kBand, kPost };
+enum class FilterPolicy : std::uint8_t { kPost = 0, kBand };
 
 /// Parses "", "auto", "band", "post" (the EngineConfig::filter_policy
-/// values the spec parser admits); throws std::invalid_argument otherwise.
+/// values the spec parser admits; "", "auto" and "post" are kPost);
+/// throws std::invalid_argument otherwise.
 [[nodiscard]] FilterPolicy parse_filter_policy(const std::string& value);
 
 /// Which physical strategy served a query.
@@ -71,14 +69,6 @@ struct CollectionQueryResult {
   double selectivity = 1.0;  ///< matching / live at execution (1 unfiltered).
 };
 
-/// Per-collection knobs that live outside the engine spec.
-struct CollectionOptions {
-  /// Auto-policy threshold, consulted only when more rows match than the
-  /// nomination budget: push the predicate into the tag band when
-  /// matching / live <= this fraction; broader predicates post-filter.
-  double band_selectivity_limit = 0.25;
-};
-
 /// One named, filterable collection. See the header comment.
 class Collection {
  public:
@@ -87,7 +77,7 @@ class Collection {
   /// The tag band is available when the spec resolves to a two-stage
   /// pipeline with tag_bits > 0.
   Collection(std::string name, const std::string& spec,
-             const search::EngineConfig& base = {}, CollectionOptions options = {});
+             const search::EngineConfig& base = {});
 
   [[nodiscard]] const std::string& collection_name() const noexcept { return name_; }
   /// Factory registry key + effective config the engine was built from.
@@ -153,19 +143,17 @@ class Collection {
   /// serve::io::SnapshotError when the blob has none (a plain engine
   /// snapshot is not a collection).
   [[nodiscard]] static std::unique_ptr<Collection> restore(
-      std::span<const std::uint8_t> blob, CollectionOptions options = {});
-  [[nodiscard]] static std::unique_ptr<Collection> load_file(
-      const std::string& path, CollectionOptions options = {});
+      std::span<const std::uint8_t> blob);
+  [[nodiscard]] static std::unique_ptr<Collection> load_file(const std::string& path);
 
  private:
   Collection() = default;  // restore() assembles the fields directly.
 
   std::string name_;
   search::EngineSpec spec_;
-  CollectionOptions options_;
   std::unique_ptr<search::NnIndex> engine_;
   search::TwoStageNnIndex* two_stage_ = nullptr;  ///< Borrowed; null unless refine.
-  FilterPolicy policy_ = FilterPolicy::kAuto;
+  FilterPolicy policy_ = FilterPolicy::kPost;
   MetadataStore meta_;
   std::uint64_t generation_ = 0;
 };

@@ -42,9 +42,7 @@ void CollectionManager::create_collection(const std::string& name,
                                           const search::EngineConfig& base) {
   // Build outside the registry lock (factory work can be heavy), then
   // insert-or-throw.
-  register_entry(name,
-                 std::make_unique<Collection>(name, spec, base, config_.collection_options),
-                 "CollectionManager");
+  register_entry(name, std::make_unique<Collection>(name, spec, base), "CollectionManager");
 }
 
 void CollectionManager::register_entry(const std::string& name,
@@ -384,8 +382,7 @@ std::size_t CollectionManager::load(const std::string& dir) {
                                    filename.find("..") == std::string::npos,
                                "manifest filename escapes the snapshot directory");
 
-    std::unique_ptr<Collection> collection =
-        Collection::load_file(dir + "/" + filename, config_.collection_options);
+    std::unique_ptr<Collection> collection = Collection::load_file(dir + "/" + filename);
     serve::io::require_payload(collection->collection_name() == name,
                                "manifest name disagrees with snapshot store block");
 

@@ -54,8 +54,6 @@ struct ManagerConfig {
   /// Per-collection in-flight cap: one tenant may occupy at most this many
   /// queue slots at a time.
   std::size_t collection_queue_cap = 256;
-  /// Routing knobs applied to every collection created or loaded.
-  CollectionOptions collection_options;
   /// Per-query trace sampling across every collection (1-in-N; 0 = off,
   /// falling back to the MCAM_TRACE_SAMPLE environment default). Sampled
   /// traces carry admission / queue-wait / route spans plus the engine's

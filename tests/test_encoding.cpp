@@ -1,15 +1,12 @@
-#include "encoding/lsh.hpp"
 #include "encoding/normalize.hpp"
 #include "encoding/quantizer.hpp"
 
-#include "distance/metrics.hpp"
 #include "util/rng.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
-#include <numbers>
 #include <string>
 
 namespace mcam::encoding {
@@ -208,111 +205,6 @@ TEST(UniformQuantizer, NonFiniteValuesThrowNamingTheFeature) {
   const UniformQuantizer unit = UniformQuantizer::from_state(3, {-1.0f}, {1.0f});
   EXPECT_EQ(unit.quantize(std::vector<float>{3e38f})[0], 7u);
   EXPECT_EQ(unit.quantize(std::vector<float>{-3e38f})[0], 0u);
-}
-
-TEST(Signature, PackUnpackRoundTrip) {
-  RandomHyperplaneLsh lsh{8, 70, 3};
-  Rng rng{1};
-  std::vector<float> v(8);
-  for (auto& x : v) x = static_cast<float>(rng.normal());
-  const Signature sig = lsh.encode(v);
-  const auto unpacked = sig.unpack();
-  ASSERT_EQ(unpacked.size(), 70u);
-  for (std::size_t i = 0; i < 70; ++i) {
-    EXPECT_EQ(unpacked[i] != 0, sig.bit(i));
-  }
-}
-
-TEST(Lsh, DeterministicGivenSeed) {
-  RandomHyperplaneLsh a{16, 64, 9};
-  RandomHyperplaneLsh b{16, 64, 9};
-  Rng rng{2};
-  std::vector<float> v(16);
-  for (auto& x : v) x = static_cast<float>(rng.normal());
-  EXPECT_EQ(a.encode(v).words, b.encode(v).words);
-}
-
-TEST(Lsh, IdenticalVectorsHaveZeroHamming) {
-  RandomHyperplaneLsh lsh{16, 64, 4};
-  Rng rng{3};
-  std::vector<float> v(16);
-  for (auto& x : v) x = static_cast<float>(rng.normal());
-  EXPECT_EQ(hamming_distance(lsh.encode(v), lsh.encode(v)), 0u);
-}
-
-TEST(Lsh, OppositeVectorsHaveFullHamming) {
-  RandomHyperplaneLsh lsh{16, 64, 5};
-  Rng rng{4};
-  std::vector<float> v(16);
-  std::vector<float> neg(16);
-  for (std::size_t i = 0; i < 16; ++i) {
-    v[i] = static_cast<float>(rng.normal());
-    neg[i] = -v[i];
-  }
-  // Sign flip flips every projection (ties measure zero).
-  EXPECT_EQ(hamming_distance(lsh.encode(v), lsh.encode(neg)), 64u);
-}
-
-TEST(Lsh, HammingTracksAngle) {
-  // Collision probability of sign-LSH is 1 - theta/pi: expected normalized
-  // Hamming distance equals theta/pi. Verify within sampling tolerance.
-  constexpr std::size_t kBits = 2048;
-  RandomHyperplaneLsh lsh{2, kBits, 6};
-  const double theta = std::numbers::pi / 3.0;  // 60 degrees.
-  const std::vector<float> a{1.0f, 0.0f};
-  const std::vector<float> b{static_cast<float>(std::cos(theta)),
-                             static_cast<float>(std::sin(theta))};
-  const double normalized =
-      static_cast<double>(hamming_distance(lsh.encode(a), lsh.encode(b))) / kBits;
-  EXPECT_NEAR(normalized, theta / std::numbers::pi, 0.04);
-}
-
-TEST(Lsh, MoreBitsBetterCosineApproximation) {
-  Rng rng{8};
-  const std::size_t dim = 32;
-  auto sample = [&rng, dim]() {
-    std::vector<float> v(dim);
-    for (auto& x : v) x = static_cast<float>(rng.normal());
-    return v;
-  };
-  auto correlation = [&](std::size_t bits) {
-    RandomHyperplaneLsh lsh{dim, bits, 11};
-    std::vector<double> cos_d;
-    std::vector<double> ham_d;
-    for (int pair = 0; pair < 120; ++pair) {
-      const auto a = sample();
-      const auto b = sample();
-      cos_d.push_back(distance::cosine(a, b));
-      ham_d.push_back(static_cast<double>(hamming_distance(lsh.encode(a), lsh.encode(b))) /
-                      static_cast<double>(bits));
-    }
-    double sxy = 0.0;
-    double sxx = 0.0;
-    double syy = 0.0;
-    const double mx = [&] { double s = 0; for (double x : cos_d) s += x; return s / cos_d.size(); }();
-    const double my = [&] { double s = 0; for (double y : ham_d) s += y; return s / ham_d.size(); }();
-    for (std::size_t i = 0; i < cos_d.size(); ++i) {
-      sxy += (cos_d[i] - mx) * (ham_d[i] - my);
-      sxx += (cos_d[i] - mx) * (cos_d[i] - mx);
-      syy += (ham_d[i] - my) * (ham_d[i] - my);
-    }
-    return sxy / std::sqrt(sxx * syy);
-  };
-  EXPECT_GT(correlation(512), correlation(16));
-}
-
-TEST(Lsh, Validation) {
-  EXPECT_THROW((RandomHyperplaneLsh{0, 64, 1}), std::invalid_argument);
-  EXPECT_THROW((RandomHyperplaneLsh{16, 0, 1}), std::invalid_argument);
-  RandomHyperplaneLsh lsh{16, 64, 1};
-  EXPECT_THROW((void)lsh.encode(std::vector<float>(8, 0.0f)), std::invalid_argument);
-  Signature a;
-  a.bits = 8;
-  a.words = {0};
-  Signature b;
-  b.bits = 16;
-  b.words = {0};
-  EXPECT_THROW((void)hamming_distance(a, b), std::invalid_argument);
 }
 
 }  // namespace

@@ -21,33 +21,40 @@ TEST(Harness, PaperMethodsOrder) {
   EXPECT_EQ(method_name(methods[4]), "Euclidean");
 }
 
+/// A registry config over `num_features` inputs, defaults elsewhere.
+search::EngineConfig config_of(std::size_t num_features) {
+  search::EngineConfig config;
+  config.num_features = num_features;
+  return config;
+}
+
 TEST(Harness, MakeEngineBuildsEveryMethod) {
   for (Method method : paper_methods()) {
-    const auto engine = make_engine(method, 16, EngineOptions{});
+    const auto engine = make_engine(method, config_of(16));
     ASSERT_NE(engine, nullptr);
     EXPECT_FALSE(engine->name().empty());
   }
 }
 
 TEST(Harness, MakeEngineGoesThroughTheRegistry) {
-  // The enum switch is gone: every Method maps to a registry key and the
-  // string overload builds the same engine.
+  // The enum switch is gone: every Method maps to a registry key, and
+  // the registry builds the same engine from that key.
   for (Method method : paper_methods()) {
     const std::string key = method_key(method);
     EXPECT_TRUE(search::EngineFactory::instance().contains(key)) << key;
-    EXPECT_EQ(make_engine(method, 16, EngineOptions{})->name(),
-              make_engine(key, 16, EngineOptions{})->name());
+    EXPECT_EQ(make_engine(method, config_of(16))->name(),
+              search::make_index(key, config_of(16))->name());
   }
-  EXPECT_THROW((void)make_engine("no-such-engine", 16, EngineOptions{}),
+  EXPECT_THROW((void)search::make_index("no-such-engine", config_of(16)),
                std::invalid_argument);
 }
 
 TEST(Harness, LshDefaultsToWordLength) {
-  const auto engine = make_engine(Method::kTcamLsh, 37, EngineOptions{});
+  const auto engine = make_engine(Method::kTcamLsh, config_of(37));
   EXPECT_EQ(engine->name(), "TCAM+LSH (37b)");
-  EngineOptions options;
-  options.lsh_bits = 512;
-  const auto wide = make_engine(Method::kTcamLsh, 37, options);
+  search::EngineConfig config = config_of(37);
+  config.lsh_bits = 512;
+  const auto wide = make_engine(Method::kTcamLsh, config);
   EXPECT_EQ(wide->name(), "TCAM+LSH (512b)");
 }
 
@@ -75,11 +82,11 @@ TEST(Harness, ClassificationShardsWhenTrainExceedsBankCapacity) {
   // the monolithic engine (shard merge is bit-exact), so sharding is a
   // pure capacity/latency knob, never an accuracy trade.
   const data::Dataset iris = data::make_iris(3);  // 120 train rows.
-  EngineOptions bounded;
+  search::EngineConfig bounded;
   bounded.bank_rows = 32;  // 120 rows -> 4 banks.
   for (Method method : {Method::kMcam3, Method::kEuclidean, Method::kTcamLsh}) {
     EXPECT_DOUBLE_EQ(run_classification(iris, method, 11, bounded),
-                     run_classification(iris, method, 11, EngineOptions{}))
+                     run_classification(iris, method, 11))
         << method_name(method);
   }
 }
@@ -92,7 +99,7 @@ TEST(Harness, FewShotEpisodesExerciseBankAllocation) {
   FewShotOptions options;
   options.episodes = 15;
   const data::TaskSpec task{5, 5, 3};
-  EngineOptions sharded = paper_engine_options();
+  search::EngineConfig sharded = paper_engine_options();
   sharded.bank_rows = 8;
   const auto banked = run_few_shot(task, Method::kMcam3, options, sharded);
   const auto monolithic =
@@ -105,7 +112,7 @@ TEST(Harness, FewShotSoftwareBeatsChanceMassively) {
   FewShotOptions options;
   options.episodes = 40;
   const auto result =
-      run_few_shot(data::TaskSpec{5, 1, 5}, Method::kCosine, options, EngineOptions{});
+      run_few_shot(data::TaskSpec{5, 1, 5}, Method::kCosine, options, {});
   EXPECT_GT(result.accuracy, 0.95);
   EXPECT_EQ(result.episodes, 40u);
 }
@@ -113,7 +120,7 @@ TEST(Harness, FewShotSoftwareBeatsChanceMassively) {
 TEST(Harness, FewShotPaperShapeHolds) {
   FewShotOptions options;
   options.episodes = 80;
-  const EngineOptions engine_options = paper_engine_options();
+  const search::EngineConfig engine_options = paper_engine_options();
   const data::TaskSpec task{5, 1, 5};
   const double cosine = run_few_shot(task, Method::kCosine, options, engine_options).accuracy;
   const double mcam3 = run_few_shot(task, Method::kMcam3, options, engine_options).accuracy;
@@ -140,10 +147,10 @@ TEST(Harness, VariationSigmaDegradesGracefullyThenBreaks) {
   FewShotOptions options;
   options.episodes = 60;
   const data::TaskSpec task{5, 1, 5};
-  EngineOptions clean = paper_engine_options();
-  EngineOptions mild = clean;
+  search::EngineConfig clean = paper_engine_options();
+  search::EngineConfig mild = clean;
   mild.vth_sigma = 0.08;
-  EngineOptions broken = clean;
+  search::EngineConfig broken = clean;
   broken.vth_sigma = 0.30;
   const double acc_clean = run_few_shot(task, Method::kMcam3, options, clean).accuracy;
   const double acc_mild = run_few_shot(task, Method::kMcam3, options, mild).accuracy;

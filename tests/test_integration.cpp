@@ -39,8 +39,8 @@ TEST(PaperClaims, FullPipelineVariationToleranceAtFig5Sigma) {
 
   experiments::FewShotOptions options;
   options.episodes = 50;
-  experiments::EngineOptions clean = experiments::paper_engine_options();
-  experiments::EngineOptions at_fig5_sigma = clean;
+  search::EngineConfig clean = experiments::paper_engine_options();
+  search::EngineConfig at_fig5_sigma = clean;
   at_fig5_sigma.vth_sigma = sigma;
   const double acc_clean =
       experiments::run_few_shot(data::TaskSpec{5, 1, 5}, Method::kMcam3, options, clean)
@@ -71,7 +71,7 @@ TEST(PaperClaims, Figure7AverageGains) {
   // 3-bit MCAM ~ +13%, 2-bit ~ +11.6% over TCAM+LSH averaged over tasks.
   experiments::FewShotOptions options;
   options.episodes = 60;
-  const experiments::EngineOptions engine_options = experiments::paper_engine_options();
+  const search::EngineConfig engine_options = experiments::paper_engine_options();
   const data::TaskSpec tasks[] = {{5, 1, 5}, {5, 5, 5}, {20, 1, 5}, {20, 5, 5}};
   double gain3 = 0.0;
   double gain2 = 0.0;
@@ -143,10 +143,10 @@ TEST(PaperClaims, SameEpisodesForEveryMethod) {
   // comparison isolates the distance function, not the data).
   experiments::FewShotOptions options;
   options.episodes = 10;
-  const auto a = experiments::run_few_shot(data::TaskSpec{5, 1, 5}, Method::kCosine, options,
-                                           experiments::EngineOptions{});
-  const auto b = experiments::run_few_shot(data::TaskSpec{5, 1, 5}, Method::kEuclidean,
-                                           options, experiments::EngineOptions{});
+  const auto a =
+      experiments::run_few_shot(data::TaskSpec{5, 1, 5}, Method::kCosine, options, {});
+  const auto b =
+      experiments::run_few_shot(data::TaskSpec{5, 1, 5}, Method::kEuclidean, options, {});
   EXPECT_EQ(a.queries, b.queries);
   EXPECT_EQ(a.episodes, b.episodes);
 }

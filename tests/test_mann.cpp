@@ -119,7 +119,7 @@ TEST(EvaluateFewShot, Validation) {
                                        make_software_engine, 1),
                std::invalid_argument);
   EXPECT_THROW((void)evaluate_few_shot(sampler, data::TaskSpec{2, 1, 1}, 1,
-                                       EngineFactory{}, 1),
+                                       IndexFactory{}, 1),
                std::invalid_argument);
 }
 

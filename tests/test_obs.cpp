@@ -211,9 +211,10 @@ TEST(Exporters, HealthReportJsonGolden) {
 // --- Engine spec plumbing --------------------------------------------------
 
 TEST(EngineSpec, TraceSampleKeyParsesAndRejectsGarbage) {
+  // The serving layers sample from their own configs; a spec's
+  // trace_sample=N is checked and ignored, so old spec strings still load.
   const search::EngineSpec spec = search::parse_engine_spec("mcam:trace_sample=4");
-  EXPECT_EQ(spec.config.trace_sample, 4u);
-  EXPECT_EQ(search::parse_engine_spec("mcam").config.trace_sample, 0u);
+  EXPECT_EQ(spec.config, search::parse_engine_spec("mcam").config);
   EXPECT_THROW((void)search::parse_engine_spec("mcam:trace_sample=x"),
                std::invalid_argument);
   try {

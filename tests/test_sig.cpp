@@ -1,19 +1,20 @@
 // Signature-model subsystem invariants (sig/model.hpp,
 // sig/multiprobe.hpp): the registry resolves random/trained/itq and
-// rejects unknown names with the known list; the random model is
-// bit-identical to encoding::RandomHyperplaneLsh (the v2-snapshot compat
-// contract); trained thresholds balance every bit on the calibration
-// data; itq training is deterministic, rotation-orthogonal, and a better
-// quantizer than raw sign bits; the fits and project() match per-output
-// scalar reference loops bit for bit; ragged or non-finite calibration
-// rows and non-finite installed state are rejected; install_state
-// round-trips every model bit-exactly; and the multi-probe generator
-// enumerates flip sets in increasing margin order with the base signature
-// first.
+// rejects unknown names with the known list; the random model's planes
+// and signatures hold their pinned bits (the TCAM+LSH baseline and
+// v2-snapshot compat contract) and behave as sign-of-random-projection
+// LSH (Hamming tracks angle, more bits track cosine better); trained
+// thresholds balance every bit on the calibration data; itq training is
+// deterministic, rotation-orthogonal, and a better quantizer than raw
+// sign bits; the fits and project() match per-output scalar reference
+// loops bit for bit; ragged or non-finite calibration rows and non-finite
+// installed state are rejected; install_state round-trips every model
+// bit-exactly; and the multi-probe generator enumerates flip sets in
+// increasing margin order with the base signature first.
 #include "sig/model.hpp"
 #include "sig/multiprobe.hpp"
 
-#include "encoding/lsh.hpp"
+#include "distance/metrics.hpp"
 #include "fnv1a.hpp"
 #include "ml/tensor.hpp"
 #include "util/rng.hpp"
@@ -25,6 +26,8 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <memory>
+#include <numbers>
 #include <numeric>
 #include <set>
 #include <string>
@@ -415,7 +418,7 @@ TEST(SignatureModel, LifecycleContracts) {
   config.num_bits = 16;
   auto model = SignatureModelFactory::instance().create("trained", config);
   const std::vector<float> query(6, 0.5f);
-  EXPECT_THROW((void)model->encode(query), std::logic_error);
+  EXPECT_THROW((void)model->encode_bits(query), std::logic_error);
   EXPECT_THROW((void)model->project(query), std::logic_error);
   const auto rows = make_rows(40, 6, 11);
   EXPECT_THROW(model->fit({}), std::invalid_argument);
@@ -425,13 +428,14 @@ TEST(SignatureModel, LifecycleContracts) {
   EXPECT_EQ(model->planes().size(), 16u * 6u);
   EXPECT_EQ(model->thresholds().size(), 16u);
   // Width mismatches fail loudly.
-  EXPECT_THROW((void)model->encode(std::vector<float>(5, 0.0f)), std::invalid_argument);
+  EXPECT_THROW((void)model->encode_bits(std::vector<float>(5, 0.0f)), std::invalid_argument);
   // Signature bits are exactly the margins' sign pattern.
-  const encoding::Signature sig = model->encode(rows.front());
+  const std::vector<std::uint8_t> sig = model->encode_bits(rows.front());
   const std::vector<float> margins = model->project(rows.front());
   ASSERT_EQ(margins.size(), 16u);
+  ASSERT_EQ(sig.size(), 16u);
   for (std::size_t b = 0; b < margins.size(); ++b) {
-    EXPECT_EQ(sig.bit(b), margins[b] >= 0.0f) << "bit " << b;
+    EXPECT_EQ(sig[b], margins[b] >= 0.0f ? 1 : 0) << "bit " << b;
   }
   // fit is fit-once; reset drops the state for a refit.
   const std::vector<float> planes = model->planes();
@@ -443,23 +447,37 @@ TEST(SignatureModel, LifecycleContracts) {
   EXPECT_NE(model->planes(), planes);
 }
 
-TEST(SignatureModel, RandomIsBitIdenticalToRandomHyperplaneLsh) {
-  // The v2-snapshot compatibility contract: at the same seed, the random
-  // model and the legacy LSH encoder produce identical planes and
-  // identical signatures for every input.
-  SignatureModelConfig config;
-  config.num_bits = 24;
-  config.seed = 20210831;
-  auto model = SignatureModelFactory::instance().create("random", config);
-  const auto rows = make_rows(30, 7, 13);
-  model->fit(rows);
-  const encoding::RandomHyperplaneLsh lsh{7, 24, config.seed};
-  EXPECT_EQ(model->planes(), lsh.hyperplanes());
-  EXPECT_EQ(model->thresholds(), std::vector<float>(24, 0.0f));
-  for (const auto& row : rows) {
-    const encoding::Signature ours = model->encode(row);
-    const encoding::Signature theirs = lsh.encode(row);
-    EXPECT_EQ(ours.words, theirs.words);
+TEST(SignatureModel, RandomGoldenPlanesAndSignatures) {
+  // FNV-1a over the random model's planes and over its signatures of
+  // seeded rows, recorded while the planes were still drawn by the retired
+  // random-hyperplane encoder. The TCAM+LSH baseline (Figs. 6-7, the
+  // LSH-bits ablation) and v2 snapshots rest on these bits. Shapes: Fig.
+  // 7's 64 features x 64 bits, and x 512, the ablation's widest.
+  const auto rows = make_rows(64, 64, 43);
+  const struct Golden {
+    std::size_t bits;
+    std::uint64_t planes;
+    std::uint64_t signatures;
+  } goldens[] = {{64, 0x2bc50a03147224b1ULL, 0x9f05aba1d2e61374ULL},
+                 {512, 0xe3c35bf922e938f6ULL, 0xe242b943146f0a28ULL}};
+  for (const Golden& golden : goldens) {
+    SignatureModelConfig config;
+    config.num_bits = golden.bits;
+    config.seed = 7;
+    auto model = SignatureModelFactory::instance().create("random", config);
+    model->fit(rows);
+    EXPECT_EQ(model->thresholds(), std::vector<float>(golden.bits, 0.0f));
+    testing_util::Fnv1a planes;
+    planes.bytes(model->planes().data(), model->planes().size() * sizeof(float));
+    EXPECT_EQ(planes.value(), golden.planes)
+        << golden.bits << " bits: 0x" << std::hex << planes.value();
+    testing_util::Fnv1a signatures;
+    for (const auto& row : rows) {
+      const std::vector<std::uint8_t> bits = model->encode_bits(row);
+      signatures.bytes(bits.data(), bits.size());
+    }
+    EXPECT_EQ(signatures.value(), golden.signatures)
+        << golden.bits << " bits: 0x" << std::hex << signatures.value();
   }
 }
 
@@ -474,7 +492,7 @@ TEST(SignatureModel, TrainedThresholdsBalanceEveryBit) {
   model->fit(rows);
   for (std::size_t b = 0; b < 12; ++b) {
     std::size_t ones = 0;
-    for (const auto& row : rows) ones += model->encode(row).bit(b) ? 1 : 0;
+    for (const auto& row : rows) ones += model->encode_bits(row)[b];
     // Loose bounds: a direction with q bits puts its extreme thresholds
     // at quantiles 1/(q+1) and q/(q+1), so no bit may be more lopsided
     // than the widest plausible allocation allows.
@@ -504,8 +522,11 @@ TEST(SignatureModel, ItqIsDeterministicOrthogonalAndWiderThanFeatures) {
   reseeded->fit(rows);
   EXPECT_NE(reseeded->planes(), first->planes());
   // The signature is not degenerate: bits differ across rows.
-  std::set<std::vector<std::uint64_t>> distinct;
-  for (const auto& row : rows) distinct.insert(first->encode(row).words);
+  std::set<std::string> distinct;
+  for (const auto& row : rows) {
+    const std::vector<std::uint8_t> bits = first->encode_bits(row);
+    distinct.emplace(bits.begin(), bits.end());
+  }
   EXPECT_GT(distinct.size(), 16u);
 }
 
@@ -659,7 +680,7 @@ TEST(SignatureModel, InstallStateRoundTripsBitExactly) {
     restored->install_state(fitted->num_features(), fitted->planes(),
                             fitted->thresholds());
     for (const auto& row : rows) {
-      EXPECT_EQ(restored->encode(row).words, fitted->encode(row).words) << key;
+      EXPECT_EQ(restored->encode_bits(row), fitted->encode_bits(row)) << key;
       EXPECT_EQ(restored->project(row), fitted->project(row)) << key;
     }
   }
@@ -681,6 +702,121 @@ TEST(SignatureModel, InstallStateRoundTripsBitExactly) {
   EXPECT_THROW(model->install_state(4, std::vector<float>(9 * 4, 0.5f), inf_threshold),
                std::invalid_argument);
   EXPECT_FALSE(model->fitted());
+}
+
+// The random model is the TCAM+LSH baseline's encoder: sign-of-random-
+// projection LSH, whose Hamming distance approximates the angle.
+
+/// A random model over `features` inputs; its planes read only the width.
+std::unique_ptr<SignatureModel> random_model(std::size_t features, std::size_t bits,
+                                             std::uint64_t seed) {
+  SignatureModelConfig config;
+  config.num_bits = bits;
+  config.seed = seed;
+  auto model = SignatureModelFactory::instance().create("random", config);
+  model->fit(std::vector<std::vector<float>>{std::vector<float>(features, 0.0f)});
+  return model;
+}
+
+std::vector<float> gaussian(std::size_t dim, Rng& rng) {
+  std::vector<float> v(dim);
+  for (auto& x : v) x = static_cast<float>(rng.normal());
+  return v;
+}
+
+std::size_t hamming(const SignatureModel& model, std::span<const float> a,
+                    std::span<const float> b) {
+  const std::vector<std::uint8_t> x = model.encode_bits(a);
+  const std::vector<std::uint8_t> y = model.encode_bits(b);
+  std::size_t distance = 0;
+  for (std::size_t i = 0; i < x.size(); ++i) distance += x[i] != y[i];
+  return distance;
+}
+
+TEST(RandomModel, DeterministicGivenSeed) {
+  const auto a = random_model(16, 64, 9);
+  const auto b = random_model(16, 64, 9);
+  Rng rng{2};
+  const std::vector<float> v = gaussian(16, rng);
+  EXPECT_EQ(a->encode_bits(v), b->encode_bits(v));
+  EXPECT_NE(random_model(16, 64, 10)->planes(), a->planes());
+}
+
+TEST(RandomModel, IdenticalVectorsHaveZeroHamming) {
+  const auto model = random_model(16, 64, 4);
+  Rng rng{3};
+  const std::vector<float> v = gaussian(16, rng);
+  EXPECT_EQ(hamming(*model, v, v), 0u);
+}
+
+TEST(RandomModel, OppositeVectorsHaveFullHamming) {
+  const auto model = random_model(16, 64, 5);
+  Rng rng{4};
+  const std::vector<float> v = gaussian(16, rng);
+  std::vector<float> neg(v.size());
+  for (std::size_t i = 0; i < v.size(); ++i) neg[i] = -v[i];
+  // Sign flip flips every projection (ties measure zero).
+  EXPECT_EQ(hamming(*model, v, neg), 64u);
+}
+
+TEST(RandomModel, HammingTracksAngle) {
+  // Collision probability of sign-LSH is 1 - theta/pi: expected normalized
+  // Hamming distance equals theta/pi. Verify within sampling tolerance.
+  constexpr std::size_t kBits = 2048;
+  const auto model = random_model(2, kBits, 6);
+  const double theta = std::numbers::pi / 3.0;  // 60 degrees.
+  const std::vector<float> a{1.0f, 0.0f};
+  const std::vector<float> b{static_cast<float>(std::cos(theta)),
+                             static_cast<float>(std::sin(theta))};
+  const double normalized = static_cast<double>(hamming(*model, a, b)) / kBits;
+  EXPECT_NEAR(normalized, theta / std::numbers::pi, 0.04);
+}
+
+TEST(RandomModel, MoreBitsBetterCosineApproximation) {
+  Rng rng{8};
+  const std::size_t dim = 32;
+  const auto correlation = [&](std::size_t bits) {
+    const auto model = random_model(dim, bits, 11);
+    std::vector<double> cos_d;
+    std::vector<double> ham_d;
+    for (int pair = 0; pair < 120; ++pair) {
+      const std::vector<float> a = gaussian(dim, rng);
+      const std::vector<float> b = gaussian(dim, rng);
+      cos_d.push_back(distance::cosine(a, b));
+      ham_d.push_back(static_cast<double>(hamming(*model, a, b)) /
+                      static_cast<double>(bits));
+    }
+    const auto mean = [](const std::vector<double>& xs) {
+      return std::accumulate(xs.begin(), xs.end(), 0.0) / static_cast<double>(xs.size());
+    };
+    const double mx = mean(cos_d);
+    const double my = mean(ham_d);
+    double sxy = 0.0;
+    double sxx = 0.0;
+    double syy = 0.0;
+    for (std::size_t i = 0; i < cos_d.size(); ++i) {
+      sxy += (cos_d[i] - mx) * (ham_d[i] - my);
+      sxx += (cos_d[i] - mx) * (cos_d[i] - mx);
+      syy += (ham_d[i] - my) * (ham_d[i] - my);
+    }
+    return sxy / std::sqrt(sxx * syy);
+  };
+  EXPECT_GT(correlation(512), correlation(16));
+}
+
+TEST(RandomModel, Validation) {
+  SignatureModelConfig zero_bits;
+  zero_bits.seed = 1;
+  EXPECT_THROW((void)SignatureModelFactory::instance().create("random", zero_bits),
+               std::invalid_argument);
+  SignatureModelConfig config;
+  config.num_bits = 64;
+  auto model = SignatureModelFactory::instance().create("random", config);
+  EXPECT_THROW(model->fit(std::vector<std::vector<float>>{std::vector<float>{}}),
+               std::invalid_argument);  // Zero features.
+  EXPECT_FALSE(model->fitted());
+  model->fit(std::vector<std::vector<float>>{std::vector<float>(16, 0.0f)});
+  EXPECT_THROW((void)model->encode_bits(std::vector<float>(8, 0.0f)), std::invalid_argument);
 }
 
 TEST(MultiProbe, BaseFirstThenIncreasingMarginCost) {

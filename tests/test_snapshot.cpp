@@ -5,7 +5,9 @@
 // reconstructs the RNG position), the header layer rejects corrupted,
 // truncated, mis-versioned and mis-typed blobs before any engine code
 // runs, a well-sealed blob with non-finite signature state or an unknown
-// config mode is refused, and a file write replaces its target atomically.
+// config mode is refused, captured v2 and TCAM+LSH blobs still load (the
+// TCAM+LSH ones byte for byte as saved today), and a file write replaces
+// its target atomically.
 #include "serve/snapshot.hpp"
 
 #include "cam/lut.hpp"
@@ -15,6 +17,7 @@
 #include "search/factory.hpp"
 #include "search/refine.hpp"
 #include "serve/io.hpp"
+#include "snapshot_tcam_lsh_fixtures.hpp"
 #include "snapshot_v2_fixtures.hpp"
 #include "util/rng.hpp"
 
@@ -26,6 +29,7 @@
 #include <cstring>
 #include <filesystem>
 #include <limits>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -561,6 +565,35 @@ TEST(SnapshotCompat, CapturedV2ShardedBlobStillLoads) {
   for (const auto& q : data.queries) {
     expect_identical(restored->query_one(q, 5), twin->query_one(q, 5),
                      "v2 sharded blob");
+  }
+}
+
+TEST(SnapshotCompat, PinnedTcamLshBlobsAreByteStable) {
+  // The TCAM+LSH baseline's own "tcam-lsh-v1" payload, monolithic and
+  // sharded: replaying the captured history saves the captured bytes, and
+  // the captured bytes load into an engine that answers like the live one.
+  const std::pair<const char*, std::span<const unsigned char>> pins[] = {
+      {"tcam-lsh", tcam_lsh_fixture::kTcamLshBlob},
+      {"sharded-tcam-lsh:bank_rows=8", tcam_lsh_fixture::kShardedTcamLshBlob}};
+  const tcam_lsh_fixture::History data = tcam_lsh_fixture::history();
+  for (const auto& [spec, pinned] : pins) {
+    SCOPED_TRACE(spec);
+    auto live = tcam_lsh_fixture::replay(spec);
+    const std::vector<std::uint8_t> saved =
+        save(*live, spec, tcam_lsh_fixture::saved_config());
+    EXPECT_TRUE(std::equal(saved.begin(), saved.end(), pinned.begin(), pinned.end()))
+        << "saved " << saved.size() << " bytes, pinned " << pinned.size();
+
+    auto restored = load(pinned);
+    ASSERT_NE(restored, nullptr);
+    EXPECT_EQ(restored->size(), live->size());
+    EXPECT_EQ(restored->name(), live->name());
+    for (const auto& q : data.queries) {
+      for (std::size_t k : {std::size_t{1}, std::size_t{5}, live->size()}) {
+        expect_identical(restored->query_one(q, k), live->query_one(q, k),
+                         std::string{spec} + " k=" + std::to_string(k));
+      }
+    }
   }
 }
 

@@ -1,7 +1,7 @@
 // The collection store (src/store/): metadata interning/TTL/soft-delete
 // semantics, TCAM-pushed tag-band filtering bit-identical to brute-force
-// post-filtering on every factory backend, routing by candidate budget
-// then selectivity, collection snapshot round-trips (v4 store block), and
+// post-filtering on every factory backend, the auto policy post-filtering
+// every predicate exactly, collection snapshot round-trips (v4 store block), and
 // the CollectionManager fleet - manifest save/load identity under
 // interleaved add/erase/TTL-expiry, shared-pool admission control, and
 // per-collection filtered-query stats.
@@ -327,7 +327,7 @@ TEST(CollectionFiltering, BandPathBitIdenticalToPostFilterOnEveryBackend) {
   }
 }
 
-TEST(CollectionFiltering, AutoPolicyRoutesByBudgetThenSelectivity) {
+TEST(CollectionFiltering, AutoPolicyPostFiltersWhateverTheBudgetOrSelectivity) {
   const Data data = make_data(48, 8, 3, 613);
   const auto tags = make_tags(data.rows.size());
   search::EngineConfig base;
@@ -338,12 +338,17 @@ TEST(CollectionFiltering, AutoPolicyRoutesByBudgetThenSelectivity) {
   const auto refine = [](const std::string& factor) {
     return "refine:coarse_bits=32,tag_bits=24,candidate_factor=" + factor + ",fine=euclidean";
   };
+  // "", "auto" and "post" are one policy; only "band" pushes into the band.
+  EXPECT_EQ(parse_filter_policy(""), FilterPolicy::kPost);
+  EXPECT_EQ(parse_filter_policy("auto"), FilterPolicy::kPost);
+  EXPECT_EQ(parse_filter_policy("post"), FilterPolicy::kPost);
+  EXPECT_EQ(parse_filter_policy("band"), FilterPolicy::kBand);
+  EXPECT_THROW((void)parse_filter_policy("nonsense"), std::invalid_argument);
 
-  // "rare" matches 4/48 (~8%), "class=1" 12/48 (25%, at the limit), "all"
-  // every row. With candidate_factor = 64 every predicate fits the budget
-  // of 64 * k, so auto post-filters even the narrow one.
+  // "rare" matches 4/48 (~8%), "class=1" 12/48 (25%), "all" every row.
+  // With candidate_factor = 64 every predicate fits the budget of 64 * k.
   Collection roomy{"c", refine("64"), base};
-  ASSERT_EQ(roomy.filter_policy(), FilterPolicy::kAuto);
+  ASSERT_EQ(roomy.filter_policy(), FilterPolicy::kPost);
   roomy.add(data.rows, data.labels, tags);
   const CollectionQueryResult fits = query(roomy, 3, "rare");
   EXPECT_EQ(fits.path, FilterPath::kPostFilter);
@@ -353,38 +358,34 @@ TEST(CollectionFiltering, AutoPolicyRoutesByBudgetThenSelectivity) {
   expect_identical(fits.result, roomy.engine().query_subset(data.queries[0], rare, 3),
                    "auto post");
 
-  // candidate_factor = 1: a budget of k = 3 rows. More rows match than
-  // that, so selectivity decides: the narrow predicates (the one at the
-  // limit included) take the band, the broad one post-filters.
+  // candidate_factor = 1: a budget of max(k, 1) rows, which every
+  // predicate outgrows at k <= 3. Auto still post-filters, at every
+  // selectivity, and answers exactly.
   Collection tight{"c", refine("1"), base};
   tight.add(data.rows, data.labels, tags);
-  EXPECT_EQ(query(tight, 3, "rare").path, FilterPath::kBand);
-  const CollectionQueryResult at_limit = query(tight, 3, "class=1");
-  EXPECT_DOUBLE_EQ(at_limit.selectivity, 0.25);
-  EXPECT_EQ(at_limit.path, FilterPath::kBand);
-  const CollectionQueryResult all = query(tight, 3, "all");
-  EXPECT_EQ(all.path, FilterPath::kPostFilter);
-  EXPECT_DOUBLE_EQ(all.selectivity, 1.0);
-  EXPECT_EQ(all.result.telemetry.filtered_out, 0u);  // Nothing was excluded.
-  // k = 4 covers the four "rare" rows again.
-  EXPECT_EQ(query(tight, 4, "rare").path, FilterPath::kPostFilter);
-
-  // k = 0 budgets as k = 1: 4 * 1 covers "rare", 1 * 1 does not.
-  Collection four{"c", refine("4"), base};
-  four.add(data.rows, data.labels, tags);
-  EXPECT_EQ(query(four, 0, "rare").path, FilterPath::kPostFilter);
-  EXPECT_EQ(query(tight, 0, "rare").path, FilterPath::kBand);
+  for (const char* tag : {"rare", "class=1", "all"}) {
+    const auto matching = tight.metadata().matching_ids(Predicate::tag(tag));
+    for (std::size_t k : {std::size_t{0}, std::size_t{3}, std::size_t{4}}) {
+      const std::string context = std::string{tag} + " k=" + std::to_string(k);
+      const CollectionQueryResult got = query(tight, k, tag);
+      EXPECT_EQ(got.path, FilterPath::kPostFilter) << context;
+      EXPECT_EQ(got.result.telemetry.filtered_out, data.rows.size() - matching.size())
+          << context;
+      expect_identical(got.result, tight.engine().query_subset(data.queries[0], matching, k),
+                       context);
+    }
+  }
+  EXPECT_DOUBLE_EQ(query(tight, 3, "class=1").selectivity, 0.25);
+  EXPECT_DOUBLE_EQ(query(tight, 3, "all").selectivity, 1.0);
 
   // A factor whose product with k overflows saturates, so the budget
-  // covers every row. 2^63 * 2 would wrap to a budget of 0 and send the
-  // narrow predicate to the band.
+  // covers every row; 2^63 * 2 would wrap to a budget of 0.
   Collection huge{"c", refine("9223372036854775808"), base};
   huge.add(data.rows, data.labels, tags);
   const auto& huge_two_stage =
       dynamic_cast<const search::TwoStageNnIndex&>(huge.engine());
   EXPECT_EQ(huge_two_stage.nomination_budget(2), std::numeric_limits<std::size_t>::max());
   EXPECT_EQ(query(huge, 2, "rare").path, FilterPath::kPostFilter);
-  EXPECT_EQ(query(huge, 2, "class=1").path, FilterPath::kPostFilter);
 
   // An unfiltered query takes neither filter path.
   const CollectionQueryResult plain = roomy.query(data.queries[0], 3);
@@ -420,19 +421,75 @@ TEST(CollectionFiltering, AutoPolicyMatchesBandWhereTheBudgetCoversEveryEligible
           ASSERT_EQ(band.path, FilterPath::kBand) << context;
           const std::size_t eligible = banded.size() - band.result.telemetry.filtered_out;
           EXPECT_GE(eligible, matching.size()) << context;
-          const bool fits = matching.size() <= two_stage.nomination_budget(k);
-          EXPECT_EQ(got.path, fits ? FilterPath::kPostFilter : FilterPath::kBand) << context;
+          EXPECT_EQ(got.path, FilterPath::kPostFilter) << context;
+          expect_identical(got.result, routed.engine().query_subset(q, matching, k),
+                           context + " auto vs subset");
           if (eligible > two_stage.nomination_budget(k)) continue;
           ++covered;
           expect_identical(got.result, band.result, context + " auto vs band");
-          expect_identical(got.result, routed.engine().query_subset(q, matching, k),
-                           context + " auto vs subset");
         }
       }
     }
     // "rare" fits every k; "class=1" fits at k = 3 and 5.
     EXPECT_EQ(covered, data.queries.size() * 5) << fine;
   }
+}
+
+TEST(CollectionFiltering, AutoPolicyIsExactWhenMoreRowsMatchThanTheBudget) {
+  // A narrow predicate (30 of 240 rows, 12.5%) with more matches than the
+  // budget of candidate_factor * k = 20: the band nominates only 20 of the
+  // eligible rows by Hamming rank and misses true neighbors, while auto
+  // answers the exact filtered top-10.
+  const Data data = make_data(240, 8, 16, 643);
+  std::vector<std::vector<std::string>> tags(data.rows.size());
+  for (std::size_t r = 0; r < tags.size(); ++r) {
+    if (r % 8 == 3) tags[r].push_back("pick");
+  }
+  search::EngineConfig base;
+  base.num_features = 8;
+  const std::string spec = "refine:coarse_bits=32,tag_bits=24,candidate_factor=2,";
+  Collection routed{"a", spec + "fine=euclidean", base};
+  Collection banded{"b", spec + "filter=band,fine=euclidean", base};
+  routed.add(data.rows, data.labels, tags);
+  banded.add(data.rows, data.labels, tags);
+  const Predicate predicate = Predicate::tag("pick");
+  const std::vector<std::size_t> matching = routed.metadata().matching_ids(predicate);
+  ASSERT_EQ(matching.size(), 30u);
+  constexpr std::size_t kTopK = 10;
+  ASSERT_GT(matching.size(),
+            dynamic_cast<const search::TwoStageNnIndex&>(routed.engine())
+                .nomination_budget(kTopK));
+
+  std::size_t band_misses = 0;
+  for (std::size_t q = 0; q < data.queries.size(); ++q) {
+    const std::string context = "query " + std::to_string(q);
+    const std::vector<float>& query = data.queries[q];
+    // Brute-force exact filtered top-10 ids, in double precision.
+    std::vector<std::size_t> truth = matching;
+    const auto distance = [&](std::size_t id) {
+      double sum = 0.0;
+      for (std::size_t f = 0; f < query.size(); ++f) {
+        const double d = static_cast<double>(data.rows[id][f]) - query[f];
+        sum += d * d;
+      }
+      return sum;
+    };
+    std::sort(truth.begin(), truth.end(),
+              [&](std::size_t a, std::size_t b) { return distance(a) < distance(b); });
+    truth.resize(kTopK);
+    const auto ids_of = [](const search::QueryResult& result) {
+      std::vector<std::size_t> ids;
+      for (const auto& n : result.neighbors) ids.push_back(n.index);
+      return ids;
+    };
+
+    const CollectionQueryResult got = routed.query(query, kTopK, predicate);
+    EXPECT_EQ(got.path, FilterPath::kPostFilter) << context;
+    EXPECT_EQ(ids_of(got.result), truth) << context;
+    expect_identical(got.result, routed.engine().query_subset(query, matching, kTopK), context);
+    band_misses += ids_of(banded.query(query, kTopK, predicate).result) != truth;
+  }
+  EXPECT_GT(band_misses, 0u);  // The forced band does lose neighbors here.
 }
 
 TEST(CollectionFiltering, AutoPolicyStaysExactUnderBloomCollisions) {
@@ -879,13 +936,14 @@ TEST(CollectionManager, StatsAggregateFilteredQueries) {
   ManagerConfig config;
   config.workers = 1;
   CollectionManager manager{config};
-  manager.create_collection(
-      "docs", "refine:coarse_bits=32,tag_bits=24,candidate_factor=1,fine=euclidean",
-      base);
+  const std::string spec = "refine:coarse_bits=32,tag_bits=24,candidate_factor=1,";
+  manager.create_collection("docs", spec + "fine=euclidean", base);
+  manager.create_collection("banded", spec + "filter=band,fine=euclidean", base);
   manager.add("docs", data.rows, data.labels, tags);
+  manager.add("banded", data.rows, data.labels, tags);
 
-  // 2 band-routed (rare, ~8%: 4 matches past the budget of 1 * k = 3), 1
-  // post-routed (all, 100%), 1 unfiltered.
+  // docs: 3 post-filtered (rare twice, ~8%; all, 100%), 1 unfiltered.
+  // banded: 2 through the tag band (rare).
   ASSERT_EQ(manager.query_one("docs", data.queries[0], 3, Predicate::tag("rare")).status,
             serve::RequestStatus::kOk);
   ASSERT_EQ(manager.query_one("docs", data.queries[1], 3, Predicate::tag("rare")).status,
@@ -894,16 +952,26 @@ TEST(CollectionManager, StatsAggregateFilteredQueries) {
             serve::RequestStatus::kOk);
   ASSERT_EQ(manager.query_one("docs", data.queries[3], 3).status,
             serve::RequestStatus::kOk);
+  for (std::size_t q = 0; q < 2; ++q) {
+    ASSERT_EQ(
+        manager.query_one("banded", data.queries[q], 3, Predicate::tag("rare")).status,
+        serve::RequestStatus::kOk);
+  }
 
   const serve::ServiceStats stats = manager.stats("docs");
   EXPECT_EQ(stats.completed, 4u);
   EXPECT_EQ(stats.filtered_queries, 3u);
-  EXPECT_EQ(stats.band_queries, 2u);
-  EXPECT_EQ(stats.post_filter_queries, 1u);
+  EXPECT_EQ(stats.band_queries, 0u);
+  EXPECT_EQ(stats.post_filter_queries, 3u);
   const double expected_mean = (4.0 / 48.0 + 4.0 / 48.0 + 1.0) / 3.0;
   EXPECT_NEAR(stats.filter_selectivity_mean, expected_mean, 1e-12);
   EXPECT_GE(stats.latency_p95_ms, stats.latency_p50_ms);
   EXPECT_GT(stats.throughput_qps, 0.0);
+  const serve::ServiceStats banded = manager.stats("banded");
+  EXPECT_EQ(banded.filtered_queries, 2u);
+  EXPECT_EQ(banded.band_queries, 2u);
+  EXPECT_EQ(banded.post_filter_queries, 0u);
+  EXPECT_NEAR(banded.filter_selectivity_mean, 4.0 / 48.0, 1e-12);
   EXPECT_THROW((void)manager.stats("nobody"), std::invalid_argument);
 
   // A failed query (unknown predicate tag -> invalid_argument inside the
