@@ -1,8 +1,8 @@
 // google-benchmark microbenchmarks of the hot paths: array search,
 // nomination, the filtered-read band gate and metadata matching, exact
-// scoring, signature-model fits and projection, the quantizer fit and the
-// sharded MCAM build, LUT construction, quantization, LSH encoding,
-// batched top-k queries and full few-shot episodes.
+// scoring, signature-model fits and projection, the refine build, the
+// quantizer fit and the sharded MCAM build, LUT construction, quantization,
+// LSH encoding, batched top-k queries and full few-shot episodes.
 #include "cam/array.hpp"
 #include "cam/kernels/kernels.hpp"
 #include "cam/lut.hpp"
@@ -15,6 +15,7 @@
 #include "search/factory.hpp"
 #include "search/knn.hpp"
 #include "sig/model.hpp"
+#include "sig/products.hpp"
 #include "store/metadata.hpp"
 #include "util/linalg.hpp"
 
@@ -38,11 +39,12 @@ std::vector<std::vector<std::uint16_t>> random_rows(std::size_t rows, std::size_
   return out;
 }
 
-// Each array sweep and exact-scoring bench has a forced-scalar twin
-// (suffix Scalar), and every run is labelled with the backend that ran,
-// so one run shows both the kernel gain and what hosts without AVX-512
-// (sweeps) or AVX2 (scoring) pay. The guard pins the dispatch to the
-// scalar reference for one run and restores it after.
+// Each array sweep, exact-scoring and signature-model bench has a
+// forced-scalar twin (suffix Scalar), and every run is labelled with the
+// backend that ran, so one run shows both the kernel gain and what hosts
+// without AVX-512 (sweeps) or AVX2 (scoring, signature products) pay. The
+// guard pins the dispatch to the scalar reference for one run and restores
+// it after.
 class PinnedBackend {
  public:
   explicit PinnedBackend(bool scalar) : saved_(distance::kernels::force_scalar()) {
@@ -339,7 +341,8 @@ BENCHMARK(BM_SubsetRerankScalar);
 // The refine build's set-up: the signature model learns its planes from
 // the calibration rows before a row can be stored. 4096 rows of 32 bits,
 // as in the refine-tcam workload, at its 48 features and at 256. Items are
-// calibration rows.
+// calibration rows. Every product in the fits, and in the projection, runs
+// on the dispatched sig::products backend.
 std::vector<std::vector<float>> calibration_rows(std::size_t rows, std::size_t dims) {
   Rng rng{23};
   std::vector<std::vector<float>> out(rows, std::vector<float>(dims));
@@ -350,7 +353,9 @@ std::vector<std::vector<float>> calibration_rows(std::size_t rows, std::size_t d
   return out;
 }
 
-void BM_SignatureFit(benchmark::State& state, const char* model) {
+void run_signature_fit(benchmark::State& state, const char* model, bool scalar) {
+  const PinnedBackend backend{scalar};
+  state.SetLabel(sig::products::active_ops().name);
   const auto rows = calibration_rows(4096, static_cast<std::size_t>(state.range(0)));
   sig::SignatureModelConfig config;
   config.num_bits = 32;
@@ -362,26 +367,67 @@ void BM_SignatureFit(benchmark::State& state, const char* model) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(rows.size()));
 }
+
+void BM_SignatureFit(benchmark::State& state, const char* model) {
+  run_signature_fit(state, model, false);
+}
 BENCHMARK_CAPTURE(BM_SignatureFit, itq, "itq")
     ->Arg(48)->Arg(256)->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_SignatureFit, trained, "trained")
     ->Arg(48)->Arg(256)->Unit(benchmark::kMillisecond);
 
+void BM_SignatureFitScalar(benchmark::State& state, const char* model) {
+  run_signature_fit(state, model, true);
+}
+BENCHMARK_CAPTURE(BM_SignatureFitScalar, itq, "itq")
+    ->Arg(48)->Arg(256)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_SignatureFitScalar, trained, "trained")
+    ->Arg(48)->Arg(256)->Unit(benchmark::kMillisecond);
+
 // One signature encode of a refine add or query: 32 bits over 48 features
 // of a fitted itq model. 16 calibration rows rotate as queries.
-void BM_SignatureProject(benchmark::State& state) {
+void run_signature_project(benchmark::State& state, bool scalar) {
   const auto rows = calibration_rows(4096, 48);
   sig::SignatureModelConfig config;
   config.num_bits = 32;
   auto model = sig::SignatureModelFactory::instance().create("itq", config);
   model->fit(rows);
+  const PinnedBackend backend{scalar};
+  state.SetLabel(sig::products::active_ops().name);
   std::size_t q = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(model->project(rows[q]));
     q = (q + 1) % 16;
   }
 }
+
+void BM_SignatureProject(benchmark::State& state) { run_signature_project(state, false); }
 BENCHMARK(BM_SignatureProject);
+
+void BM_SignatureProjectScalar(benchmark::State& state) { run_signature_project(state, true); }
+BENCHMARK(BM_SignatureProjectScalar);
+
+// The whole refine-tcam build, the layer-level view of its setup_s:
+// calibrate (scaler and itq fit) and add 4096 rows of 48 features, each
+// encoded to a 32-bit signature, programmed into the coarse TCAM and
+// stored for the fine rerank.
+void BM_RefineBuild(benchmark::State& state) {
+  const auto rows = calibration_rows(4096, 48);
+  const std::vector<int> labels(rows.size(), 0);
+  search::EngineConfig config;
+  config.num_features = 48;
+  state.SetLabel(sig::products::active_ops().name);
+  for (auto _ : state) {
+    auto index = search::make_index(
+        "refine:coarse_bits=32,sig=itq,candidate_factor=64,fine=euclidean", config);
+    index->calibrate(rows);
+    index->add(rows, labels);
+    benchmark::DoNotOptimize(index->size());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(rows.size()));
+}
+BENCHMARK(BM_RefineBuild)->Unit(benchmark::kMillisecond);
 
 // The MCAM build's set-up: every bank of a sharded-mcam3 index fits its
 // quantizer on the calibration rows, the mcam-variation workload's 2048

@@ -91,10 +91,13 @@ struct KernelOps {
 [[nodiscard]] const KernelOps& active_ops() noexcept;
 
 /// Pins `active_ops` to the scalar reference (test/bench hook; the
-/// MCAM_FORCE_SCALAR environment variable sets the initial state).
+/// MCAM_FORCE_SCALAR environment variable sets the initial state). The one
+/// switch for every dispatched backend: it also pins the CAM sweeps
+/// (cam/kernels/kernels.hpp) and the signature models' matrix products
+/// (sig/products.hpp) to their baseline loops.
 void set_force_scalar(bool force) noexcept;
 
-/// Current force-scalar state.
+/// Current force-scalar state, which each dispatcher reads per call.
 [[nodiscard]] bool force_scalar() noexcept;
 
 /// Finalizes one lane accumulator to the metric's double distance:

@@ -1,6 +1,7 @@
 #include "sig/model.hpp"
 
 #include "ml/tensor.hpp"
+#include "sig/products.hpp"
 #include "util/rng.hpp"
 
 #include <algorithm>
@@ -17,32 +18,13 @@ constexpr std::size_t kPowerIterations = 64;   ///< Per principal direction.
 constexpr std::size_t kItqIterations = 24;     ///< Binarize/rotate alternations.
 constexpr std::size_t kJacobiSweeps = 30;      ///< Symmetric eigensolver cap.
 
-/// out = x^T mat for a row-major [x.size() x width] `mat`. Each output adds
-/// its products x[c] * mat(c, b) in ascending c from +0.0f, so it equals the
-/// one-output dot product bit for bit. The loop runs across the outputs over
-/// one contiguous row of `mat` at a time, which the compiler vectorizes
-/// without reassociating any output's sum. Blocks of kBlock outputs keep
-/// their sums in registers for the whole pass over x; the last
-/// width % kBlock outputs add in place.
-void vec_mat(std::span<const float> x, const float* mat, std::size_t width, float* out) {
-  constexpr std::size_t kBlock = 16;
-  const std::size_t full = width - width % kBlock;
-  for (std::size_t b0 = 0; b0 < full; b0 += kBlock) {
-    float acc[kBlock] = {};
-    for (std::size_t c = 0; c < x.size(); ++c) {
-      const float xc = x[c];
-      const float* row = mat + c * width + b0;
-      for (std::size_t k = 0; k < kBlock; ++k) acc[k] += xc * row[k];
-    }
-    std::copy_n(acc, kBlock, out + b0);
-  }
-  if (full == width) return;
-  std::fill(out + full, out + width, 0.0f);
-  for (std::size_t c = 0; c < x.size(); ++c) {
-    const float xc = x[c];
-    const float* row = mat + c * width;
-    for (std::size_t b = full; b < width; ++b) out[b] += xc * row[b];
-  }
+/// out = x mat on the dispatched backend, for a row-major [rows x len] `x`,
+/// [len x width] `mat` and [rows x width] `out`. Every output adds
+/// x(r, c) * mat(c, b) in ascending c from +0.0f, the one-output dot
+/// product's sum, so every backend gives the same bits (sig/products.hpp).
+void mat_mul(const float* x, std::size_t rows, std::size_t len, const float* mat,
+             std::size_t width, float* out) {
+  products::active_ops().mat_mul(x, rows, len, mat, width, out);
 }
 
 /// Row-major transpose of a row-major [rows x cols] matrix.
@@ -55,7 +37,7 @@ std::vector<float> transpose(const float* src, std::size_t rows, std::size_t col
 }
 
 /// [f x width] matrix whose column b is directions[b % directions.size()]:
-/// the basis `vec_mat` projects a row onto every (cycled) direction with.
+/// the basis `mat_mul` projects rows onto every (cycled) direction with.
 std::vector<float> direction_columns(const std::vector<std::vector<float>>& directions,
                                      std::size_t f, std::size_t width) {
   std::vector<float> out(f * width);
@@ -64,6 +46,26 @@ std::vector<float> direction_columns(const std::vector<std::vector<float>>& dire
     for (std::size_t c = 0; c < f; ++c) out[c * width + b] = dir[c];
   }
   return out;
+}
+
+/// out row i = (rows[i] - mean) basis for a row-major [f x width] `basis`,
+/// or rows[i] basis when `mean` is empty. The rows are copied (centered)
+/// kStageRows at a time into one dense block, so the product takes several
+/// rows per pass over the basis.
+void project_rows(std::span<const std::vector<float>> rows, std::span<const float> mean,
+                  const float* basis, std::size_t width, float* out) {
+  constexpr std::size_t kStageRows = 64;
+  const std::size_t f = rows.front().size();
+  std::vector<float> stage(kStageRows * f);
+  for (std::size_t i0 = 0; i0 < rows.size(); i0 += kStageRows) {
+    const std::size_t count = std::min(kStageRows, rows.size() - i0);
+    for (std::size_t i = 0; i < count; ++i) {
+      const std::vector<float>& row = rows[i0 + i];
+      float* staged = &stage[i * f];
+      for (std::size_t c = 0; c < f; ++c) staged[c] = mean.empty() ? row[c] : row[c] - mean[c];
+    }
+    mat_mul(stage.data(), count, f, basis, width, out + i0 * width);
+  }
 }
 
 std::vector<float> feature_mean(std::span<const std::vector<float>> rows) {
@@ -114,7 +116,7 @@ float vector_norm(std::span<const float> v) {
 /// vectors come from the seeded rng. Eigenvalues are clamped to >= 0.
 ///
 /// Works on the transpose, cov_t(b, a) = cov(a, b), so cov * v runs across
-/// outputs (vec_mat). `cov` arrives exactly symmetric, so its storage is
+/// outputs (mat_mul). `cov` arrives exactly symmetric, so its storage is
 /// already the transpose. Deflation subtracts (lambda * v[a]) * v[b] at
 /// (a, b) but (lambda * v[b]) * v[a] at (b, a), which may round apart, so
 /// each element of cov_t takes its own (a, b) expression and no element is
@@ -137,7 +139,7 @@ void principal_directions(ml::Tensor cov, std::size_t count, Rng& rng,
         for (std::size_t i = 0; i < f; ++i) proj += prev[i] * v[i];
         for (std::size_t i = 0; i < f; ++i) v[i] -= proj * prev[i];
       }
-      vec_mat(v, cov_t, f, w.data());
+      mat_mul(v.data(), 1, f, cov_t, f, w.data());
       const float norm = vector_norm(w);
       if (norm < 1e-20f) break;  // Null space: keep the current v.
       for (std::size_t i = 0; i < f; ++i) v[i] = w[i] / norm;
@@ -151,7 +153,7 @@ void principal_directions(ml::Tensor cov, std::size_t count, Rng& rng,
     } else {
       for (float& x : v) x /= norm;
     }
-    vec_mat(v, cov_t, f, w.data());
+    mat_mul(v.data(), 1, f, cov_t, f, w.data());
     float lambda = 0.0f;
     for (std::size_t a = 0; a < f; ++a) lambda += v[a] * w[a];
     lambda = std::max(lambda, 0.0f);
@@ -212,8 +214,7 @@ void jacobi_eigen(ml::Tensor& sym, ml::Tensor& rotation) {
 /// Nearest orthogonal matrix to M (polar factor): R = M (M^T M)^{-1/2},
 /// the orthogonal-Procrustes solution the ITQ rotation update needs.
 /// Falls back to the identity when M is (numerically) zero. Every product
-/// runs across outputs (vec_mat) over rows of M, of Q^T, or of the scaled
-/// factor.
+/// runs across outputs (mat_mul) over rows of M^T, of Q diag, or of M.
 ml::Tensor polar_orthogonal(const ml::Tensor& m_mat) {
   const std::size_t m = m_mat.shape().front();
   const float* mat = m_mat.data().data();
@@ -222,9 +223,7 @@ ml::Tensor polar_orthogonal(const ml::Tensor& m_mat) {
   // symmetric.
   const std::vector<float> mat_t = transpose(mat, m, m);
   ml::Tensor sym({m, m});
-  for (std::size_t a = 0; a < m; ++a) {
-    vec_mat({&mat_t[a * m], m}, mat, m, &sym.data()[a * m]);
-  }
+  mat_mul(mat_t.data(), m, m, mat, m, sym.data().data());
   ml::Tensor eigvecs;
   jacobi_eigen(sym, eigvecs);
   float max_eig = 0.0f;
@@ -242,15 +241,13 @@ ml::Tensor polar_orthogonal(const ml::Tensor& m_mat) {
   }
   const float* q = eigvecs.data().data();
   const std::vector<float> q_t = transpose(q, m, m);
+  std::vector<float> weights(m * m);  // Q * diag.
+  for (std::size_t a = 0; a < m; ++a) {
+    for (std::size_t k = 0; k < m; ++k) weights[a * m + k] = q[a * m + k] * inv_sqrt[k];
+  }
   std::vector<float> scaled(m * m);  // Q * diag * Q^T.
-  std::vector<float> weights(m);
-  for (std::size_t a = 0; a < m; ++a) {
-    for (std::size_t k = 0; k < m; ++k) weights[k] = q[a * m + k] * inv_sqrt[k];
-    vec_mat(weights, q_t.data(), m, &scaled[a * m]);
-  }
-  for (std::size_t a = 0; a < m; ++a) {
-    vec_mat({mat + a * m, m}, scaled.data(), m, &result.data()[a * m]);
-  }
+  mat_mul(weights.data(), m, m, q_t.data(), m, scaled.data());
+  mat_mul(mat, m, m, scaled.data(), m, result.data().data());
   return result;
 }
 
@@ -356,7 +353,8 @@ std::vector<float> SignatureModel::project(std::span<const float> features) cons
   // f (the sum order every pinned signature was made with), across the bits
   // over the transposed planes.
   std::vector<float> margins(config_.num_bits);
-  vec_mat(features, planes_t_.data(), config_.num_bits, margins.data());
+  mat_mul(features.data(), 1, num_features_, planes_t_.data(), config_.num_bits,
+          margins.data());
   for (std::size_t b = 0; b < config_.num_bits; ++b) margins[b] -= thresholds_[b];
   return margins;
 }
@@ -430,23 +428,21 @@ void TrainedSignatureModel::fit(std::span<const std::vector<float>> rows) {
   // calibration projections, so every bit splits the data into balanced
   // cells instead of slicing at an arbitrary offset.
   const std::vector<float> basis = direction_columns(directions, f, num_dirs);
-  std::vector<std::vector<float>> projections(num_dirs, std::vector<float>(rows.size()));
-  std::vector<float> projected(num_dirs);
-  for (std::size_t r = 0; r < rows.size(); ++r) {
-    vec_mat(rows[r], basis.data(), num_dirs, projected.data());
-    for (std::size_t j = 0; j < num_dirs; ++j) projections[j][r] = projected[j];
-  }
+  std::vector<float> projected(rows.size() * num_dirs);  // Row-major [n x num_dirs].
+  project_rows(rows, {}, basis.data(), num_dirs, projected.data());
   std::vector<float> planes;
   planes.reserve(bits * f);
   std::vector<float> thresholds;
   thresholds.reserve(bits);
+  std::vector<float> projections(rows.size());
   for (std::size_t j = 0; j < num_dirs; ++j) {
     if (counts[j] == 0) continue;
-    std::sort(projections[j].begin(), projections[j].end());
+    for (std::size_t r = 0; r < rows.size(); ++r) projections[r] = projected[r * num_dirs + j];
+    std::sort(projections.begin(), projections.end());
     for (std::size_t t = 1; t <= counts[j]; ++t) {
       const std::size_t idx = std::min(t * rows.size() / (counts[j] + 1), rows.size() - 1);
       planes.insert(planes.end(), directions[j].begin(), directions[j].end());
-      thresholds.push_back(projections[j][idx]);
+      thresholds.push_back(projections[idx]);
     }
   }
   install_state(f, std::move(planes), std::move(thresholds));
@@ -477,29 +473,20 @@ void ItqSignatureModel::fit(std::span<const std::vector<float>> rows) {
   // Centered rows in the (cycled) PCA basis, row-major [n x bits].
   const std::vector<float> basis = direction_columns(directions, f, bits);
   std::vector<float> v_mat(n * bits);
-  std::vector<float> centered(f);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t c = 0; c < f; ++c) centered[c] = rows[i][c] - mean[c];
-    vec_mat(centered, basis.data(), bits, &v_mat[i * bits]);
-  }
+  project_rows(rows, mean, basis.data(), bits, v_mat.data());
 
   // ITQ alternation: binarize (B = sign(V R)), then re-solve the
   // orthogonal rotation minimizing ||B - V R||_F (Procrustes: the polar
   // factor of V^T B). Deterministic for a fixed seed. Row j of V^T B adds
-  // v(i, j) * b(i, .) over the rows i in order, as one vec_mat over B.
+  // v(i, j) * b(i, .) over the rows i in order: row j of V^T times B.
   const std::vector<float> v_t = transpose(v_mat.data(), n, bits);
   std::vector<float> signs(n * bits);  // B, row-major [n x bits].
   ml::Tensor rotation = random_rotation(bits, rng);
   for (std::size_t iter = 0; iter < kItqIterations; ++iter) {
-    for (std::size_t i = 0; i < n; ++i) {
-      float* sign_row = &signs[i * bits];
-      vec_mat({&v_mat[i * bits], bits}, rotation.data().data(), bits, sign_row);
-      for (std::size_t b = 0; b < bits; ++b) sign_row[b] = sign_row[b] >= 0.0f ? 1.0f : -1.0f;
-    }
+    mat_mul(v_mat.data(), n, bits, rotation.data().data(), bits, signs.data());
+    for (float& sign : signs) sign = sign >= 0.0f ? 1.0f : -1.0f;
     ml::Tensor m_mat({bits, bits});  // V^T B.
-    for (std::size_t j = 0; j < bits; ++j) {
-      vec_mat({&v_t[j * n], n}, signs.data(), bits, &m_mat.data()[j * bits]);
-    }
+    mat_mul(v_t.data(), bits, n, signs.data(), bits, m_mat.data().data());
     rotation = polar_orthogonal(m_mat);
   }
 

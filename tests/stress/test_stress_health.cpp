@@ -20,6 +20,7 @@
 #include <algorithm>
 #include <atomic>
 #include <barrier>
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <functional>
@@ -223,6 +224,14 @@ TEST(StressHealth, CanaryGroundTruthNeverObservesTombstonedRows) {
 
   run_torture(queriers + 1, [&](std::size_t t) {
     if (t == 0) {
+      // Hold the first erase until one canary has run live, so the
+      // tombstone check cannot pass vacuously. Without this the eraser
+      // could finish before the canary thread ran at all, every check went
+      // stale, and the test failed about one run in eight.
+      const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds{10};
+      while (executed_checks.load() == 0 && std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::yield();
+      }
       // Erase across bank boundaries, driving compaction; each erase is a
       // generation bump exactly like QueryService::erase.
       for (std::size_t i = 0; i < 48; ++i) {

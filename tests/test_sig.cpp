@@ -7,21 +7,28 @@
 // thresholds balance every bit on the calibration data; itq training is
 // deterministic, rotation-orthogonal, and a better quantizer than raw
 // sign bits; the fits and project() match per-output scalar reference
-// loops bit for bit; ragged or non-finite calibration rows and non-finite
-// installed state are rejected; install_state round-trips every model
-// bit-exactly; and the multi-probe generator enumerates flip sets in
-// increasing margin order with the base signature first.
+// loops bit for bit, on the dispatched matrix products and pinned to the
+// baseline loop, and the AVX2 products equal the baseline loop's bits on
+// every shape and on signed zeros, denormals, infinities and NaN; ragged
+// or non-finite calibration rows and non-finite installed state are
+// rejected; install_state round-trips every model bit-exactly; and the
+// multi-probe generator enumerates flip sets in increasing margin order
+// with the base signature first.
 #include "sig/model.hpp"
 #include "sig/multiprobe.hpp"
+#include "sig/products.hpp"
 
+#include "distance/kernels/kernels.hpp"
 #include "distance/metrics.hpp"
 #include "fnv1a.hpp"
+#include "force_scalar_guard.hpp"
 #include "ml/tensor.hpp"
 #include "util/rng.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -530,7 +537,30 @@ TEST(SignatureModel, ItqIsDeterministicOrthogonalAndWiderThanFeatures) {
   EXPECT_GT(distinct.size(), 16u);
 }
 
-TEST(SignatureModel, GoldenFitBits) {
+// The three bit-identity checks below run twice: on the dispatched matrix
+// products (sig/products.hpp) and pinned to the baseline loop. The
+// dispatched leg is skipped where the host has no backend beyond it.
+class SignatureModelOnBackend : public ::testing::TestWithParam<const char*> {
+ protected:
+  void SetUp() override {
+    const bool scalar = std::string{GetParam()} == "scalar";
+    if (!scalar && products::avx2_ops() == nullptr) {
+      GTEST_SKIP() << "host has no AVX2 products backend";
+    }
+    distance::kernels::set_force_scalar(scalar);
+  }
+
+ private:
+  testing_util::ForceScalarGuard guard_;
+};
+
+INSTANTIATE_TEST_SUITE_P(Products, SignatureModelOnBackend,
+                         ::testing::Values("dispatched", "scalar"),
+                         [](const ::testing::TestParamInfo<const char*>& leg) {
+                           return std::string{leg.param};
+                         });
+
+TEST_P(SignatureModelOnBackend, GoldenFitBits) {
   // FNV-1a over the fitted planes and thresholds of the two trained
   // models: the ML substrate under the fits (Tensor access, loop order)
   // must not move a signature bit.
@@ -550,7 +580,7 @@ TEST(SignatureModel, GoldenFitBits) {
   }
 }
 
-TEST(SignatureModel, FitMatchesScalarReference) {
+TEST_P(SignatureModelOnBackend, FitMatchesScalarReference) {
   // The fits run across outputs; each output must still add the same
   // products in the same order as the scalar loops. One and two rows give
   // a zero and a rank-one covariance; bits above the feature count cycle
@@ -591,7 +621,7 @@ TEST(SignatureModel, FitMatchesScalarReference) {
   }
 }
 
-TEST(SignatureModel, ProjectMatchesPerBitReference) {
+TEST_P(SignatureModelOnBackend, ProjectMatchesPerBitReference) {
   // project() runs across bits over transposed planes, which fit and
   // install_state derive; every margin must equal the per-bit dot product,
   // a NaN feature included.
@@ -616,6 +646,77 @@ TEST(SignatureModel, ProjectMatchesPerBitReference) {
               float_bits(scalar_reference::project(*fitted, q));
           EXPECT_EQ(float_bits(fitted->project(q)), want) << where;
           EXPECT_EQ(float_bits(installed->project(q)), want) << where;
+        }
+      }
+    }
+  }
+}
+
+TEST(SignatureProducts, ForceScalarPinsDispatch) {
+  const testing_util::ForceScalarGuard guard;
+  distance::kernels::set_force_scalar(true);
+  EXPECT_EQ(&products::active_ops(), &products::scalar_ops());
+  EXPECT_STREQ(products::active_ops().name, "scalar");
+  distance::kernels::set_force_scalar(false);
+  const products::ProductOps* best = products::avx2_ops();
+  EXPECT_EQ(&products::active_ops(), best != nullptr ? best : &products::scalar_ops());
+}
+
+TEST(SignatureProducts, Avx2MatchesBaselineBits) {
+  // Every output must be the baseline loop's sum, raw bits included: a
+  // fused multiply-add or any other summation order fails here. Widths
+  // cover whole, partial and masked vectors of outputs; row counts cover
+  // the three-row passes and one or two rows left over. Values mix in
+  // signed zeros, denormals, and (sparsely, so most sums stay finite)
+  // infinities and NaN, plus a run at 1e-20 whose products are all
+  // denormal. Every NaN here has the bits an invalid operation (inf * 0)
+  // makes on x86, so no comparison hinges on which of two different NaNs
+  // an add returns, which IEEE 754 leaves open (sig/products.hpp).
+  const products::ProductOps* avx2 = products::avx2_ops();
+  if (avx2 == nullptr) GTEST_SKIP() << "host has no AVX2 products backend";
+  const float kInf = std::numeric_limits<float>::infinity();
+  const float kNaN = std::bit_cast<float>(0xffc00000u);
+  const float kDenormal = std::numeric_limits<float>::denorm_min();
+  const float kSparse[] = {kInf, -kInf, kNaN};
+  // Each case copies its values from one drawn pool at a random offset
+  // (drawing them per case costs seconds), then sets two sparse ones.
+  Rng rng{2024};
+  std::vector<float> pool(1 << 16);
+  for (float& v : pool) {
+    switch (rng.index(16)) {
+      case 0: v = rng.bernoulli(0.5) ? 0.0f : -0.0f; break;
+      case 1:
+        v = static_cast<float>(rng.index(64) + 1) * (rng.bernoulli(0.5) ? kDenormal : -kDenormal);
+        break;
+      default: v = static_cast<float>(rng.normal());
+    }
+  }
+  const auto fill = [&](std::vector<float>& values, float scale) {
+    const std::size_t offset = rng.index(pool.size());
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      values[i] = pool[(offset + i) % pool.size()] * scale;
+    }
+    for (int k = 0; k < 2; ++k) values[rng.index(values.size())] = kSparse[rng.index(3)];
+  };
+  for (const std::size_t width : {1, 7, 8, 15, 16, 17, 31, 32, 33, 48, 64, 97}) {
+    for (const std::size_t len : {1, 2, 33, 4096}) {
+      for (const std::size_t rows : {1, 2, 3, 4, 5, 9}) {
+        for (const float scale : {1.0f, 1e-20f}) {
+          if (scale != 1.0f && len > 33) continue;  // Denormal arithmetic is slow.
+          std::vector<float> x(rows * len);
+          std::vector<float> mat(len * width);
+          fill(x, scale);
+          fill(mat, scale);
+          std::vector<float> want(rows * width, 42.0f);
+          std::vector<float> got(rows * width, 42.0f);
+          products::scalar_ops().mat_mul(x.data(), rows, len, mat.data(), width, want.data());
+          avx2->mat_mul(x.data(), rows, len, mat.data(), width, got.data());
+          for (std::size_t i = 0; i < want.size(); ++i) {
+            ASSERT_EQ(std::bit_cast<std::uint32_t>(got[i]), std::bit_cast<std::uint32_t>(want[i]))
+                << "width " << width << " len " << len << " rows " << rows << " scale "
+                << scale << " output (" << i / width << ", " << i % width << "): baseline "
+                << want[i] << ", avx2 " << got[i];
+          }
         }
       }
     }
