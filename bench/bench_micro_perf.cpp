@@ -279,17 +279,20 @@ BENCHMARK_CAPTURE(BM_MatchingIds, rare, "rare");
 BENCHMARK_CAPTURE(BM_MatchingIds, common, "common");
 
 // Exact scoring at the end-to-end shapes: the tenants-skewed full scan of
-// a 1024 x 48 collection, and the refine-tcam fine rerank of 640 unique
-// nominees of a 4096 x 48 store, both euclidean at k = 10. Items are rows
-// scored, so the time per item reads against the traced
-// distance.ns_per_candidate. 16 queries rotate.
+// a 1024 x 48 collection, the refine-tcam fine rerank of 640 unique
+// nominees of a 4096 x 48 store, and the filtered-churn rerank of 417 of
+// 4096 in ascending order, as a posting list delivers them; all euclidean
+// at k = 10. A dense subset, 2048 of 4096, rounds out the id-set sizes on
+// either side of the sort threshold. Items are rows scored, so the time
+// per item reads against the traced distance.ns_per_candidate. 16 queries
+// rotate.
 struct ExactStore {
   search::ExactNnIndex index{distance::MetricKind::kEuclidean};
   std::vector<std::vector<float>> queries;
   std::vector<std::vector<std::size_t>> nominees;  ///< Per query.
 };
 
-ExactStore exact_store(std::size_t rows, std::size_t nominees) {
+ExactStore exact_store(std::size_t rows, std::size_t nominees, bool ascending) {
   ExactStore store;
   Rng rng{21};
   std::vector<float> row(48);
@@ -306,13 +309,15 @@ ExactStore exact_store(std::size_t rows, std::size_t nominees) {
     for (std::size_t id = 0; id < rows; ++id) ids[id] = id;
     for (std::size_t i = 0; i < nominees; ++i) std::swap(ids[i], ids[i + rng.index(rows - i)]);
     ids.resize(nominees);
+    if (ascending) std::sort(ids.begin(), ids.end());
     store.nominees.push_back(std::move(ids));
   }
   return store;
 }
 
-void run_exact(benchmark::State& state, std::size_t rows, std::size_t nominees, bool scalar) {
-  const ExactStore store = exact_store(rows, nominees);
+void run_exact(benchmark::State& state, std::size_t rows, std::size_t nominees, bool scalar,
+               bool ascending = false) {
+  const ExactStore store = exact_store(rows, nominees, ascending);
   const PinnedBackend backend{scalar};
   state.SetLabel(store.index.kernel_name());
   std::size_t q = 0;
@@ -337,6 +342,22 @@ BENCHMARK(BM_SubsetRerank);
 
 void BM_SubsetRerankScalar(benchmark::State& state) { run_exact(state, 4096, 640, true); }
 BENCHMARK(BM_SubsetRerankScalar);
+
+void BM_SubsetRerankAscending(benchmark::State& state) {
+  run_exact(state, 4096, 417, false, true);
+}
+BENCHMARK(BM_SubsetRerankAscending);
+
+void BM_SubsetRerankAscendingScalar(benchmark::State& state) {
+  run_exact(state, 4096, 417, true, true);
+}
+BENCHMARK(BM_SubsetRerankAscendingScalar);
+
+void BM_SubsetRerankDense(benchmark::State& state) { run_exact(state, 4096, 2048, false); }
+BENCHMARK(BM_SubsetRerankDense);
+
+void BM_SubsetRerankDenseScalar(benchmark::State& state) { run_exact(state, 4096, 2048, true); }
+BENCHMARK(BM_SubsetRerankDenseScalar);
 
 // The refine build's set-up: the signature model learns its planes from
 // the calibration rows before a row can be stored. 4096 rows of 32 bits,

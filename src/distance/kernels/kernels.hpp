@@ -13,8 +13,8 @@
 //    FP32, fused multiply-add for the squared/dot accumulators), so the
 //    scalar and SIMD kernels produce *bit-identical* accumulators and
 //    therefore bit-identical top-k orderings. Each slab of a call has its
-//    own accumulator chain, so a SIMD backend overlaps up to
-//    `kMaxBlocksPerCall` FMA latency chains without reordering any lane's
+//    own accumulator chain, so a SIMD backend overlaps several FMA latency
+//    chains (eight on AVX2, four on NEON) without reordering any lane's
 //    sum. MCAM_FORCE_SCALAR=1 (env, read at startup) or `set_force_scalar`
 //    pins the scalar kernel.
 //  - The int8 kernel computes symmetric int8 dot products with i32
@@ -46,10 +46,14 @@ namespace mcam::distance::kernels {
 /// ymm register of floats; two NEON q registers).
 inline constexpr std::size_t kBlockRows = 8;
 
-/// Most slabs one `block_accum` call scores. Each slab carries its own
-/// accumulator chain, so four slabs keep both AVX2 FMA ports busy where
-/// one slab waits out the FMA latency at every feature.
-inline constexpr std::size_t kMaxBlocksPerCall = 4;
+/// Most slabs one `block_accum` call scores: the chunk a caller gathers
+/// into a stack buffer. Each slab carries its own accumulator chain, and a
+/// backend runs them in groups (eight on AVX2, four on NEON), so both AVX2
+/// FMA ports stay busy where one slab would wait out the FMA latency at
+/// every feature. Chunks of 16, 32 and 64 slabs scored the end-to-end
+/// shapes within noise of each other (x86-64 Xeon, AVX2); 16 had the
+/// lowest minimum on every shape.
+inline constexpr std::size_t kMaxBlocksPerCall = 16;
 
 /// int8 code rows are padded to this many bytes (one full SIMD vector), so
 /// the dot kernels never need a scalar tail. Padding codes are zero and

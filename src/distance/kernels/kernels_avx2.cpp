@@ -16,74 +16,99 @@
 
 #include <immintrin.h>
 
+#include <utility>
+
 namespace mcam::distance::kernels {
 
 namespace {
 
-// Scores N slabs with N independent accumulator chains. One slab alone
-// stalls on the 4-cycle FMA latency at every feature; N = 4 chains give
-// the two FMA ports enough independent work. The chains never mix, so
-// each lane's sum is the scalar reference's.
-template <std::size_t N>
-void accum_slabs(MetricKind kind, const float* const* slabs, const float* query,
-                 std::size_t dim, float* acc) {
-  __m256 a[N];
-  const float* slab[N];
-  for (std::size_t s = 0; s < N; ++s) {
-    a[s] = _mm256_setzero_ps();
-    slab[s] = slabs[s];
-  }
+// One feature step of one accumulator chain: the scalar reference's
+// per-lane operation on eight lanes at once.
+template <MetricKind K>
+__m256 step(__m256 acc, __m256 v, __m256 q) {
   const __m256 sign_mask = _mm256_set1_ps(-0.0f);
-  const auto lanes = [&slab](std::size_t s, std::size_t d) {
-    return _mm256_loadu_ps(slab[s] + d * kBlockRows);
-  };
-  switch (kind) {
-    case MetricKind::kEuclidean:
-    case MetricKind::kSquaredEuclidean:
-      for (std::size_t d = 0; d < dim; ++d) {
-        const __m256 q = _mm256_set1_ps(query[d]);
-        for (std::size_t s = 0; s < N; ++s) {
-          const __m256 diff = _mm256_sub_ps(lanes(s, d), q);
-          a[s] = _mm256_fmadd_ps(diff, diff, a[s]);
-        }
-      }
-      break;
-    case MetricKind::kCosine:
-      for (std::size_t d = 0; d < dim; ++d) {
-        const __m256 q = _mm256_set1_ps(query[d]);
-        for (std::size_t s = 0; s < N; ++s) a[s] = _mm256_fmadd_ps(lanes(s, d), q, a[s]);
-      }
-      break;
-    case MetricKind::kManhattan:
-      for (std::size_t d = 0; d < dim; ++d) {
-        const __m256 q = _mm256_set1_ps(query[d]);
-        for (std::size_t s = 0; s < N; ++s) {
-          a[s] = _mm256_add_ps(a[s], _mm256_andnot_ps(sign_mask, _mm256_sub_ps(lanes(s, d), q)));
-        }
-      }
-      break;
-    case MetricKind::kLinf:
-      // vmaxps(x, a) is `x > a ? x : a`: a NaN |diff| keeps a, exactly the
-      // scalar reference's `if (diff > acc) acc = diff`.
-      for (std::size_t d = 0; d < dim; ++d) {
-        const __m256 q = _mm256_set1_ps(query[d]);
-        for (std::size_t s = 0; s < N; ++s) {
-          a[s] = _mm256_max_ps(_mm256_andnot_ps(sign_mask, _mm256_sub_ps(lanes(s, d), q)), a[s]);
-        }
-      }
-      break;
+  if constexpr (K == MetricKind::kCosine) {
+    return _mm256_fmadd_ps(v, q, acc);
+  } else if constexpr (K == MetricKind::kManhattan) {
+    return _mm256_add_ps(acc, _mm256_andnot_ps(sign_mask, _mm256_sub_ps(v, q)));
+  } else if constexpr (K == MetricKind::kLinf) {
+    // vmaxps(x, a) is `x > a ? x : a`: a NaN |diff| keeps a, exactly the
+    // scalar reference's `if (diff > acc) acc = diff`.
+    return _mm256_max_ps(_mm256_andnot_ps(sign_mask, _mm256_sub_ps(v, q)), acc);
+  } else {
+    const __m256 diff = _mm256_sub_ps(v, q);
+    return _mm256_fmadd_ps(diff, diff, acc);
   }
-  for (std::size_t s = 0; s < N; ++s) _mm256_storeu_ps(acc + s * kBlockRows, a[s]);
+}
+
+/// Slabs per group: eight accumulator chains, with the query broadcast and
+/// the temporaries, fit the sixteen ymm registers.
+constexpr std::size_t kGroup = 8;
+
+// Scores N <= kGroup slabs (one per index S) with N independent
+// accumulator chains. One slab alone stalls on the FMA latency at every
+// feature; a full group keeps both FMA ports busy. The metric is a
+// template argument and the chains are a pack expansion, not loops, so
+// they stay in registers and go straight to `acc` (GCC turns a loop that
+// zeroes or stores the chain array into memset/memcpy calls through a
+// stack copy). The chains never mix, so each lane's sum is the scalar
+// reference's.
+template <MetricKind K, std::size_t... S>
+void accum_group(std::index_sequence<S...>, const float* const* slabs,
+                 const float* query, std::size_t dim, float* acc) {
+  __m256 a[] = {(static_cast<void>(S), _mm256_setzero_ps())...};
+  const float* slab[] = {slabs[S]...};
+  for (std::size_t d = 0; d < dim; ++d) {
+    const __m256 q = _mm256_set1_ps(query[d]);
+    ((a[S] = step<K>(a[S], _mm256_loadu_ps(slab[S] + d * kBlockRows), q)), ...);
+  }
+  (_mm256_storeu_ps(acc + S * kBlockRows, a[S]), ...);
+}
+
+template <MetricKind K, std::size_t N>
+void accum_group(const float* const* slabs, const float* query, std::size_t dim, float* acc) {
+  accum_group<K>(std::make_index_sequence<N>{}, slabs, query, dim, acc);
+}
+
+// A whole call: full groups of kGroup slabs, then one group of the 1-7
+// left over.
+template <MetricKind K>
+void accum_chunk(const float* const* slabs, std::size_t count, const float* query,
+                 std::size_t dim, float* acc) {
+  std::size_t s = 0;
+  for (; s + kGroup <= count; s += kGroup) {
+    accum_group<K, kGroup>(slabs + s, query, dim, acc + s * kBlockRows);
+  }
+  const float* const* rest = slabs + s;
+  float* out = acc + s * kBlockRows;
+  switch (count - s) {
+    case 1: accum_group<K, 1>(rest, query, dim, out); break;
+    case 2: accum_group<K, 2>(rest, query, dim, out); break;
+    case 3: accum_group<K, 3>(rest, query, dim, out); break;
+    case 4: accum_group<K, 4>(rest, query, dim, out); break;
+    case 5: accum_group<K, 5>(rest, query, dim, out); break;
+    case 6: accum_group<K, 6>(rest, query, dim, out); break;
+    case 7: accum_group<K, 7>(rest, query, dim, out); break;
+    default: break;
+  }
 }
 
 void avx2_block_accum(MetricKind kind, const float* const* slabs, std::size_t count,
                       const float* query, std::size_t dim, float* acc) {
-  static_assert(kMaxBlocksPerCall == 4);
-  switch (count) {
-    case 1: accum_slabs<1>(kind, slabs, query, dim, acc); break;
-    case 2: accum_slabs<2>(kind, slabs, query, dim, acc); break;
-    case 3: accum_slabs<3>(kind, slabs, query, dim, acc); break;
-    default: accum_slabs<4>(kind, slabs, query, dim, acc); break;
+  switch (kind) {
+    case MetricKind::kEuclidean:
+    case MetricKind::kSquaredEuclidean:
+      accum_chunk<MetricKind::kSquaredEuclidean>(slabs, count, query, dim, acc);
+      break;
+    case MetricKind::kCosine:
+      accum_chunk<MetricKind::kCosine>(slabs, count, query, dim, acc);
+      break;
+    case MetricKind::kManhattan:
+      accum_chunk<MetricKind::kManhattan>(slabs, count, query, dim, acc);
+      break;
+    case MetricKind::kLinf:
+      accum_chunk<MetricKind::kLinf>(slabs, count, query, dim, acc);
+      break;
   }
 }
 

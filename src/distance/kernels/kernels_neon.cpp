@@ -80,14 +80,21 @@ void accum_slabs(MetricKind kind, const float* const* slabs, const float* query,
   }
 }
 
+// A whole call: groups of four slabs (eight q-register chains), then one
+// group of the 1-3 left over.
 void neon_block_accum(MetricKind kind, const float* const* slabs, std::size_t count,
                       const float* query, std::size_t dim, float* acc) {
-  static_assert(kMaxBlocksPerCall == 4);
-  switch (count) {
-    case 1: accum_slabs<1>(kind, slabs, query, dim, acc); break;
-    case 2: accum_slabs<2>(kind, slabs, query, dim, acc); break;
-    case 3: accum_slabs<3>(kind, slabs, query, dim, acc); break;
-    default: accum_slabs<4>(kind, slabs, query, dim, acc); break;
+  std::size_t s = 0;
+  for (; s + 4 <= count; s += 4) {
+    accum_slabs<4>(kind, slabs + s, query, dim, acc + s * kBlockRows);
+  }
+  const float* const* rest = slabs + s;
+  float* out = acc + s * kBlockRows;
+  switch (count - s) {
+    case 1: accum_slabs<1>(kind, rest, query, dim, out); break;
+    case 2: accum_slabs<2>(kind, rest, query, dim, out); break;
+    case 3: accum_slabs<3>(kind, rest, query, dim, out); break;
+    default: break;
   }
 }
 

@@ -29,6 +29,10 @@
 
 namespace mcam::search {
 
+namespace detail {
+class Selection;  ///< The k-bounded selection every path feeds (selection.hpp).
+}  // namespace detail
+
 /// One retrieved neighbor.
 struct Neighbor {
   std::size_t index = 0;  ///< Position in insertion order.
@@ -91,8 +95,10 @@ class ExactNnIndex {
   /// and k-convention as `k_nearest`, but only the named rows have their
   /// distances evaluated - the ids are gathered into the storage blocks
   /// they touch, each with a mask of its candidate lanes, and the batch
-  /// kernels score up to kMaxBlocksPerCall such blocks per call, however
-  /// far apart. Duplicate, tombstoned, and out-of-range ids are ignored
+  /// kernels score a chunk of up to kMaxBlocksPerCall such blocks per
+  /// call, however far apart, as a full scan does. Ids may come in any
+  /// order; ascending ids, as posting lists hold them, are not re-sorted.
+  /// Duplicate, tombstoned, and out-of-range ids are ignored
   /// (each unique live id is scored exactly once); an empty surviving
   /// candidate set yields an empty vector.
   /// When `live_candidates` is non-null it receives the number of unique
@@ -130,7 +136,7 @@ class ExactNnIndex {
     std::size_t block;
     std::uint8_t lanes;
   };
-  class Selection;  ///< The k-bounded selection every path feeds (knn.cpp).
+  using Selection = detail::Selection;
 
   /// Appends ascending id `id` to `blocks`, merging it into the last block
   /// when it shares that block (a duplicate id merges too).

@@ -88,13 +88,17 @@ TEST(Kernels, SimdAccumulatorsAreBitIdenticalToScalar) {
     GTEST_SKIP() << "no SIMD backend on this host";
   }
   Rng rng{101};
-  // Odd dims exercise every unaligned tail; an odd row count leaves a
-  // partial (zero-padded) tail block. One row carries a NaN and one an
-  // infinity, so the NaN handling of every metric is pinned too.
+  // Odd dims exercise every unaligned tail; the row count leaves a partial
+  // (zero-padded) tail block. The store holds more blocks than one call
+  // takes, and a block count of 1 mod 21, so a call of any count at
+  // stride 1, 3 or 7 draws distinct blocks, across the AVX2 backend's
+  // groups of eight and the end of the store. One row carries a NaN and
+  // one an infinity, so the NaN handling of every metric is pinned too.
+  constexpr std::size_t kBlocks = (kernels::kMaxBlocksPerCall / 21 + 1) * 21 + 1;
   for (const std::size_t dim : {std::size_t{1}, std::size_t{7}, std::size_t{48},
                                 std::size_t{65}}) {
     kernels::RowStore store;
-    const std::size_t rows = 9 * kernels::kBlockRows + 3;
+    const std::size_t rows = (kBlocks - 1) * kernels::kBlockRows + 3;
     for (std::size_t r = 0; r < rows; ++r) {
       std::vector<float> row = random_row(rng, dim);
       if (r == 5) row[dim / 2] = std::numeric_limits<float>::quiet_NaN();
@@ -102,10 +106,18 @@ TEST(Kernels, SimdAccumulatorsAreBitIdenticalToScalar) {
       (void)store.add(row);
     }
     const std::size_t blocks = store.num_blocks();
+    ASSERT_EQ(blocks, kBlocks);
     const std::vector<float> query = random_row(rng, dim);
     for (const MetricKind kind : kAllKinds) {
+      // The scalar reference, one slab per call.
+      std::vector<float> scalar_acc(blocks * kernels::kBlockRows);
+      for (std::size_t b = 0; b < blocks; ++b) {
+        const float* slab = store.block(b);
+        kernels::scalar_ops().block_accum(kind, &slab, 1, query.data(), dim,
+                                          scalar_acc.data() + b * kernels::kBlockRows);
+      }
       // Each call takes `count` slabs `stride` blocks apart, wrapping, so
-      // calls mix adjacent, distant, repeated and tail slabs.
+      // calls mix adjacent, distant and tail slabs.
       for (std::size_t count = 1; count <= kernels::kMaxBlocksPerCall; ++count) {
         for (const std::size_t stride : {std::size_t{1}, std::size_t{3}, std::size_t{7}}) {
           for (std::size_t first = 0; first < blocks; ++first) {
@@ -118,16 +130,13 @@ TEST(Kernels, SimdAccumulatorsAreBitIdenticalToScalar) {
             alignas(32) float simd_acc[kernels::kMaxBlocksPerCall * kernels::kBlockRows];
             simd.block_accum(kind, slabs, count, query.data(), dim, simd_acc);
             for (std::size_t s = 0; s < count; ++s) {
-              alignas(32) float scalar_acc[kernels::kBlockRows];
-              kernels::scalar_ops().block_accum(kind, &slabs[s], 1, query.data(), dim,
-                                                scalar_acc);
               for (std::size_t lane = 0; lane < kernels::kBlockRows; ++lane) {
-                EXPECT_TRUE(same_accumulator(scalar_acc[lane],
-                                             simd_acc[s * kernels::kBlockRows + lane]))
+                const float want = scalar_acc[ids[s] * kernels::kBlockRows + lane];
+                const float got = simd_acc[s * kernels::kBlockRows + lane];
+                EXPECT_TRUE(same_accumulator(want, got))
                     << "kind " << static_cast<int>(kind) << " dim " << dim << " count "
                     << count << " slab " << s << " (block " << ids[s] << ") lane " << lane
-                    << ": scalar " << scalar_acc[lane] << " simd "
-                    << simd_acc[s * kernels::kBlockRows + lane];
+                    << ": scalar " << want << " simd " << got;
               }
             }
           }

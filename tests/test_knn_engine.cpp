@@ -3,6 +3,7 @@
 #include "force_scalar_guard.hpp"
 #include "search/engine.hpp"
 #include "search/knn.hpp"
+#include "search/selection.hpp"
 #include "util/linalg.hpp"
 
 #include <gtest/gtest.h>
@@ -351,7 +352,10 @@ std::vector<std::size_t> k_axis(std::size_t rows) {
 }
 
 /// Candidate lists for k_nearest_among: a dense one (reversed, with
-/// duplicates, tombstones and unknown ids) and a sparse one.
+/// duplicates, tombstones and unknown ids), a sparse one, and two short
+/// ones that leave the largest index with far more blocks than ids, so
+/// they take the sorted walk: one unsorted, and one ascending with a
+/// duplicate and an unknown id, as a posting list might hold them.
 std::vector<std::vector<std::size_t>> candidate_lists(std::size_t rows) {
   std::vector<std::size_t> dense;
   for (std::size_t id = rows; id-- > 0;) {
@@ -362,7 +366,9 @@ std::vector<std::vector<std::size_t>> candidate_lists(std::size_t rows) {
   dense.push_back(rows);
   dense.push_back(std::numeric_limits<std::size_t>::max());
   std::vector<std::size_t> sparse{rows - 1, rows / 2, rows + 7, rows / 2, 0, rows / 3};
-  return {dense, sparse};
+  std::vector<std::size_t> short_unsorted{rows - 1, rows + 7, rows / 2};
+  std::vector<std::size_t> short_ascending{rows / 3, rows / 2, rows / 2, rows + 7};
+  return {dense, sparse, short_unsorted, short_ascending};
 }
 
 /// Scores every row on its own with `score` and lists the live ones of
@@ -392,7 +398,11 @@ std::vector<std::size_t> all_ids(const ExactNnIndex& index) {
 TEST(ExactNnIndex, EveryPathMatchesThePerRowOracle) {
   ForceScalarGuard guard;
   Rng rng{2027};
-  for (const std::size_t rows : {1, 7, 8, 9, 33, 1024}) {
+  // The last row count spans two full kernel chunks and a third that ends
+  // in a partial block.
+  for (const std::size_t rows :
+       {std::size_t{1}, std::size_t{7}, std::size_t{8}, std::size_t{9}, std::size_t{33},
+        std::size_t{1024}, 2 * kernels::kMaxBlocksPerCall * kernels::kBlockRows + 43}) {
     for (const std::size_t dim : {5, 48}) {
       const std::vector<std::vector<float>> data = tie_heavy_rows(rows, dim, rng);
       std::vector<std::vector<float>> queries{tie_heavy_rows(1, dim, rng).front(),
@@ -530,6 +540,51 @@ TEST(ExactNnIndex, NanDistancesRankLastOnEveryPath) {
       expect_same_answer(functor.k_nearest(zero, k), functor_want, where + " functor");
       expect_same_answer(functor.k_nearest_among(zero, ids, k), functor_want,
                          where + " functor among");
+    }
+  }
+}
+
+TEST(Selection, AdmissibleLanesAreTheLanesOfferAdmits) {
+  // A block offers only the lanes its mask holds, so the mask must never
+  // drop a lane `offer` would admit: while the heap fills, or while its
+  // worst value is NaN, it holds every lane. Once the worst is a number it
+  // holds exactly the lanes `offer` admits, so a tie with the worst, a NaN
+  // and an accumulator above the worst (+inf too) stay out.
+  constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  const std::vector<float> probes{1.0f, 2.0f, 3.0f, kNaN, kInf, -kInf, 0.0f, -0.0f,
+                                  std::nextafter(2.0f, 0.0f), std::nextafter(2.0f, 3.0f),
+                                  -1.0f};
+  for (const float worst : {2.0f, 0.0f, -0.0f, kInf, kNaN}) {
+    for (const std::size_t k : {std::size_t{1}, std::size_t{4}}) {
+      detail::Selection top{k};
+      std::size_t next_id = 0;
+      const auto check = [&](bool worst_is_number, const char* where) {
+        for (std::size_t first = 0; first < probes.size(); ++first) {
+          float acc[kernels::kBlockRows];
+          for (std::size_t lane = 0; lane < kernels::kBlockRows; ++lane) {
+            acc[lane] = probes[(first + lane) % probes.size()];
+          }
+          const unsigned mask = top.admissible_lanes(acc);
+          for (std::size_t lane = 0; lane < kernels::kBlockRows; ++lane) {
+            detail::Selection offered = top;
+            offered.offer(acc[lane], next_id);
+            const auto ranked = offered.ranked();
+            const bool admitted =
+                std::any_of(ranked.begin(), ranked.end(),
+                            [&](const detail::Selection::Entry& e) { return e.id == next_id; });
+            const bool in_mask = ((mask >> lane) & 1u) != 0;
+            const bool want = !worst_is_number || admitted;
+            EXPECT_EQ(in_mask, want)
+                << where << " worst " << worst << " k " << k << " acc " << acc[lane];
+          }
+        }
+      };
+      for (std::size_t filled = 0; filled < k; ++filled) {
+        check(false, "filling");
+        top.offer(filled + 1 == k ? worst : -2.0f, next_id++);
+      }
+      check(!std::isnan(worst), "full");
     }
   }
 }
