@@ -282,10 +282,12 @@ BENCHMARK_CAPTURE(BM_MatchingIds, common, "common");
 // a 1024 x 48 collection, the refine-tcam fine rerank of 640 unique
 // nominees of a 4096 x 48 store, and the filtered-churn rerank of 417 of
 // 4096 in ascending order, as a posting list delivers them; all euclidean
-// at k = 10. A dense subset, 2048 of 4096, rounds out the id-set sizes on
-// either side of the sort threshold. Items are rows scored, so the time
-// per item reads against the traced distance.ns_per_candidate. 16 queries
-// rotate.
+// at k = 10. A dense subset, 2048 of 4096, rounds out the id-set sizes.
+// All of these OR their ids into block masks; 16 of 4096 (32 blocks per
+// id) is past kMaskBlocksPerId (knn.cpp) and sorts its ids instead, so
+// both sides of that threshold are timed. Items are rows scored, so the
+// time per item reads against the traced distance.ns_per_candidate. 16
+// queries rotate.
 struct ExactStore {
   search::ExactNnIndex index{distance::MetricKind::kEuclidean};
   std::vector<std::vector<float>> queries;
@@ -358,6 +360,9 @@ BENCHMARK(BM_SubsetRerankDense);
 
 void BM_SubsetRerankDenseScalar(benchmark::State& state) { run_exact(state, 4096, 2048, true); }
 BENCHMARK(BM_SubsetRerankDenseScalar);
+
+void BM_SubsetRerankSparse(benchmark::State& state) { run_exact(state, 4096, 16, false); }
+BENCHMARK(BM_SubsetRerankSparse);
 
 // The refine build's set-up: the signature model learns its planes from
 // the calibration rows before a row can be stored. 4096 rows of 32 bits,

@@ -51,8 +51,8 @@ constexpr std::size_t kGroup = 8;
 // template argument and the chains are a pack expansion, not loops, so
 // they stay in registers and go straight to `acc` (GCC turns a loop that
 // zeroes or stores the chain array into memset/memcpy calls through a
-// stack copy). The chains never mix, so each lane's sum is the scalar
-// reference's.
+// stack copy; CI fails if this file's object holds a `rep stos`). The
+// chains never mix, so each lane's sum is the scalar reference's.
 template <MetricKind K, std::size_t... S>
 void accum_group(std::index_sequence<S...>, const float* const* slabs,
                  const float* query, std::size_t dim, float* acc) {

@@ -29,10 +29,12 @@ namespace {
 static_assert(kernels::kBlockRows <= 8, "a block's live lanes fit one byte");
 
 /// k_nearest_among ORs its ids into per-block masks while the index has at
-/// most this many blocks per id, and walks the ids in sorted order beyond
-/// that. Measured on random ids of a euclidean 48-feature index (AVX2,
-/// x86-64 Xeon): the two cost the same at about 21 to 25 blocks per id,
-/// from 512 to 8192 blocks.
+/// most this many blocks per id, and sorts the ids beyond that. Measured
+/// on random ids of a euclidean 48-feature index (AVX2, x86-64 Xeon), the
+/// two cost the same at about 12 blocks per id at 512 blocks, 16 to 24 at
+/// 2048 and 24 at 8192: the sort's share grows with the id count. 24 fits
+/// the large indexes, where a wrong pick costs the most time; at 32 blocks
+/// per id the sort wins at every size (BM_SubsetRerankSparse times it).
 constexpr std::size_t kMaskBlocksPerId = 24;
 
 constexpr std::uint8_t lane_bit(std::size_t i) noexcept {
@@ -254,9 +256,8 @@ std::vector<Neighbor> ExactNnIndex::k_nearest_among(std::span<const float> query
   //   * unless the index has far more blocks than ids, OR a lane bit into
   //     a per-block mask and read the masks back in one pass -
   //     O(ids + blocks), cheaper than sorting a few hundred ids;
-  //   * against far more blocks, walk the ids in ascending order, so the
-  //     work follows the candidate set, never the index. Ids that already
-  //     ascend, as posting lists do, skip the sort.
+  //   * against far more blocks, sort the ids themselves, so the work
+  //     follows the candidate set, never the index.
   std::vector<LiveBlock> blocks;
   if (live_lanes_.size() <= kMaskBlocksPerId * ids.size()) {
     std::vector<std::uint8_t> wanted(live_lanes_.size(), 0);
@@ -268,14 +269,9 @@ std::vector<Neighbor> ExactNnIndex::k_nearest_among(std::span<const float> query
       if (lanes != 0) blocks.push_back({b, lanes});
     }
   } else {
-    std::vector<std::size_t> sorted;
-    std::span<const std::size_t> ascending = ids;
-    if (!std::is_sorted(ids.begin(), ids.end())) {
-      sorted.assign(ids.begin(), ids.end());
-      std::sort(sorted.begin(), sorted.end());
-      ascending = sorted;
-    }
-    for (const std::size_t id : ascending) {
+    std::vector<std::size_t> sorted(ids.begin(), ids.end());
+    std::sort(sorted.begin(), sorted.end());
+    for (const std::size_t id : sorted) {
       if (id < store_.rows() && row_valid(id)) append_lane(blocks, id);
     }
   }

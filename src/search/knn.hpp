@@ -97,8 +97,7 @@ class ExactNnIndex {
   /// they touch, each with a mask of its candidate lanes, and the batch
   /// kernels score a chunk of up to kMaxBlocksPerCall such blocks per
   /// call, however far apart, as a full scan does. Ids may come in any
-  /// order; ascending ids, as posting lists hold them, are not re-sorted.
-  /// Duplicate, tombstoned, and out-of-range ids are ignored
+  /// order. Duplicate, tombstoned, and out-of-range ids are ignored
   /// (each unique live id is scored exactly once); an empty surviving
   /// candidate set yields an empty vector.
   /// When `live_candidates` is non-null it receives the number of unique
